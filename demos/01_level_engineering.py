@@ -13,8 +13,7 @@ states.  This script walks through the numbers.
 import numpy as np
 
 from ybcavity import (BeamParams, Polarization, build_level_scheme,
-                      default_shift_beam, shift_field, stark_shift,
-                      sublevel_splitting)
+                      default_shift_beam, stark_shift, sublevel_splitting)
 
 scheme = build_level_scheme()
 
@@ -54,12 +53,13 @@ for m in (+1.5, +0.5):
           % (m, stark_shift(m, blue, scheme) / 1e6))
 
 # ---------------------------------------------------------------------------
-# The shift follows the local intensity.  Sampling the field along a
-# transverse cut through the focus shows the Gaussian envelope an atom
-# falling off-center actually experiences.
+# The shift follows the local intensity.  Evaluating it along a
+# transverse cut through the focus (stark_shift takes arrays of
+# positions) shows the Gaussian envelope an atom falling off-center
+# actually experiences.
 offsets = np.array([0.0, 10e-6, 25e-6, 50e-6, 75e-6])
-cut = [(x, 0.0, 0.0) for x in offsets]
+cut = stark_shift(+1.5, beam, scheme, position=(offsets, 0.0, 0.0))
 print("\ntransverse profile of the m'=3/2 shift:")
-for (x, _, _), res in zip(cut, shift_field(cut, beam, scheme)):
-    bar = "#" * int(round(40 * res.delta_32 / d32))
-    print("  x = %3.0f um : %5.2f MHz %s" % (x * 1e6, res.delta_32 / 1e6, bar))
+for x, shift in zip(offsets, cut):
+    bar = "#" * int(round(40 * shift / d32))
+    print("  x = %3.0f um : %5.2f MHz %s" % (x * 1e6, shift / 1e6, bar))

@@ -18,8 +18,8 @@ import numpy as np
 from ybcavity import (BeamParams, CavityParams, Polarization, ShiftResult,
                       adiabatic_rates, build_hamiltonian, build_level_scheme,
                       build_lindblad, default_transit_config,
-                      ground_vacuum_state, steady_state)
-from ybcavity.transit import probe_detuning, shift_profile, make_trajectory
+                      ground_vacuum_state, stark_shift, steady_state)
+from ybcavity.transit import probe_detuning
 
 scheme = build_level_scheme()
 cavity = CavityParams()
@@ -61,9 +61,7 @@ for y_um in (0.0, 5.0, 9.0):
 # the shift on, a spin-up atom pumps the sigma+ mode ~800x harder than
 # sigma-, and flips are slow on the ~100 us transit timescale.
 cfg = default_transit_config(light_shift_on=True)
-traj = make_trajectory(0.0, 0.0, cfg.geometry)
-center = int(np.argmin(np.abs(traj.z)))
-d32, d12 = (arr[center] for arr in shift_profile(traj, cfg))
+d32, d12 = (stark_shift(m, cfg.shift_beam, scheme) for m in (+1.5, +0.5))
 det = probe_detuning(cfg)
 print("\noperating point: probe %.1f uW at %+.1f MHz, shift beam on"
       % (cfg.drive.power * 1e6, det / 1e6))

@@ -24,7 +24,7 @@ SEED = 20260825
 cfg = default_transit_config(light_shift_on=True)
 print("fall time through the mode: %.0f us (2w/v estimate %.0f us)"
       % (crossing_duration(cfg.geometry) * 1e6,
-         cfg.geometry.mean_transit_time * 1e6))
+         2.0 * cfg.geometry.mode_waist / cfg.geometry.fall_speed * 1e6))
 
 # ---------------------------------------------------------------------------
 # Single-atom transits with a known initial spin.  The detected-count

@@ -14,13 +14,12 @@ from .errors import (
     YbCavityError, ConfigError, ResonanceError, ModelError, NumericalError,
 )
 from .atomic import (
-    Term, Polarization, Sublevel, LevelScheme,
-    SPIN_UP, SPIN_DOWN,
+    Polarization, LevelScheme,
     build_level_scheme, transition_weight, decay_branching,
 )
 from .lightshift import (
-    BeamParams, ShiftResult, ZERO_SHIFT,
-    default_shift_beam, stark_shift, sublevel_splitting, shift_field,
+    BeamParams, ShiftResult,
+    default_shift_beam, stark_shift, sublevel_splitting,
 )
 from .dynamics import (
     CavityParams, SystemState, LindbladGenerator, EmissionRates,

@@ -16,18 +16,11 @@ the sigma-stretch : pi : sigma-cross couplings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import constants
 from .errors import ConfigError
-
-
-class Term(Enum):
-    S0 = "1S0"
-    P1 = "3P1"
-    D1 = "3D1"
 
 
 class Polarization(Enum):
@@ -56,47 +49,6 @@ def _as_m2(m: float, name: str = "m") -> int:
     return int(m2)
 
 
-_ALLOWED_F2 = {Term.S0: (1,), Term.P1: (3,), Term.D1: (1, 3)}
-
-
-@dataclass(frozen=True)
-class Sublevel:
-    """A single |term, F, m> state; F and m stored as 2F and 2m integers."""
-
-    term: Term
-    f2: int
-    m2: int
-
-    def __post_init__(self):
-        if self.f2 not in _ALLOWED_F2[self.term]:
-            raise ValueError(f"F = {self.f2}/2 not allowed for {self.term}")
-        if abs(self.m2) > self.f2 or (self.m2 - self.f2) % 2 != 0:
-            raise ValueError(f"m = {self.m2}/2 invalid for F = {self.f2}/2")
-
-    @property
-    def f(self) -> float:
-        return self.f2 / 2.0
-
-    @property
-    def m(self) -> float:
-        return self.m2 / 2.0
-
-    def __repr__(self):
-        return f"Sublevel({self.term.value}, F={self.f2}/2, m={self.m2:+d}/2)"
-
-
-SPIN_UP = Sublevel(Term.S0, 1, +1)
-SPIN_DOWN = Sublevel(Term.S0, 1, -1)
-
-
-def _all_sublevels() -> tuple[Sublevel, ...]:
-    out = [SPIN_UP, SPIN_DOWN]
-    out += [Sublevel(Term.P1, 3, m2) for m2 in (-3, -1, +1, +3)]
-    out += [Sublevel(Term.D1, 1, m2) for m2 in (-1, +1)]
-    out += [Sublevel(Term.D1, 3, m2) for m2 in (-3, -1, +1, +3)]
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class LevelScheme:
     """Immutable container for the rates and intervals of the level model.
@@ -111,7 +63,6 @@ class LevelScheme:
     gamma_D1_line: float = constants.GAMMA_D1_LINE
     branching_D1_to_P0: float = constants.BRANCHING_D1_TO_P0
     d1_hyperfine_splitting: float = constants.D1_HYPERFINE_SPLITTING_HZ
-    sublevels: tuple[Sublevel, ...] = field(default_factory=_all_sublevels)
 
     def validate(self) -> "LevelScheme":
         if not self.gamma_P1 > 0:
@@ -152,11 +103,6 @@ def transition_weight(ground_m: float, polarization: Polarization) -> float:
         raise ValueError("transition_weight needs a spherical polarization; "
                          "decompose linear_y into sigma+/sigma- first")
     return float(constants.EXCITATION_WEIGHTS[(m2, polarization.q)])
-
-
-def transition_weight_exact(ground_m2: int, q: int) -> Fraction:
-    """Exact-Fraction version of transition_weight, keyed by 2m and q."""
-    return constants.EXCITATION_WEIGHTS[(ground_m2, q)]
 
 
 def decay_branching(excited_m: float):

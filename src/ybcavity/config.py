@@ -22,12 +22,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import constants
 from .atomic import LevelScheme, Polarization, build_level_scheme
 from .dynamics import CavityParams
 from .errors import ConfigError
-from .lightshift import BeamParams, default_shift_beam
+from .lightshift import BeamParams
 from .observables import MotParams
-from .transit import TransitConfig, TransitGeometry
+from .transit import TransitConfig, TransitGeometry, default_transit_config
 
 ENV_PREFIX = "YBCAVITY_"
 
@@ -44,6 +45,9 @@ class GridSpec:
     step: float
 
     def validate(self) -> "GridSpec":
+        if not all(math.isfinite(v) for v in (self.start, self.stop,
+                                              self.step)):
+            raise ConfigError(f"grid values must be finite, got {self}")
         if not self.step > 0:
             raise ConfigError(f"grid step must be > 0, got {self.step}")
         if self.stop < self.start:
@@ -70,10 +74,14 @@ class Grids:
     def validate(self) -> "Grids":
         self.spectrum_mhz.validate()
         self.dip_mhz.validate()
-        if not self.snr_power_mw or any(p < 0 for p in self.snr_power_mw):
-            raise ConfigError("snr_power_mw must be nonempty, all >= 0")
-        if not self.snr_waist_um or any(not w > 0 for w in self.snr_waist_um):
-            raise ConfigError("snr_waist_um must be nonempty, all > 0")
+        if not self.snr_power_mw or any(not 0 <= p < math.inf
+                                        for p in self.snr_power_mw):
+            raise ConfigError("snr_power_mw must be nonempty, all finite "
+                              "and >= 0")
+        if not self.snr_waist_um or any(not 0 < w < math.inf
+                                        for w in self.snr_waist_um):
+            raise ConfigError("snr_waist_um must be nonempty, all finite "
+                              "and > 0")
         return self
 
 
@@ -85,8 +93,8 @@ class RunSection:
 
     light_shift_on: bool = True
     excitation_detuning: float = None
-    atom_rate: float = 550.0
-    window: float = 2e-3
+    atom_rate: float = constants.ATOM_RATE
+    window: float = constants.MEASUREMENT_WINDOW
     initial_spin: str = "random"
     n_runs: int = 2000
     master_seed: int = None
@@ -95,6 +103,12 @@ class RunSection:
     emit_format: str = "csv"
 
     def validate(self) -> "RunSection":
+        for name in ("n_runs", "threads", "master_seed"):
+            value = getattr(self, name)
+            if name == "master_seed" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.threads < 1:
@@ -121,12 +135,10 @@ class RunConfig:
     grids: Grids
 
     def validate(self) -> "RunConfig":
-        self.scheme.validate()
-        self.cavity.validate()
-        self.geometry.validate()
         self.mot.validate()
         self.run.validate()
         self.grids.validate()
+        # the scheme, cavity, beams and geometry
         self.to_transit_config().validate()
         return self
 
@@ -141,14 +153,12 @@ class RunConfig:
 
 
 def default_run_config() -> RunConfig:
-    """Reference operating point for every section."""
+    """Reference operating point for every section; the physics sections
+    are those of `default_transit_config`."""
+    transit = default_transit_config()
     return RunConfig(
-        scheme=build_level_scheme(),
-        cavity=CavityParams(),
-        drive=BeamParams(power=1.8e-6, waist=25e-6,
-                         polarization=Polarization.LINEAR_Y),
-        shift_beam=default_shift_beam(),
-        geometry=TransitGeometry(),
+        scheme=transit.scheme, cavity=transit.cavity, drive=transit.drive,
+        shift_beam=transit.shift_beam, geometry=transit.geometry,
         mot=MotParams(),
         run=RunSection(),
         grids=Grids(),

@@ -3,8 +3,9 @@
 The Hilbert space is {|up>, |down>, four 3P1(F'=3/2) sublevels} tensor
 Fock(sigma+ mode) tensor Fock(sigma- mode).  The sigma+ cavity mode couples
 every q = +1 transition with its coupling weight, the sigma- mode every
-q = -1 transition; the classical side drive enters with its polarization
-decomposed into spherical components.  kappa and gamma are HWHM-convention
+q = -1 transition; the classical side drive, polarized along y, enters
+as equal sigma+ and sigma- components (the only drive modelled: other
+polarizations raise ConfigError).  kappa and gamma are HWHM-convention
 rates, so Lindblad collapse channels carry 2*kappa and 2*gamma.
 
 The sampler needs rates for one ground spin at a time.  `adiabatic_rates`
@@ -39,7 +40,7 @@ from scipy.constants import c, epsilon_0, hbar
 from . import constants
 from .atomic import LevelScheme, Polarization
 from .errors import ConfigError, ModelError, NumericalError
-from .lightshift import BeamParams, ShiftResult, beam_intensity, beam_radius_at
+from .lightshift import BeamParams, ShiftResult
 
 TWO_PI = constants.TWO_PI
 
@@ -133,26 +134,32 @@ def coupling_at(position, cavity: CavityParams) -> float:
 
 def drive_rabi_sq(position, drive: BeamParams, scheme: LevelScheme) -> float:
     """Total squared Rabi frequency (rad^2/s^2) of the excitation beam at a
-    point, before polarization decomposition and coupling weights.
+    point, before polarization decomposition and coupling weights;
+    broadcasts over array coordinates.
 
     The dipole scale comes from the 3P1 natural width (2*gamma_P1), i.e. the
     cyclic weight-1 transition; each P1 sublevel decays at that same total
     rate, so no extra multiplicity factor appears.
     """
     x, _, z = position
-    r_sq = (np.asarray(x) - drive.axis_offset) ** 2 + np.asarray(z) ** 2
-    intensity = drive.peak_intensity * np.exp(-2.0 * r_sq / drive.waist ** 2)
+    intensity = drive.peak_intensity * drive.profile(x, z)
     omega = TWO_PI * c / constants.WAVELENGTH_GREEN
     d_sq = (3.0 * math.pi * epsilon_0 * hbar * c ** 3
             * 2.0 * scheme.gamma_P1 / omega ** 3)
     return 2.0 * intensity * d_sq / (c * epsilon_0 * hbar ** 2)
 
 
-def _drive_fractions(polarization: Polarization):
-    """Intensity fraction of the drive in each spherical component q."""
-    if polarization is Polarization.LINEAR_Y:
-        return {+1: 0.5, -1: 0.5}
-    return {polarization.q: 1.0}
+# Intensity fraction of the drive in each spherical component q.  The
+# readout drives both cyclic transitions with one beam polarized along y,
+# an equal sigma+/sigma- superposition; it is the only drive modelled.
+_DRIVE_FRACTIONS = {+1: 0.5, -1: 0.5}
+
+
+def require_linear_drive(drive: BeamParams) -> None:
+    """Raise ConfigError unless the drive is polarized along y."""
+    if drive.polarization is not Polarization.LINEAR_Y:
+        raise ConfigError("the drive must be polarized linear_y, got "
+                          f"{drive.polarization.name.lower()}")
 
 
 def _cavity_couplings(e2: int):
@@ -199,6 +206,7 @@ def build_hamiltonian(scheme: LevelScheme, cavity: CavityParams,
     are taken resonant with the drive frequency (the experiment locks them
     together), so no bare photon term appears.
     """
+    require_linear_drive(drive)
     if n_max < 1:
         raise ModelError(f"Fock truncation n_max must be >= 1, got {n_max}")
     a, i_ph = _fock_ops(n_max)
@@ -223,7 +231,7 @@ def build_hamiltonian(scheme: LevelScheme, cavity: CavityParams,
             h += amp * (term + term.conj().T)
 
     om_sq = float(drive_rabi_sq(position, drive, scheme))
-    for q, frac in _drive_fractions(drive.polarization).items():
+    for q, frac in _DRIVE_FRACTIONS.items():
         om_q = math.sqrt(frac * om_sq)
         for g2, g_idx in GROUND_INDEX.items():
             e2 = g2 + 2 * q
@@ -271,11 +279,6 @@ class LindbladGenerator:
     def dim(self):
         return self.h.shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """d rho / dt for a density matrix given as a square array."""
-        vec = self.liouvillian @ rho.flatten(order="F")
-        return vec.reshape(rho.shape, order="F")
-
 
 def build_lindblad(h: np.ndarray, scheme: LevelScheme,
                    cavity: CavityParams) -> LindbladGenerator:
@@ -314,10 +317,6 @@ class SystemState:
 
     rho: np.ndarray
     n_max: int
-
-    @property
-    def dims(self):
-        return (N_ATOM, self.n_max + 1, self.n_max + 1)
 
     @property
     def dim(self):
@@ -472,7 +471,7 @@ def _low_rank(mat):
 
 
 class _SpinModel:
-    """Conditional master equation of the up spin under a given drive.
+    """Conditional master equation of the up spin under the linear drive.
 
     Basis: the up ground state, the excited sublevels the drive reaches
     from it, and any other ground state those sublevels reach by emitting
@@ -482,8 +481,9 @@ class _SpinModel:
     spin count as flips), and a photon leaking while the atom sits in
     another ground state returns it to |up> as a flip as well, so the
     steady state is what the spin sees until it flips.  The drive on those
-    other ground states is left out.  Spin down is this model for the
-    mirrored drive (m -> -m, sigma+ <-> sigma-).
+    other ground states is left out.  The drive is mirror-symmetric
+    (m -> -m swaps its sigma+ and sigma- parts), so spin down is this
+    model with the sigma+ and sigma- modes swapped.
 
     The Hamiltonian is sum_e Delta_e P_e + g H_g + Omega H_Omega.  Only the
     drive changes the number of quanta (photons plus atomic excitation), so
@@ -493,8 +493,9 @@ class _SpinModel:
     that one with the trace condition; grade -k is the adjoint of grade k.
     """
 
-    def __init__(self, fractions, kappa: float, gamma: float):
+    def __init__(self, kappa: float, gamma: float):
         up = +1
+        fractions = _DRIVE_FRACTIONS
         self.excited_m2 = [up + 2 * q for q in sorted(fractions, reverse=True)
                            if abs(up + 2 * q) <= 3]
         q_of = {up + 2 * q: q for q in fractions}
@@ -663,16 +664,15 @@ class _SpinModel:
 
 
 @lru_cache(maxsize=16)
-def _spin_model(fractions: tuple, kappa: float, gamma: float) -> _SpinModel:
-    return _SpinModel(dict(fractions), kappa, gamma)
+def _spin_model(kappa: float, gamma: float) -> _SpinModel:
+    return _SpinModel(kappa, gamma)
 
 
 def spin_rates(spin: str, coupling, rabi_sq, excitation_detuning: float,
-               shifts: ShiftResult, cavity: CavityParams,
-               polarization: Polarization) -> np.ndarray:
+               shifts: ShiftResult, cavity: CavityParams) -> np.ndarray:
     """Per-spin rates at local coordinates, as an array (..., 4) holding
     the EmissionRates fields in order: photons/s into the sigma+ and sigma-
-    modes, flips/s and free-space scatters/s.
+    modes, flips/s and free-space scatters/s, under the linear-y drive.
 
     coupling (rad/s), rabi_sq (total drive Omega^2, rad^2/s^2) and the
     shift fields broadcast against each other.  The rates are even under
@@ -682,10 +682,7 @@ def spin_rates(spin: str, coupling, rabi_sq, excitation_detuning: float,
     """
     if spin not in ("up", "down"):
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
-    mirror = +1 if spin == "up" else -1
-    fractions = tuple(sorted((mirror * q, f) for q, f
-                             in _drive_fractions(polarization).items()))
-    model = _spin_model(fractions, cavity.kappa, cavity.gamma)
+    model = _spin_model(cavity.kappa, cavity.gamma)
     g, om_sq, d32, d12 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in
           (coupling, rabi_sq, shifts.delta_32, shifts.delta_12)))
@@ -721,10 +718,10 @@ def adiabatic_rates(spin: str, excitation_detuning: float, position,
     which case the returned rate fields are arrays; scalars in, scalars
     out.
     """
+    require_linear_drive(drive)
     g = coupling_at(position, cavity)
     rates = spin_rates(spin, g, drive_rabi_sq(position, drive, scheme),
-                       excitation_detuning, shifts, cavity,
-                       drive.polarization)
+                       excitation_detuning, shifts, cavity)
     ok = bool(np.all(g < cavity.kappa))
     cols = [rates[..., k] for k in range(4)]
     if rates.ndim == 1:

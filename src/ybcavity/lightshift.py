@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
@@ -46,6 +47,10 @@ class BeamParams:
     axis_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("power", "waist", "detuning", "axis_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"beam {name} must be finite, "
+                                  f"got {getattr(self, name)}")
         if self.power < 0:
             raise ConfigError(f"beam power must be >= 0, got {self.power}")
         if not self.waist > 0:
@@ -54,6 +59,12 @@ class BeamParams:
     @property
     def peak_intensity(self) -> float:
         return 2.0 * self.power / (math.pi * self.waist ** 2)
+
+    def profile(self, x, z):
+        """Intensity over its peak at transverse coordinates (x, z), i.e.
+        exp(-2 [(x - axis_offset)^2 + z^2] / w^2); broadcasts over arrays."""
+        r_sq = (np.asarray(x) - self.axis_offset) ** 2 + np.asarray(z) ** 2
+        return np.exp(-2.0 * r_sq / self.waist ** 2)
 
 
 @dataclass(frozen=True)
@@ -73,9 +84,6 @@ class ShiftResult:
             raise ValueError("splitting must equal delta_32 - delta_12")
 
 
-ZERO_SHIFT = ShiftResult(0.0, 0.0)
-
-
 def default_shift_beam(power: float = constants.SHIFT_POWER,
                        waist: float = constants.SHIFT_WAIST,
                        detuning: float = constants.SHIFT_DETUNING,
@@ -83,18 +91,6 @@ def default_shift_beam(power: float = constants.SHIFT_POWER,
     """Shift beam at the reference operating point (9 mW, 50 um, -300 MHz)."""
     return BeamParams(power=power, waist=waist, detuning=detuning,
                       polarization=Polarization.PI, axis_offset=axis_offset)
-
-
-def beam_intensity(radial_offset: float, beam: BeamParams) -> float:
-    """I(r) = (2P / pi w^2) exp(-2 r^2 / w^2) in W/m^2."""
-    return beam.peak_intensity * math.exp(
-        -2.0 * radial_offset ** 2 / beam.waist ** 2)
-
-
-def beam_radius_at(position, beam: BeamParams) -> float:
-    """Transverse distance from the beam axis for a point (x, y, z)."""
-    x, _, z = position
-    return math.hypot(x - beam.axis_offset, z)
 
 
 def _rabi_sq_unit(intensity: float, scheme: LevelScheme) -> float:
@@ -124,7 +120,9 @@ def _component_detunings(beam: BeamParams, scheme: LevelScheme):
 def stark_shift(sublevel_m: float, beam: BeamParams, scheme: LevelScheme,
                 position=(0.0, 0.0, 0.0),
                 resonance_floor: float = 10.0) -> float:
-    """Shift (Hz) of a 3P1(F'=3/2) sublevel at `position`.
+    """Shift (Hz) of a 3P1(F'=3/2) sublevel at `position`, an (x, y, z)
+    triple whose entries may be arrays: the shift broadcasts over them,
+    and scalars in give a float out.
 
     Raises ResonanceError when the beam sits within `resonance_floor`
     linewidths of any hyperfine component the sublevel actually couples to;
@@ -138,8 +136,8 @@ def stark_shift(sublevel_m: float, beam: BeamParams, scheme: LevelScheme,
         raise ConfigError("the light-shift model covers a pi-polarized beam; "
                           f"got {beam.polarization}")
     detunings = _component_detunings(beam, scheme)
-    intensity = beam_intensity(beam_radius_at(position, beam), beam)
-    omega_sq = _rabi_sq_unit(intensity, scheme)
+    x, _, z = position
+    omega_sq = _rabi_sq_unit(beam.peak_intensity * beam.profile(x, z), scheme)
     shift_rad = 0.0
     for f2, delta_k in detunings.items():
         weight = constants.D1_PI_WEIGHTS[(abs(m2), f2)]
@@ -150,7 +148,8 @@ def stark_shift(sublevel_m: float, beam: BeamParams, scheme: LevelScheme,
                 f"shift beam within {resonance_floor} linewidths of the "
                 f"F''={f2}/2 component (detuning {delta_k:.3g} rad/s)")
         shift_rad += float(weight) * omega_sq / (4.0 * delta_k)
-    return shift_rad / TWO_PI
+    shift = shift_rad / TWO_PI
+    return float(shift) if np.ndim(shift) == 0 else shift
 
 
 def sublevel_splitting(delta_32_measured: float, scheme: LevelScheme,
@@ -172,13 +171,3 @@ def sublevel_splitting(delta_32_measured: float, scheme: LevelScheme,
     delta_12 = delta_32_measured * resp_12 / resp_32
     return ShiftResult(delta_32=delta_32_measured, delta_12=delta_12)
 
-
-def shift_field(grid, beam: BeamParams, scheme: LevelScheme,
-                resonance_floor: float = 10.0):
-    """Pointwise ShiftResult for every 3-vector in `grid` (same order)."""
-    out = []
-    for position in grid:
-        d32 = stark_shift(+1.5, beam, scheme, position, resonance_floor)
-        d12 = stark_shift(+0.5, beam, scheme, position, resonance_floor)
-        out.append(ShiftResult(delta_32=d32, delta_12=d12))
-    return out

@@ -21,7 +21,6 @@ piecewise-constant rate grid.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -32,8 +31,8 @@ from scipy.constants import c, h
 from . import constants
 from .dynamics import axial_profile
 from .errors import ConfigError
-from .transit import (TransitConfig, local_coordinates, make_trajectory,
-                      rate_table)
+from .transit import (TransitConfig, _write_csv, local_coordinates,
+                      make_trajectory, rate_table)
 
 SPECTRUM_FORMAT_TAG = "ybcavity.spectrum.v1"
 SNR_FORMAT_TAG = "ybcavity.snr.v1"
@@ -166,29 +165,15 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
     coords = local_coordinates(col(x0), col(y0), geo_z.z, config,
                                axial=col(axial))
     rates = rate_table(config)(*coords)
-    (up_plus, up_minus, f_up), (dn_plus, dn_minus, f_dn) = \
+    # the two spins share one flip rate f (mirror-symmetric drive)
+    (up_plus, up_minus, flip), (dn_plus, dn_minus, _) = \
         rates["up"], rates["down"]
 
-    if np.array_equal(f_up, f_dn):
-        x = 2.0 * f_up * dt
-        amp = (p_up_initial - 0.5) * np.exp(x - np.cumsum(x, axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg_mean = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
-        mean_p_up = 0.5 + amp * seg_mean
-    else:
-        mean_p_up = np.empty_like(f_up)
-        p = np.full(f_up.shape[0], p_up_initial)
-        for i in range(f_up.shape[1]):
-            fu, fd = f_up[:, i], f_dn[:, i]
-            tot = fu + fd
-            live = tot > 0.0
-            safe = np.where(live, tot, 1.0)
-            p_eq = fd / safe
-            e = np.exp(-tot * dt)
-            mean_p_up[:, i] = np.where(
-                live, p_eq + (p - p_eq) * (1.0 - e) / (safe * dt), p)
-            p = np.where(live, p_eq + (p - p_eq) * e, p)
-
+    x = 2.0 * flip * dt
+    amp = (p_up_initial - 0.5) * np.exp(x - np.cumsum(x, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seg_mean = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+    mean_p_up = 0.5 + amp * seg_mean
     mean_p_dn = 1.0 - mean_p_up
     exp_plus = dt * np.sum(mean_p_up * up_plus + mean_p_dn * dn_plus, axis=1)
     exp_minus = dt * np.sum(mean_p_up * up_minus + mean_p_dn * dn_minus,
@@ -200,9 +185,9 @@ def expected_transit_counts(x0: float, y0: float, config: TransitConfig,
                             p_up_initial: float = 0.5):
     """Expected cavity emissions (sigma+, sigma-) for one fall line,
     before detection thinning, with the spin occupation evolved through
-    the flip rates.  Exact per-segment integrals for the symmetric flip
-    problem; a stepwise fallback covers asymmetric rate tables.  The
-    coupling is taken at the line's own standing-wave phase."""
+    the flip rate.  Exact per-segment integrals for the symmetric flip
+    problem.  The coupling is taken at the line's own standing-wave
+    phase."""
     if not 0.0 <= p_up_initial <= 1.0:
         raise ConfigError(f"p_up_initial must be in [0, 1], "
                           f"got {p_up_initial}")
@@ -382,32 +367,26 @@ def pearson_correlation(records) -> float:
 # emitters
 
 
-def _write_tagged_csv(path, tag, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# format={tag}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_spectrum_csv(path, points):
-    _write_tagged_csv(path, SPECTRUM_FORMAT_TAG,
-                      ("detuning_MHz", "mean_counts"),
-                      ((repr(float(p.excitation_detuning)),
-                        repr(float(p.mean_counts))) for p in points))
+    with open(path, "w", newline="") as fh:
+        _write_csv(fh, SPECTRUM_FORMAT_TAG, ("detuning_MHz", "mean_counts"),
+                   ((repr(float(p.excitation_detuning)),
+                     repr(float(p.mean_counts))) for p in points))
 
 
 def write_snr_csv(path, curve, x_label: str):
     if x_label not in ("power_mW", "waist_um"):
         raise ConfigError(f"unknown snr sweep label {x_label!r}")
-    _write_tagged_csv(path, SNR_FORMAT_TAG, (x_label, "snr"),
-                      ((repr(float(x)), repr(float(s))) for x, s in curve))
+    with open(path, "w", newline="") as fh:
+        _write_csv(fh, SNR_FORMAT_TAG, (x_label, "snr"),
+                   ((repr(float(x)), repr(float(s))) for x, s in curve))
 
 
 def write_dip_csv(path, detuning_grid, values):
-    _write_tagged_csv(path, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
-                      ((repr(float(d)), repr(float(v)))
-                       for d, v in zip(detuning_grid, values)))
+    with open(path, "w", newline="") as fh:
+        _write_csv(fh, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
+                   ((repr(float(d)), repr(float(v)))
+                    for d, v in zip(detuning_grid, values)))
 
 
 def write_stats_json(path, stats: dict):

@@ -32,8 +32,8 @@ from scipy.constants import g as FREE_FALL_G
 
 from . import constants
 from .atomic import LevelScheme, Polarization, build_level_scheme
-from .dynamics import (CavityParams, _drive_fractions, coupling_at,
-                       drive_rabi_sq, spin_rates)
+from .dynamics import (_DRIVE_FRACTIONS, CavityParams, coupling_at,
+                       drive_rabi_sq, require_linear_drive, spin_rates)
 from .errors import ConfigError
 from .lightshift import (BeamParams, ShiftResult, default_shift_beam,
                          stark_shift)
@@ -59,9 +59,8 @@ _WINDOW_COLUMNS = ("window_s", "counts_sigma_plus", "counts_sigma_minus",
 class TransitGeometry:
     """Where atoms come from and how they cross the mode.
 
-    The fall speed at the cavity follows from the drop height; the
-    mean_transit_time field is the crossing time of the 1/e^2 mode
-    diameter at that speed and is derived automatically when left None.
+    The fall speed at the cavity follows from the drop height, and
+    `crossing_duration` gives the time to cross the mode at that speed.
     Impact parameters are drawn uniformly from a transverse disc of
     radius impact_radius_factor x mode_waist; atoms outside couple
     negligibly.  The simulated path spans +/- simulation_halfspan in z
@@ -70,31 +69,16 @@ class TransitGeometry:
 
     drop_height: float = constants.DROP_HEIGHT
     mode_waist: float = constants.MODE_WAIST
-    mean_transit_time: float = None
-    impact_parameter_distribution: str = "uniform-disc"
     impact_radius_factor: float = 2.0
     simulation_halfspan: float = 125e-6
     time_step: float = 1e-6
 
-    def __post_init__(self):
-        if self.mean_transit_time is None:
-            # derivable only for a physical drop; validate() rejects the rest
-            derived = (2.0 * self.mode_waist / self.fall_speed
-                       if self.drop_height > 0 else math.nan)
-            object.__setattr__(self, "mean_transit_time", derived)
-
     def validate(self) -> "TransitGeometry":
-        for name in ("drop_height", "mode_waist", "mean_transit_time",
-                     "impact_radius_factor", "simulation_halfspan",
-                     "time_step"):
+        for name in ("drop_height", "mode_waist", "impact_radius_factor",
+                     "simulation_halfspan", "time_step"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, "
                                   f"got {getattr(self, name)}")
-        if self.impact_parameter_distribution != "uniform-disc":
-            raise ConfigError(
-                "unknown impact parameter distribution "
-                f"{self.impact_parameter_distribution!r}; "
-                "only 'uniform-disc' is implemented")
         return self
 
     @property
@@ -117,10 +101,6 @@ class Trajectory:
     times: np.ndarray
     z: np.ndarray
     time_step: float
-
-    def positions(self):
-        return (np.full_like(self.z, self.x0),
-                np.full_like(self.z, self.y0), self.z)
 
 
 def make_trajectory(x0: float, y0: float, geometry: TransitGeometry
@@ -178,7 +158,8 @@ class TransitConfig:
     None means "track the engineered resonance": the m'=+/-3/2 shift at
     the mode center when the shift beam is on, zero otherwise.
     initial_spin is the per-atom preparation policy: 'up', 'down', or
-    'random' (fair coin per atom).
+    'random' (fair coin per atom).  The drive must be polarized linear_y
+    and the shift beam pi, the only beams the rate and shift models cover.
     """
 
     scheme: LevelScheme
@@ -196,6 +177,10 @@ class TransitConfig:
         self.scheme.validate()
         self.cavity.validate()
         self.geometry.validate()
+        require_linear_drive(self.drive)
+        if self.shift_beam.polarization is not Polarization.PI:
+            raise ConfigError("the shift beam must be polarized pi, got "
+                              f"{self.shift_beam.polarization.name.lower()}")
         if self.initial_spin not in SPINS + ("random",):
             raise ConfigError("initial_spin must be 'up', 'down' or "
                               f"'random', got {self.initial_spin!r}")
@@ -244,24 +229,7 @@ def shift_fraction(x, z, config: TransitConfig):
     when the shift beam is off."""
     if not _shift_on(config):
         return np.zeros(np.broadcast(x, z).shape)
-    beam = config.shift_beam
-    r_sq = (np.asarray(x) - beam.axis_offset) ** 2 + np.asarray(z) ** 2
-    return np.exp(-2.0 * r_sq / beam.waist ** 2)
-
-
-def shift_profile(trajectory: Trajectory, config: TransitConfig):
-    """Sublevel shifts (Hz) along the path as arrays matching the grid.
-
-    The shift is linear in the local beam intensity, so the center values
-    scale exactly with the Gaussian envelope of the shift beam (transverse
-    coordinates x and z for a beam running along y).
-    """
-    frac = shift_fraction(trajectory.x0, trajectory.z, config)
-    if not _shift_on(config):
-        return frac, frac
-    beam = config.shift_beam
-    return (stark_shift(+1.5, beam, config.scheme) * frac,
-            stark_shift(+0.5, beam, config.scheme) * frac)
+    return config.shift_beam.profile(x, z)
 
 
 def local_coordinates(x0, y0, z, config: TransitConfig, axial=None):
@@ -309,8 +277,8 @@ class RateTable:
     sampled once onto a grid `_TABLE_REFINE` times finer, and lookups
     interpolate that grid multilinearly.  Past the last drive node the
     saturation is below `_WEAK_SATURATION` and the rates scale with
-    Omega^2.  A mirror-symmetric drive (linear y) lets spin down reuse the
-    spin-up table with sigma+ and sigma- swapped.
+    Omega^2.  The linear-y drive is mirror-symmetric, so spin down reads
+    the spin-up table with sigma+ and sigma- swapped.
     """
 
     def __init__(self, scheme: LevelScheme, cavity: CavityParams,
@@ -319,6 +287,7 @@ class RateTable:
         # table builds need it
         from scipy import interpolate
 
+        require_linear_drive(drive)
         self.g0 = cavity.g0
         self.om0_sq = float(drive_rabi_sq((drive.axis_offset, 0.0, 0.0),
                                           drive, scheme))
@@ -336,9 +305,8 @@ class RateTable:
                           if shift_beam.axis_offset == drive.axis_offset
                           else None)
         self.three_d = shift_beam is not None and self.ratio is None
-        fractions = _drive_fractions(drive.polarization)
         self.tau, self.tau_unit = self._drive_axis(
-            fractions, centre, excitation_detuning, cavity.gamma)
+            centre, excitation_detuning, cavity.gamma)
         self.tau_step = np.diff(self.tau_unit)
         n_nodes = _TABLE_NODES if self.three_d else _TABLE_NODES[:2]
         self.sig_max = math.sqrt(-math.log(_SHIFT_FLOOR))
@@ -356,24 +324,24 @@ class RateTable:
             frac = weak ** self.ratio
         shifts = ShiftResult(centre.delta_32 * frac, centre.delta_12 * frac)
         self.zero = self.om0_sq == 0.0
-        self.mirrored = {-q: f for q, f in fractions.items()} == fractions
+        if self.zero:
+            return
         fine = np.stack(np.meshgrid(*(np.linspace(0.0, 1.0, n)
                                       for n in self.fine), indexing="ij"),
                         axis=-1)
-        self.tables = {}
-        for spin in () if self.zero else ("up",) if self.mirrored else SPINS:
-            rates = spin_rates(spin, self.g0 * np.sqrt(v_solve),
-                               self.om0_sq * weak, excitation_detuning,
-                               shifts, cavity, drive.polarization)[..., :3]
-            rates = rates / weak[..., None]
-            rates[..., :2] /= v_solve[..., None]
-            floor = max(rates.max(), 1e-300) * 1e-30
-            spline = interpolate.RegularGridInterpolator(
-                nodes, np.log(np.maximum(rates, floor)), method="cubic")
-            logs = spline(fine)
-            self.tables[spin] = [logs[..., k].ravel() for k in range(3)]
+        rates = spin_rates("up", self.g0 * np.sqrt(v_solve),
+                           self.om0_sq * weak, excitation_detuning,
+                           shifts, cavity)[..., :3]
+        rates = rates / weak[..., None]
+        rates[..., :2] /= v_solve[..., None]
+        floor = max(rates.max(), 1e-300) * 1e-30
+        spline = interpolate.RegularGridInterpolator(
+            nodes, np.log(np.maximum(rates, floor)), method="cubic")
+        logs = spline(fine)
+        # log rates of spin up: sigma+, sigma-, flip
+        self.channels = [logs[..., k].ravel() for k in range(3)]
 
-    def _drive_axis(self, fractions, centre, excitation_detuning, gamma):
+    def _drive_axis(self, centre, excitation_detuning, gamma):
         """Dense samples of tau and of its [0, 1] node coordinate, from a
         node density that is uniform in tau plus, for each driven
         sublevel, the rate at which its detuning over its width sweeps
@@ -383,7 +351,7 @@ class RateTable:
         frac = np.exp(-self.ratio * tau ** 2) if self.ratio else 0.0
         driven = {(abs(g2 + 2 * q), share * float(
             constants.EXCITATION_WEIGHTS[(g2, q)]))
-            for g2 in (+1, -1) for q, share in fractions.items()
+            for g2 in (+1, -1) for q, share in _DRIVE_FRACTIONS.items()
             if abs(g2 + 2 * q) <= 3}
         for e2, strength in driven:
             shift = centre.delta_32 if e2 == 3 else centre.delta_12
@@ -421,15 +389,11 @@ class RateTable:
                                               self.sig_max ** 2))
                               / self.sig_max)
         stencil = self._stencil(coords)
-        out = {}
-        for spin, channels in self.tables.items():
-            plus, minus, flip = (
-                np.exp(sum(w * chan.take(idx) for idx, w in stencil)) * weak
-                for chan in channels)
-            out[spin] = (v * plus, v * minus, flip)
-        if self.mirrored:
-            out["down"] = (out["up"][1], out["up"][0], out["up"][2])
-        return out
+        plus, minus, flip = (
+            np.exp(sum(w * chan.take(idx) for idx, w in stencil)) * weak
+            for chan in self.channels)
+        up = (v * plus, v * minus, flip)
+        return {"up": up, "down": (up[1], up[0], up[2])}
 
     def _stencil(self, coords):
         """(flat index, weight) pairs of the multilinear stencil on the

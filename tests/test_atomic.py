@@ -14,9 +14,7 @@ from sympy.physics.quantum.cg import CG
 
 from ybcavity import constants
 from ybcavity.atomic import (
-    LevelScheme, Polarization, Sublevel, Term,
-    SPIN_DOWN, SPIN_UP, build_level_scheme, decay_branching,
-    transition_weight, transition_weight_exact,
+    Polarization, build_level_scheme, decay_branching, transition_weight,
 )
 from ybcavity.errors import ConfigError
 
@@ -70,17 +68,18 @@ def test_cyclic_weight_is_unity_and_ratios_are_3_2_1():
     assert transition_weight(+0.5, Polarization.SIGMA_PLUS) == 1.0
     assert transition_weight(+0.5, Polarization.PI) == pytest.approx(2 / 3)
     assert transition_weight(+0.5, Polarization.SIGMA_MINUS) == pytest.approx(1 / 3)
-    # exact 3x between the stretch and cross sigma couplings
-    assert (transition_weight_exact(+1, +1)
-            / transition_weight_exact(+1, -1)) == Fraction(3)
+    # exact 3:2:1 between the stretch, pi and cross couplings
+    weights = constants.EXCITATION_WEIGHTS
+    assert (weights[(+1, +1)] / weights[(+1, -1)]) == Fraction(3)
+    assert (weights[(+1, 0)] / weights[(+1, -1)]) == Fraction(2)
 
 
 def test_mirror_symmetry_and_equal_sums():
+    weights = constants.EXCITATION_WEIGHTS
     for q in (-1, 0, 1):
-        assert (transition_weight_exact(+1, q)
-                == transition_weight_exact(-1, -q))
-    up_sum = sum(transition_weight_exact(+1, q) for q in (-1, 0, 1))
-    dn_sum = sum(transition_weight_exact(-1, q) for q in (-1, 0, 1))
+        assert weights[(+1, q)] == weights[(-1, -q)]
+    up_sum = sum(weights[(+1, q)] for q in (-1, 0, 1))
+    dn_sum = sum(weights[(-1, q)] for q in (-1, 0, 1))
     assert up_sum == dn_sum == Fraction(2)
 
 
@@ -181,7 +180,6 @@ def test_default_scheme_values():
     assert scheme.branching_D1_to_P0 == 0.64
     assert scheme.gamma_D1_line == pytest.approx(constants.TWO_PI * 16e3)
     assert scheme.d1_hyperfine_splitting > 0
-    assert len(scheme.sublevels) == 12
 
 
 def test_scheme_validation_errors():
@@ -193,17 +191,6 @@ def test_scheme_validation_errors():
         build_level_scheme(d1_hyperfine_splitting=-1e6)
     with pytest.raises(ConfigError):
         build_level_scheme(not_a_parameter=3)
-
-
-def test_sublevel_invariants():
-    with pytest.raises(ValueError):
-        Sublevel(Term.S0, 3, 1)        # S0 has no F=3/2
-    with pytest.raises(ValueError):
-        Sublevel(Term.P1, 3, 5)        # |m| > F
-    with pytest.raises(ValueError):
-        Sublevel(Term.D1, 3, 0)        # m must be half-integer for F=3/2
-    assert SPIN_UP.m == 0.5 and SPIN_DOWN.m == -0.5
-    assert SPIN_UP.f == 0.5
 
 
 def test_scheme_is_immutable():

@@ -1,0 +1,100 @@
+"""The benchmark's contract with the package.
+
+`perfbench/` wraps package functions by name and imports package names
+directly.  A refactor that removes or moves one of them does not fail the
+benchmark run loudly: a missing span target only makes its metrics
+absent.  These tests read the benchmark sources (without importing or
+editing them) and check that every name they rely on still resolves.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolve(module: str, attribute: str):
+    obj = importlib.import_module(module)
+    for part in attribute.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _span_targets():
+    """(module, attribute) pairs of `TARGETS` in perfbench/spans.py."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            return [(ast.literal_eval(entry.elts[0]),
+                     ast.literal_eval(entry.elts[1]))
+                    for entry in node.value.elts]
+    raise AssertionError("perfbench/spans.py defines no TARGETS list")
+
+
+def _package_names(source: Path):
+    """Every ybcavity (module, attribute) a benchmark file imports, plus
+    the attributes it reads off imported ybcavity modules."""
+    tree = ast.parse(source.read_text())
+    names, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "ybcavity":
+            for alias in node.names:
+                names.add((node.module, alias.name))
+                bound = alias.asname or alias.name
+                full = f"{node.module}.{alias.name}"
+                try:
+                    importlib.import_module(full)
+                except ModuleNotFoundError:
+                    continue
+                modules[bound] = full
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ybcavity":
+                    names.add((alias.name, None))
+                    modules[alias.asname or "ybcavity"] = \
+                        alias.name if alias.asname else "ybcavity"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain, base = [node.attr], node.value
+        while isinstance(base, ast.Attribute):
+            chain.insert(0, base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in modules:
+            module = modules[base.id]
+            # descend through submodules, then resolve the attribute
+            while chain and _is_module(f"{module}.{chain[0]}"):
+                module = f"{module}.{chain.pop(0)}"
+            if chain:
+                names.add((module, chain[0]))
+    return sorted(names, key=str)
+
+
+def _is_module(name: str) -> bool:
+    try:
+        importlib.import_module(name)
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("module, attribute", _span_targets())
+def test_every_span_target_resolves(module, attribute):
+    assert callable(_resolve(module, attribute))
+
+
+@pytest.mark.parametrize("source", ["worker.py", "checks.py"])
+def test_every_imported_package_name_resolves(source):
+    names = _package_names(PERFBENCH / source)
+    assert names, f"perfbench/{source} imports nothing from ybcavity"
+    for module, attribute in names:
+        if attribute is None:
+            importlib.import_module(module)
+        else:
+            _resolve(module, attribute)

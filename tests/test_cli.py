@@ -148,3 +148,51 @@ def test_flag_overrides_reach_the_config(tmp_path):
                  "--out", str(tmp_path), "--format", "jsonl"]) == 0
     assert (tmp_path / "transit_records.jsonl").exists()
     assert not (tmp_path / "transit_records.csv").exists()
+
+
+@pytest.mark.parametrize("variable", ["YBCAVITY_DRIVE__POWER",
+                                      "YBCAVITY_SHIFT_BEAM__POWER"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_beam_power_is_a_config_error(tmp_path, monkeypatch,
+                                                  capsys, variable, value):
+    monkeypatch.setenv(variable, value)
+    assert main(["motdip", "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grids", [
+    {"spectrum_mhz": {"stop": float("nan")}},
+    {"dip_mhz": {"step": float("inf")}},
+    {"snr_power_mw": [0.0, float("inf")]},
+    {"snr_waist_um": [float("nan")]},
+])
+def test_non_finite_grid_is_a_config_error(tmp_path, grids):
+    cfg = _write_config(tmp_path, {"grids": grids})
+    assert main(["motdip", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("YBCAVITY_RUN__N_RUNS", "1.5"),
+    ("YBCAVITY_RUN__THREADS", "true"),
+    ("YBCAVITY_RUN__MASTER_SEED", "2.0"),
+])
+def test_non_integer_run_fields_are_config_errors(tmp_path, monkeypatch,
+                                                  capsys, variable, value):
+    monkeypatch.setenv(variable, value)
+    assert main(["motdip", "--out", str(tmp_path)]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "snr", "scatter",
+                                     "transit", "motdip"])
+def test_only_the_linear_drive_and_pi_shift_beam_run(tmp_path, monkeypatch,
+                                                     command):
+    # the drive must be linear_y and the shift beam pi, set either way
+    args = [command, "--seed", "1", "--out", str(tmp_path)]
+    for section, pol in (("drive", "sigma_plus"), ("drive", "pi"),
+                         ("shift_beam", "sigma_plus")):
+        cfg = _write_config(tmp_path, {section: {"polarization": pol}})
+        assert main(["--config", cfg] + args) == 2
+        monkeypatch.setenv(f"YBCAVITY_{section.upper()}__POLARIZATION", pol)
+        assert main(args) == 2
+        monkeypatch.delenv(f"YBCAVITY_{section.upper()}__POLARIZATION")

@@ -105,6 +105,18 @@ def test_fock_truncation_guard():
         build_hamiltonian(SCHEME, CAVITY, DRIVE, SHIFTS_OFF, 0.0, n_max=0)
 
 
+def test_non_linear_drive_is_rejected():
+    # the model covers the linear-y drive only
+    for pol in (Polarization.SIGMA_PLUS, Polarization.PI,
+                Polarization.SIGMA_MINUS):
+        drive = BeamParams(power=1.8e-6, waist=25e-6, polarization=pol)
+        with pytest.raises(ConfigError):
+            build_hamiltonian(SCHEME, CAVITY, drive, SHIFTS_OFF, 0.0)
+        with pytest.raises(ConfigError):
+            adiabatic_rates("up", 0.0, (0, 0, 0), SHIFTS_OFF, SCHEME,
+                            CAVITY, drive)
+
+
 # ---------------------------------------------------------------------------
 # Lindblad generator
 
@@ -116,7 +128,8 @@ def test_generator_preserves_trace():
     scale = 2.0 * CAVITY.kappa
     for _ in range(5):
         rho = _random_density(rng, gen.dim)
-        drho = gen.apply(rho)
+        drho = (gen.liouvillian @ rho.flatten(order="F")).reshape(
+            rho.shape, order="F")
         assert abs(np.trace(drho)) < 1e-10 * scale
 
 
@@ -126,7 +139,7 @@ def test_ground_vacuum_is_stationary_without_drive():
     h = build_hamiltonian(SCHEME, CAVITY, dark, SHIFTS_OFF, 0.0, n_max=1)
     gen = build_lindblad(h, SCHEME, CAVITY)
     rho = ground_vacuum_state(1, p_up=0.7).rho
-    assert np.max(np.abs(gen.apply(rho))) == 0.0
+    assert np.max(np.abs(gen.liouvillian @ rho.flatten(order="F"))) == 0.0
 
 
 def test_cavity_decay_rate_is_2_kappa():

@@ -14,8 +14,8 @@ from ybcavity import constants
 from ybcavity.atomic import build_level_scheme
 from ybcavity.errors import ConfigError, ResonanceError
 from ybcavity.lightshift import (
-    BeamParams, ShiftResult, beam_intensity, default_shift_beam, shift_field,
-    stark_shift, sublevel_splitting,
+    BeamParams, ShiftResult, default_shift_beam, stark_shift,
+    sublevel_splitting,
 )
 from ybcavity.atomic import Polarization
 
@@ -29,17 +29,26 @@ SCHEME = build_level_scheme()
 def test_peak_intensity_closed_form():
     beam = default_shift_beam()
     expected = 2 * 9e-3 / (math.pi * (50e-6) ** 2)
-    assert beam_intensity(0.0, beam) == pytest.approx(expected, rel=1e-12)
+    assert beam.peak_intensity == pytest.approx(expected, rel=1e-12)
+    assert beam.profile(0.0, 0.0) == 1.0
     assert expected == pytest.approx(2.29e6, rel=1e-2)
 
 
 def test_intensity_gaussian_falloff_and_zero_power():
     beam = default_shift_beam()
-    assert beam_intensity(beam.waist, beam) == pytest.approx(
-        beam.peak_intensity * math.exp(-2.0), rel=1e-12)
-    dark = BeamParams(power=0.0, waist=50e-6)
-    for r in (0.0, 10e-6, 1e-3):
-        assert beam_intensity(r, dark) == 0.0
+    assert beam.profile(beam.waist, 0.0) == pytest.approx(
+        math.exp(-2.0), rel=1e-12)
+    # the shift follows the intensity: e^-2 of its peak one waist out
+    center, at_w = stark_shift(+1.5, beam, SCHEME,
+                               position=(np.array([0.0, beam.waist]), 0.0,
+                                         0.0))
+    assert at_w == pytest.approx(center * math.exp(-2.0), rel=1e-12)
+    dark = BeamParams(power=0.0, waist=50e-6,
+                      detuning=constants.SHIFT_DETUNING)
+    radii = np.array([0.0, 10e-6, 1e-3])
+    for m in (+1.5, +0.5):
+        assert np.all(stark_shift(m, dark, SCHEME,
+                                  position=(radii, 0.0, 0.0)) == 0.0)
 
 
 def test_beam_validation():
@@ -47,6 +56,10 @@ def test_beam_validation():
         BeamParams(power=-1e-3, waist=50e-6)
     with pytest.raises(ConfigError):
         BeamParams(power=1e-3, waist=0.0)
+    for name in ("power", "waist", "detuning", "axis_offset"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                BeamParams(**{"power": 1e-3, "waist": 50e-6, name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +168,47 @@ def test_non_pi_beam_rejected():
 # spatial field
 
 
+def _shifts_at(beam, x, y, z):
+    """(delta_32, delta_12) arrays at the points (x[i], y[i], z[i])."""
+    position = tuple(np.asarray(v, dtype=float) for v in (x, y, z))
+    return (stark_shift(+1.5, beam, SCHEME, position=position),
+            stark_shift(+0.5, beam, SCHEME, position=position))
+
+
 def test_shift_field_single_point_consistency():
     beam = default_shift_beam()
-    [res] = shift_field([(0.0, 0.0, 0.0)], beam, SCHEME)
-    assert res.delta_32 == stark_shift(+1.5, beam, SCHEME)
-    assert res.delta_12 == stark_shift(+0.5, beam, SCHEME)
+    # scalars in, float out; a one-point array gives the same value
+    scalar = stark_shift(+1.5, beam, SCHEME, position=(0.0, 0.0, 0.0))
+    assert type(scalar) is float
+    d32, d12 = _shifts_at(beam, [0.0], [0.0], [0.0])
+    assert d32.shape == d12.shape == (1,)
+    assert d32[0] == stark_shift(+1.5, beam, SCHEME)
+    assert d12[0] == stark_shift(+0.5, beam, SCHEME)
+    res = ShiftResult(delta_32=float(d32[0]), delta_12=float(d12[0]))
     assert res.splitting == res.delta_32 - res.delta_12
 
 
 def test_shift_field_gaussian_scaling_and_peak_location():
     beam = default_shift_beam()
     w = beam.waist
-    center, at_w = shift_field([(0, 0, 0), (w, 0, 0)], beam, SCHEME)
-    assert at_w.delta_32 == pytest.approx(
-        center.delta_32 * math.exp(-2.0), rel=1e-12)
-    assert at_w.delta_12 == pytest.approx(
-        center.delta_12 * math.exp(-2.0), rel=1e-12)
+    (c32, w32), (c12, w12) = _shifts_at(beam, [0, w], [0, 0], [0, 0])
+    assert w32 == pytest.approx(c32 * math.exp(-2.0), rel=1e-12)
+    assert w12 == pytest.approx(c12 * math.exp(-2.0), rel=1e-12)
     # beam propagates along y: moving along y does not change the shift,
     # moving along z does
-    on_axis, along_y, along_z = shift_field(
-        [(0, 0, 0), (0, 123e-6, 0), (0, 0, w)], beam, SCHEME)
-    assert along_y.delta_32 == on_axis.delta_32
-    assert along_z.delta_32 == pytest.approx(
-        on_axis.delta_32 * math.exp(-2.0), rel=1e-12)
+    (on_axis, along_y, along_z), _ = _shifts_at(
+        beam, [0, 0, 0], [0, 123e-6, 0], [0, 0, w])
+    assert along_y == on_axis
+    assert along_z == pytest.approx(on_axis * math.exp(-2.0), rel=1e-12)
     xs = np.linspace(-2 * w, 2 * w, 41)
-    field = shift_field([(x, 0.0, 0.0) for x in xs], beam, SCHEME)
-    values = [r.delta_32 for r in field]
+    values, _ = _shifts_at(beam, xs, np.zeros(41), np.zeros(41))
     assert np.argmax(values) == 20  # the grid midpoint, x = 0
+    # a grid of positions broadcasts: x along rows, z along columns
+    zs = np.array([0.0, 0.5 * w, w])
+    grid = stark_shift(+1.5, beam, SCHEME,
+                       position=(xs[:, None], 0.0, zs[None, :]))
+    assert grid.shape == (41, 3)
+    np.testing.assert_allclose(grid[:, 0], values, rtol=1e-12)
 
 
 def test_axis_offset_moves_the_peak():

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 from ybcavity import constants
+from ybcavity.atomic import Polarization
 from ybcavity.dynamics import CavityParams, coupling_at, spin_rates
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import ShiftResult, stark_shift
 from ybcavity.transit import (
-    CountRecord, TransitConfig, TransitGeometry, TransitRecord,
+    CountRecord, RateTable, TransitConfig, TransitGeometry, TransitRecord,
     child_rng, crossing_duration, default_transit_config, local_coordinates,
     make_trajectory, probe_detuning, read_count_records,
     read_transit_records, run_ensemble, run_transit_ensemble,
-    sample_trajectory, shift_profile, simulate_transit, simulate_window,
+    sample_trajectory, shift_fraction, simulate_transit, simulate_window,
     transit_rate_table, write_count_records, write_transit_records,
 )
 
@@ -37,13 +38,6 @@ def test_fall_speed_from_drop_height():
     assert 0.36 < GEO.fall_speed < 0.38
 
 
-def test_mean_transit_time_derived_from_waist():
-    assert GEO.mean_transit_time == pytest.approx(
-        2.0 * GEO.mode_waist / GEO.fall_speed, rel=1e-12)
-    # the published scale: "approximately 100 us"
-    assert 80e-6 < GEO.mean_transit_time < 120e-6
-
-
 def test_crossing_duration_matches_uniform_speed_limit():
     # gravity changes the speed by ~0.3% over a 38 um crossing; the
     # first-order corrections cancel by symmetry, so the exact kinematic
@@ -59,8 +53,6 @@ def test_geometry_validation_errors():
         TransitGeometry(drop_height=0.0).validate()
     with pytest.raises(ConfigError):
         TransitGeometry(time_step=-1e-6).validate()
-    with pytest.raises(ConfigError):
-        TransitGeometry(impact_parameter_distribution="gaussian").validate()
 
 
 def test_trajectory_grid_covers_simulation_span():
@@ -71,9 +63,8 @@ def test_trajectory_grid_covers_simulation_span():
     v_bottom = math.sqrt(traj.speed ** 2
                          + 2.0 * 9.80665 * GEO.simulation_halfspan)
     assert traj.z[-1] > -GEO.simulation_halfspan - v_bottom * traj.time_step
-    xs, ys, zs = traj.positions()
-    assert xs.shape == ys.shape == zs.shape == traj.times.shape
-    assert np.all(xs == 3e-6) and np.all(ys == -2e-6)
+    assert traj.z.shape == traj.times.shape
+    assert traj.x0 == 3e-6 and traj.y0 == -2e-6
 
 
 def test_sample_trajectory_draw_order_and_support():
@@ -105,16 +96,23 @@ def test_sample_trajectory_draw_order_and_support():
 
 def test_shift_profile_off_is_zero():
     traj = make_trajectory(0.0, 0.0, GEO)
-    d32, d12 = shift_profile(traj, CFG_OFF)
-    assert np.all(d32 == 0.0) and np.all(d12 == 0.0)
+    frac = shift_fraction(traj.x0, traj.z, CFG_OFF)
+    assert frac.shape == traj.z.shape and np.all(frac == 0.0)
 
 
 def test_shift_profile_center_and_envelope():
     traj = make_trajectory(0.0, 0.0, GEO)
-    d32, d12 = shift_profile(traj, CFG_ON)
     beam = CFG_ON.shift_beam
+    position = (traj.x0, 0.0, traj.z)
+    d32 = stark_shift(+1.5, beam, CFG_ON.scheme, position=position)
+    d12 = stark_shift(+0.5, beam, CFG_ON.scheme, position=position)
+    frac = shift_fraction(traj.x0, traj.z, CFG_ON)
     center32 = stark_shift(+1.5, beam, CFG_ON.scheme)
     center12 = stark_shift(+0.5, beam, CFG_ON.scheme)
+    # the shift is linear in the local intensity: the centre value times
+    # the shift-beam fraction the rate table reads
+    np.testing.assert_allclose(d32, center32 * frac, rtol=1e-12)
+    np.testing.assert_allclose(d12, center12 * frac, rtol=1e-12)
     i0 = int(np.argmin(np.abs(traj.z)))
     ratio = math.exp(-2.0 * traj.z[i0] ** 2 / beam.waist ** 2)
     assert d32[i0] == pytest.approx(center32 * ratio, rel=1e-12)
@@ -164,12 +162,14 @@ def test_rate_table_matches_direct_solves(shift_offset):
     traj = make_trajectory(6e-6, 4e-6, GEO)
     sel = slice(250, 430, 12)
     table = transit_rate_table(traj, cfg)
-    g, om_sq, _ = local_coordinates(traj.x0, traj.y0, traj.z[sel], cfg)
-    d32, d12 = shift_profile(traj, cfg)
-    shifts = ShiftResult(delta_32=d32[sel], delta_12=d12[sel])
+    g, om_sq, frac = local_coordinates(traj.x0, traj.y0, traj.z[sel], cfg)
+    beam = cfg.shift_beam
+    shifts = ShiftResult(
+        delta_32=stark_shift(+1.5, beam, cfg.scheme) * frac,
+        delta_12=stark_shift(+0.5, beam, cfg.scheme) * frac)
     for spin in ("up", "down"):
         direct = spin_rates(spin, g, om_sq, probe_detuning(cfg), shifts,
-                            cfg.cavity, cfg.drive.polarization)
+                            cfg.cavity)
         view = table[spin]
         for k, got in enumerate((view.sigma_plus, view.sigma_minus,
                                  view.flip)):
@@ -400,3 +400,15 @@ def test_config_validation_errors():
         default_transit_config(window=0.0)
     with pytest.raises(ConfigError):
         default_transit_config(excitation_detuning=math.nan)
+    # the rate model covers the linear-y drive, the shift model a pi beam
+    for pol in (Polarization.SIGMA_PLUS, Polarization.PI,
+                Polarization.SIGMA_MINUS):
+        with pytest.raises(ConfigError):
+            default_transit_config(drive=replace(CFG_ON.drive,
+                                                 polarization=pol))
+        with pytest.raises(ConfigError):
+            RateTable(CFG_ON.scheme, CFG_ON.cavity,
+                      replace(CFG_ON.drive, polarization=pol), None, 0.0)
+    with pytest.raises(ConfigError):
+        default_transit_config(shift_beam=replace(
+            CFG_ON.shift_beam, polarization=Polarization.SIGMA_PLUS))

@@ -86,13 +86,13 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_snr(config: RunConfig) -> int:
     transit_cfg = config.to_transit_config()
     powers_mw = config.grids.snr_power_mw
-    power_curve = predicted_snr([p * 1e-3 for p in powers_mw], transit_cfg,
+    power_curve = predicted_snr([p / 1e3 for p in powers_mw], transit_cfg,
                                 vary="power")
     write_snr_csv(_outfile(config, "snr_vs_power.csv"),
                   [(p, s) for p, (_, s) in zip(powers_mw, power_curve)],
                   x_label="power_mW")
     waists_um = config.grids.snr_waist_um
-    waist_curve = predicted_snr([w * 1e-6 for w in waists_um], transit_cfg,
+    waist_curve = predicted_snr([w / 1e6 for w in waists_um], transit_cfg,
                                 vary="waist")
     write_snr_csv(_outfile(config, "snr_vs_waist.csv"),
                   [(w, s) for w, (_, s) in zip(waists_um, waist_curve)],

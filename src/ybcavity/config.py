@@ -239,10 +239,10 @@ def config_from_dict(document: dict) -> RunConfig:
             if document.get("run") else base.run,
             grids=_grids_from_dict(document.get("grids", {}), base.grids)
             if document.get("grids") else base.grids,
-        )
-    except TypeError as exc:
-        raise ConfigError(f"bad config key: {exc}") from exc
-    return cfg.validate()
+        ).validate()
+    except TypeError as exc:  # an unknown key, or a value of the wrong type
+        raise ConfigError(f"bad config key or value: {exc}") from exc
+    return cfg
 
 
 def _beam_to_dict(beam: BeamParams) -> dict:

@@ -368,6 +368,46 @@ def ground_vacuum_state(n_max: int, p_up: float = 0.5) -> SystemState:
     return SystemState(rho=rho, n_max=n_max)
 
 
+def _reduction(lio, n_max: int, seeds, vec=None):
+    """Reduced unknowns of the states whose column-stacked entries `seeds`
+    are nonzero: (rows, expand), where the full vector is expand @ x and
+    lio[rows] @ expand is the generator on x.
+
+    Kept are the connected components of the Liouvillian's sparsity graph
+    that hold a seed; the rest of the vector is zero and stays zero.  Each
+    pair (v, Pv) of the mirror P (m -> -m with the sigma+ and sigma- modes
+    swapped, on both indices of rho) is one unknown when the generator
+    commutes with P and `vec`, if given, is P-symmetric, since the
+    solution is then P-symmetric too; otherwise every unknown stays.
+    """
+    # imported here, like scipy.interpolate in transit: only solves need it
+    from scipy.sparse import csgraph
+
+    _, label = csgraph.connected_components(abs(lio), directed=False)
+    block = np.isin(label, label[seeds])
+    n_ph = n_max + 1
+    flip = np.empty(N_ATOM, int)
+    for table in (GROUND_INDEX, EXCITED_INDEX):
+        flip[list(table.values())] = [table[-m2] for m2 in table]
+    atom, n_p, n_m = np.unravel_index(np.arange(N_ATOM * n_ph * n_ph),
+                                      (N_ATOM, n_ph, n_ph))
+    mirror = np.ravel_multi_index((flip[atom], n_m, n_p), (N_ATOM, n_ph, n_ph))
+    partner = np.add.outer(mirror, len(mirror) * mirror).ravel(order="F")
+    index = np.arange(len(label))
+    if not (np.array_equal(block[partner], block)
+            and (vec is None or np.array_equal(vec[partner], vec))
+            and abs(lio[partner][:, partner] - lio).max()
+            <= 1e-12 * max(abs(lio).max(), 1.0)):
+        partner = index
+    rep = np.minimum(index, partner)
+    rows = np.flatnonzero(block & (rep == index))
+    members = np.flatnonzero(block)
+    expand = sp.csr_matrix(
+        (np.ones(len(members)), (members, np.searchsorted(rows, rep[members]))),
+        shape=(len(index), len(rows)))
+    return rows, expand
+
+
 def steady_state(generator: LindbladGenerator,
                  initial_state: SystemState | None = None,
                  residual_tol: float = 1e-9) -> SystemState:
@@ -379,6 +419,13 @@ def steady_state(generator: LindbladGenerator,
     `initial_state` (default: an even mixture) are preserved.  Otherwise
     the unique null vector is found by a direct sparse solve with the trace
     constraint replacing one row.
+
+    The solve runs on the reduced unknowns of `_reduction` seeded by the
+    populations: the Liouvillian's block that holds them (half of rho;
+    the unique steady state has no weight outside it) and, when the model
+    is mirror-symmetric, one unknown per mirror pair, a quarter of rho.
+    The state is then expanded and checked against the full Liouvillian,
+    so a wrong reduction can only raise, never return a wrong state.
     """
     lio = generator.liouvillian
     dim = generator.dim
@@ -398,18 +445,19 @@ def steady_state(generator: LindbladGenerator,
         p = 0.5 if total <= 0 else p_up / total
         return ground_vacuum_state(n_max, p_up=p)
 
-    a_mat = lio.tolil(copy=True)
-    trace_row = np.zeros(dim * dim)
-    trace_row[(np.arange(dim)) * (dim + 1)] = 1.0
-    a_mat[0, :] = trace_row
-    b = np.zeros(dim * dim, dtype=complex)
+    diag = np.arange(dim) * (dim + 1)
+    rows, expand = _reduction(lio, n_max, diag)
+    # rows[0] is rho_00, whose equation the trace condition replaces
+    trace_row = sp.csr_matrix(expand[diag].sum(axis=0))
+    a_mat = sp.vstack([trace_row, lio[rows[1:]] @ expand], format="csc")
+    b = np.zeros(len(rows), dtype=complex)
     b[0] = 1.0
     try:
-        x = spla.spsolve(a_mat.tocsc(), b)
+        x = spla.spsolve(a_mat, b)
     except Exception as exc:  # singular factorization and friends
         raise NumericalError(f"steady-state solve failed: {exc}") from exc
 
-    rho = x.reshape((dim, dim), order="F")
+    rho = (expand @ x).reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if not np.isfinite(tr) or abs(tr) < 1e-12:
@@ -424,16 +472,25 @@ def steady_state(generator: LindbladGenerator,
 
 def evolve(rho0: SystemState, generator: LindbladGenerator,
            t: float) -> SystemState:
-    """Propagate rho0 for a time t (s) under the generator."""
+    """Propagate rho0 for a time t (s) under the generator.
+
+    The propagation runs on the reduced unknowns of `_reduction` seeded by
+    the nonzero entries of rho0: entries outside the Liouvillian blocks
+    they lie in stay zero, and a mirror-symmetric rho0 stays symmetric
+    under a mirror-symmetric generator, so each mirror pair is one
+    unknown.  Both hold exactly, so the expanded result is unchanged.
+    """
     if t < 0:
         raise ConfigError(f"evolution time must be >= 0, got {t}")
     if rho0.rho.shape[0] != generator.dim:
         raise ModelError("state and generator dimensions differ")
-    if t == 0.0:
+    if t == 0.0 or not rho0.rho.any():  # nothing moves
         return SystemState(rho=rho0.rho.copy(), n_max=rho0.n_max)
     vec = rho0.rho.flatten(order="F").astype(complex)
+    lio = generator.liouvillian
+    rows, expand = _reduction(lio, generator.n_max, np.flatnonzero(vec), vec)
     try:
-        out = spla.expm_multiply(generator.liouvillian * t, vec)
+        out = expand @ spla.expm_multiply((lio[rows] @ expand) * t, vec[rows])
     except Exception as exc:
         raise NumericalError(f"time propagation failed: {exc}") from exc
     if not np.all(np.isfinite(out)):

@@ -299,8 +299,10 @@ class RateTable:
             centre = ShiftResult(0.0, 0.0)
             self.ratio = None
         else:
-            centre = ShiftResult(stark_shift(+1.5, shift_beam, scheme),
-                                 stark_shift(+0.5, shift_beam, scheme))
+            # on the shift beam's own axis, where shift_fraction is 1
+            axis = (shift_beam.axis_offset, 0.0, 0.0)
+            centre = ShiftResult(stark_shift(+1.5, shift_beam, scheme, axis),
+                                 stark_shift(+0.5, shift_beam, scheme, axis))
             self.ratio = ((drive.waist / shift_beam.waist) ** 2
                           if shift_beam.axis_offset == drive.axis_offset
                           else None)

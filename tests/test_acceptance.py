@@ -19,13 +19,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from ybcavity import constants
 from ybcavity.atomic import Polarization, build_level_scheme, decay_branching
 from ybcavity.dynamics import (GROUND_INDEX, N_ATOM, CavityParams,
                                LindbladGenerator, adiabatic_rates,
                                build_hamiltonian, build_lindblad, evolve,
-                               ground_vacuum_state, steady_state)
+                               ground_vacuum_state, steady_state,
+                               _reduction)
 from ybcavity.lightshift import BeamParams, ShiftResult, stark_shift, \
     sublevel_splitting
 from ybcavity.observables import (MotParams, count_weighted_skewness,
@@ -177,9 +179,9 @@ def test_effective_rates_match_full_master_equation():
         f"worst flux/rate relative deviation {worst:.4f} exceeds 5%")
 
 
-def _conditional_full_rates(spin, det, pos, shifts, scheme, cavity, drive):
+def _conditional_generator(spin, det, pos, shifts, scheme, cavity, drive):
     """Full six-level model (n_max = 2) with every decay that would flip
-    the spin sent back to it: (2 kappa <n+>, 2 kappa <n->, flip rate)."""
+    the spin sent back to it: the generator and the flipping operators."""
     n_max = 2
     h = build_hamiltonian(scheme, cavity, drive, shifts, det, pos, n_max)
     own = GROUND_INDEX[+1 if spin == "up" else -1]
@@ -196,7 +198,14 @@ def _conditional_full_rates(spin, det, pos, shifts, scheme, cavity, drive):
             flips.append(op)
             op = send_back @ op
         collapse.append((name, op))
-    state = steady_state(LindbladGenerator.from_operators(h, collapse, n_max))
+    return LindbladGenerator.from_operators(h, collapse, n_max), flips
+
+
+def _conditional_full_rates(spin, det, pos, shifts, scheme, cavity, drive):
+    """(2 kappa <n+>, 2 kappa <n->, flip rate) of the conditional model."""
+    gen, flips = _conditional_generator(spin, det, pos, shifts, scheme,
+                                        cavity, drive)
+    state = steady_state(gen)
     flip = sum(np.trace(op.conj().T @ op @ state.rho).real for op in flips)
     return (2.0 * cavity.kappa * state.photon_number(0),
             2.0 * cavity.kappa * state.photon_number(1), flip)
@@ -245,6 +254,30 @@ def test_rates_match_conditional_master_equation_at_operating_point():
         f"worst per-spin rate deviation {worst:.4f} exceeds 2%")
     assert worst_total <= 0.02, (
         f"worst spin-averaged flux deviation {worst_total:.4f} exceeds 2%")
+
+
+def test_reduced_steady_state_of_the_conditional_generator():
+    """The conditional generator is not mirror-symmetric, so the reduced
+    steady-state solve keeps every entry of the population block; it
+    still matches a plain solve of the full Liouvillian."""
+    cfg = default_transit_config()
+    shifts = ShiftResult(stark_shift(+1.5, cfg.shift_beam, cfg.scheme),
+                         stark_shift(+0.5, cfg.shift_beam, cfg.scheme))
+    gen, _ = _conditional_generator("up", probe_detuning(cfg), (0.0, 0.0, 0.0),
+                                    shifts, cfg.scheme, cfg.cavity, cfg.drive)
+    dim = gen.dim
+    diag = np.arange(dim) * (dim + 1)
+    rows, _ = _reduction(gen.liouvillian, gen.n_max, diag)
+    assert len(rows) == dim * dim // 2
+    a_mat = gen.liouvillian.tolil(copy=True)
+    a_mat[0, :] = 0.0
+    a_mat[0, diag] = 1.0
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
+    ref = spsolve(a_mat.tocsc(), b).reshape((dim, dim), order="F")
+    ref = 0.5 * (ref + ref.conj().T)
+    ref /= np.trace(ref).real
+    assert np.max(np.abs(steady_state(gen).rho - ref)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,17 @@ def test_snr_sweep_structure(tmp_path):
     assert by_waist[20.0] < by_waist[50.0]
 
 
+def test_snr_reference_point_is_the_reference_configuration(tmp_path):
+    # 9 mW is the reference power and 50 um the reference waist, so the
+    # two sweeps meet in one configuration and print the same SNR
+    cfg = _write_config(tmp_path, {
+        "grids": {"snr_power_mw": [9.0], "snr_waist_um": [50.0]}})
+    assert main(["snr", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [(tmp_path / name).read_text().splitlines()[2]
+            for name in ("snr_vs_power.csv", "snr_vs_waist.csv")]
+    assert rows[0].split(",")[1] == rows[1].split(",")[1]
+
+
 def test_scatter_requires_seed(tmp_path, capsys):
     cfg = _small_stochastic(tmp_path)
     assert main(["scatter", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -181,6 +192,18 @@ def test_non_integer_run_fields_are_config_errors(tmp_path, monkeypatch,
     monkeypatch.setenv(variable, value)
     assert main(["motdip", "--out", str(tmp_path)]) == 2
     assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("YBCAVITY_GRIDS__SNR_POWER_MW", '["a"]'),
+    ("YBCAVITY_GEOMETRY__DROP_HEIGHT", '"x"'),
+    ("YBCAVITY_CAVITY__KAPPA", '"x"'),
+])
+def test_string_for_a_number_is_a_config_error(tmp_path, monkeypatch,
+                                                capsys, variable, value):
+    monkeypatch.setenv(variable, value)
+    assert main(["motdip", "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "snr", "scatter",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply, spsolve
 
 from ybcavity import constants
 from ybcavity.atomic import Polarization, build_level_scheme
@@ -12,10 +13,11 @@ from ybcavity.dynamics import (
     CavityParams, EmissionRates, LindbladGenerator, SystemState,
     adiabatic_rates, build_hamiltonian, build_lindblad, coupling_at,
     drive_rabi_sq, evolve, ground_vacuum_state, steady_state,
-    GROUND_INDEX, EXCITED_INDEX, N_ATOM,
+    GROUND_INDEX, EXCITED_INDEX, N_ATOM, _reduction,
 )
 from ybcavity.errors import ConfigError, ModelError, NumericalError
-from ybcavity.lightshift import BeamParams, ShiftResult
+from ybcavity.lightshift import BeamParams, ShiftResult, stark_shift
+from ybcavity.transit import default_transit_config, probe_detuning
 
 SCHEME = build_level_scheme()
 CAVITY = CavityParams().validate()
@@ -249,6 +251,65 @@ def test_steady_state_failure_raises_numerical_error():
     gen = LindbladGenerator.from_operators(h, (), n_max=1)
     with pytest.raises(NumericalError):
         steady_state(gen)
+
+
+def _operating_generator(shift_on, n_max=2, position=(0.0, 0.0, 0.0)):
+    """Full model at the reference drive, shift beam on or off."""
+    cfg = default_transit_config(light_shift_on=shift_on)
+    shifts = SHIFTS_OFF
+    if shift_on:
+        shifts = ShiftResult(stark_shift(+1.5, cfg.shift_beam, cfg.scheme),
+                             stark_shift(+0.5, cfg.shift_beam, cfg.scheme))
+    h = build_hamiltonian(cfg.scheme, cfg.cavity, cfg.drive, shifts,
+                          probe_detuning(cfg), position, n_max=n_max)
+    return build_lindblad(h, cfg.scheme, cfg.cavity)
+
+
+@pytest.mark.parametrize("shift_on", [True, False])
+def test_reduced_steady_state_matches_full_solve(shift_on):
+    # the mirror-symmetric model solves on a quarter of rho's entries (the
+    # population block, one unknown per mirror pair) and still gives the
+    # state of a plain solve of the full Liouvillian with the trace row
+    gen = _operating_generator(shift_on, position=(3e-6, 4e-6, -5e-6))
+    dim = gen.dim
+    diag = np.arange(dim) * (dim + 1)
+    rows, _ = _reduction(gen.liouvillian, gen.n_max, diag)
+    assert len(rows) == dim * dim // 4
+    a_mat = gen.liouvillian.tolil(copy=True)
+    a_mat[0, :] = 0.0
+    a_mat[0, diag] = 1.0
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
+    ref = spsolve(a_mat.tocsc(), b).reshape((dim, dim), order="F")
+    ref = 0.5 * (ref + ref.conj().T)
+    ref /= np.trace(ref).real
+    assert np.max(np.abs(steady_state(gen).rho - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("p_up", [0.5, 0.3])
+def test_reduced_evolution_matches_full_propagation(p_up):
+    # p_up = 0.5 is mirror-symmetric and propagates one unknown per pair;
+    # p_up = 0.3 is not and keeps every entry of the population block
+    gen = _operating_generator(True)
+    rho0 = ground_vacuum_state(2, p_up=p_up)
+    vec = rho0.rho.flatten(order="F")
+    rows, _ = _reduction(gen.liouvillian, 2, np.flatnonzero(vec), vec)
+    assert len(rows) == gen.dim ** 2 // (4 if p_up == 0.5 else 2)
+    t = 1.5e-6
+    ref = expm_multiply(gen.liouvillian * t, vec).reshape(
+        rho0.rho.shape, order="F")
+    assert np.max(np.abs(evolve(rho0, gen, t).rho - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("shift_on", [True, False])
+def test_photon_numbers_converge_in_the_fock_cutoff(shift_on):
+    # at the mode centre under the reference drive, going from n_max = 2
+    # to 3 moves each mode's <n> by under 1%
+    states = [steady_state(_operating_generator(shift_on, n_max))
+              for n_max in (2, 3)]
+    for mode in (0, 1):
+        two, three = (state.photon_number(mode) for state in states)
+        assert abs(two - three) < 0.01 * three
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ def test_rate_table_shapes_and_spin_symmetry():
 def test_rate_table_matches_direct_solves(shift_offset):
     # shift off, beams on one axis (2-d table), and a shift beam displaced
     # along x (3-d table): interpolated rates along a path agree with the
-    # rate model solved point by point
+    # rate model solved point by point, with the shifts that `stark_shift`
+    # gives at the path points themselves
     if shift_offset is None:
         cfg = CFG_OFF
     else:
@@ -162,11 +163,12 @@ def test_rate_table_matches_direct_solves(shift_offset):
     traj = make_trajectory(6e-6, 4e-6, GEO)
     sel = slice(250, 430, 12)
     table = transit_rate_table(traj, cfg)
-    g, om_sq, frac = local_coordinates(traj.x0, traj.y0, traj.z[sel], cfg)
-    beam = cfg.shift_beam
+    g, om_sq, _ = local_coordinates(traj.x0, traj.y0, traj.z[sel], cfg)
+    path = (traj.x0, traj.y0, traj.z[sel])
+    on = 0.0 if shift_offset is None else 1.0
     shifts = ShiftResult(
-        delta_32=stark_shift(+1.5, beam, cfg.scheme) * frac,
-        delta_12=stark_shift(+0.5, beam, cfg.scheme) * frac)
+        delta_32=on * stark_shift(+1.5, cfg.shift_beam, cfg.scheme, path),
+        delta_12=on * stark_shift(+0.5, cfg.shift_beam, cfg.scheme, path))
     for spin in ("up", "down"):
         direct = spin_rates(spin, g, om_sq, probe_detuning(cfg), shifts,
                             cfg.cavity)

@@ -11,9 +11,9 @@ scatter    window count records (shift off and on) with a correlation
 transit    single-atom transit records with per-atom statistics
 motdip     trap-loss spectroscopy profile of the 1539-nm line
 
-Every command is reproducible: the same config file, seed, and thread
-count produce byte-identical outputs.  Exit codes: 0 success, 2
-configuration errors, 3 numerical failures.
+Every command is reproducible: the same config file and seed produce
+byte-identical outputs.  Exit codes: 0 success, 2 configuration errors,
+3 numerical failures.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def cmd_scatter(config: RunConfig) -> int:
                "initial_spin": run.initial_spin}
     for label, shift_on in (("off", False), ("on", True)):
         cfg = replace(transit_cfg, light_shift_on=shift_on)
-        records = run_ensemble(run.n_runs, seed, cfg,
-                               n_workers=run.threads)
+        records = run_ensemble(run.n_runs, seed, cfg)
         stem = _records_name(f"scatter_shift_{label}", run.emit_format)
         write_count_records(_outfile(config, stem), records,
                             emit_format=run.emit_format)
@@ -127,8 +126,7 @@ def cmd_transit(config: RunConfig) -> int:
     seed = _require_seed(config)
     run = config.run
     records = run_transit_ensemble(run.n_runs, seed,
-                                   config.to_transit_config(),
-                                   n_workers=run.threads)
+                                   config.to_transit_config())
     stem = _records_name("transit_records", run.emit_format)
     write_transit_records(_outfile(config, stem), records,
                           emit_format=run.emit_format)
@@ -184,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record file format (overrides "
                              "run.emit_format)")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads for ensembles (overrides "
-                             "run.threads)")
+                        help="overrides run.threads, which has no "
+                             "effect: ensembles run on one thread")
     parser.add_argument("command", nargs="?", choices=sorted(_COMMANDS),
                         help="what to simulate and emit")
     return parser

@@ -89,7 +89,8 @@ class Grids:
 class RunSection:
     """Stochastic-run bookkeeping: what is measured and how it is
     emitted.  master_seed may stay None for deterministic commands but
-    is required by the sampling ones."""
+    is required by the sampling ones.  threads is validated but has no
+    effect: the ensembles run on one thread."""
 
     light_shift_on: bool = True
     excitation_detuning: float = None

@@ -12,9 +12,11 @@ the detected photon numbers per polarization are Poisson with mean
 is exact, so the detector never needs per-photon sampling.
 
 Reproducibility: every run owns a counter-based Philox stream keyed on
-(master_seed, run_index), so ensembles are bit-identical for any worker
-count.  Within one run the draw order is fixed and documented in
-`sample_trajectory`, `simulate_transit` and `simulate_window`.
+(master_seed, run_index), drawn in the order documented in
+`simulate_transit` and `simulate_window`.  The runners step chunks of runs
+through the segment grid together, a window's atoms in rounds (round k
+takes the k-th atom of every window that has one), so each stream keeps
+its draw order and ensembles are bit-identical for any chunk size.
 """
 
 from __future__ import annotations
@@ -22,10 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.constants import g as FREE_FALL_G
@@ -39,7 +38,6 @@ from .lightshift import (BeamParams, ShiftResult, default_shift_beam,
                          stark_shift)
 
 SPINS = ("up", "down")
-_OTHER_SPIN = {"up": "down", "down": "up"}
 
 TRANSIT_FORMAT_TAG = "ybcavity.transit.v1"
 WINDOW_FORMAT_TAG = "ybcavity.window.v1"
@@ -76,9 +74,13 @@ class TransitGeometry:
     def validate(self) -> "TransitGeometry":
         for name in ("drop_height", "mode_waist", "impact_radius_factor",
                      "simulation_halfspan", "time_step"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, "
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, "
                                   f"got {getattr(self, name)}")
+        if not self.simulation_halfspan < self.drop_height:
+            raise ConfigError("simulation_halfspan must be < drop_height")
+        if _segment_count(self) > _MAX_SEGMENTS:
+            raise ConfigError(f"the fall takes over {_MAX_SEGMENTS} steps")
         return self
 
     @property
@@ -103,26 +105,40 @@ class Trajectory:
     time_step: float
 
 
+_MAX_SEGMENTS = 10_000   # 15x the default; bounds (chunk x segments) arrays
+
+
+def _segment_count(geometry: TransitGeometry) -> int:
+    """Time slices of the fall from the top of the span to its bottom."""
+    v0 = _speed_at(geometry, geometry.simulation_halfspan)
+    span = 2.0 * geometry.simulation_halfspan
+    total = (math.sqrt(v0 ** 2 + 2.0 * FREE_FALL_G * span) - v0) / FREE_FALL_G
+    # finite even for a subnormal time step, so validate can reject it
+    return max(1, math.ceil(min(total / geometry.time_step, 1e300)))
+
+
 def make_trajectory(x0: float, y0: float, geometry: TransitGeometry
                     ) -> Trajectory:
     """Deterministic fall line through transverse point (x0, y0)."""
     v0 = _speed_at(geometry, geometry.simulation_halfspan)
-    span = 2.0 * geometry.simulation_halfspan
-    total = (math.sqrt(v0 ** 2 + 2.0 * FREE_FALL_G * span) - v0) / FREE_FALL_G
-    n_seg = max(1, math.ceil(total / geometry.time_step))
-    times = np.arange(n_seg) * geometry.time_step
+    times = np.arange(_segment_count(geometry)) * geometry.time_step
     z = (geometry.simulation_halfspan - v0 * times
          - 0.5 * FREE_FALL_G * times ** 2)
     return Trajectory(x0=x0, y0=y0, speed=geometry.fall_speed, times=times,
                       z=z, time_step=geometry.time_step)
 
 
-def sample_trajectory(rng, geometry: TransitGeometry) -> Trajectory:
-    """Draw one fall line.  Draw order: impact radius, then azimuth."""
+def _impact(rng, geometry: TransitGeometry):
+    """Transverse impact point (x0, y0); draws the radius, then azimuth."""
     radius = geometry.impact_radius_factor * geometry.mode_waist
     r = radius * math.sqrt(rng.random())
     theta = 2.0 * math.pi * rng.random()
-    return make_trajectory(r * math.cos(theta), r * math.sin(theta), geometry)
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+def sample_trajectory(rng, geometry: TransitGeometry) -> Trajectory:
+    """Draw one fall line (two uniforms, see `_impact`)."""
+    return make_trajectory(*_impact(rng, geometry), geometry)
 
 
 def _speed_at(geometry: TransitGeometry, height_above_center: float) -> float:
@@ -417,27 +433,35 @@ class RateTable:
             stencil.append((base + int(np.dot(corner, strides)), w))
         return stencil
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the table's arrays."""
+        arrays = [self.tau, self.tau_unit, self.tau_step]
+        return sum(a.nbytes for a in arrays + getattr(self, "channels", []))
 
-_TABLE_LOCK = threading.Lock()
 
-
-@lru_cache(maxsize=256)
-def _cached_table(key) -> RateTable:
-    return RateTable(*key)
+_TABLE_BUDGET = 32 << 20   # bytes of tables kept: every 2-d table, few 3-d
+_tables = {}               # key -> RateTable, least recently used first
 
 
 def rate_table(config: TransitConfig) -> RateTable:
     """The (cached) rate table of a configuration.  Only the physics that
     sets the rates keys the cache; without the shift beam the rates are
-    even in the probe detuning, so +/- detunings share one table."""
+    even in the probe detuning, so +/- detunings share one table.  The
+    least recently used tables are dropped once those held exceed
+    `_TABLE_BUDGET` bytes (the newest is always kept)."""
     det = probe_detuning(config)
     if _shift_on(config):
         key = (config.scheme, config.cavity, config.drive,
                config.shift_beam, det)
     else:
         key = (config.scheme, config.cavity, config.drive, None, abs(det))
-    with _TABLE_LOCK:
-        return _cached_table(key)
+    table = _tables.pop(key, None) or RateTable(*key)
+    _tables[key] = table
+    held = sum(t.nbytes for t in _tables.values())
+    while held > _TABLE_BUDGET and len(_tables) > 1:
+        held -= _tables.pop(next(iter(_tables))).nbytes
+    return table
 
 
 @dataclass(frozen=True)
@@ -497,63 +521,90 @@ class CountRecord:
 
 
 # ---------------------------------------------------------------------------
-# single-transit jump process
+# jump process
+
+_CHUNK = 512   # runs stepped together; peak RSS is flat up to here
+
+
+def _transits(rngs, spins, config: TransitConfig) -> list:
+    """One atom per stream, all stepped through the shared segment grid
+    together; each stream draws in the order of `simulate_transit`."""
+    geo = config.geometry
+    x0, y0 = np.array([_impact(rng, geo) for rng in rngs]).T
+    z = make_trajectory(0.0, 0.0, geo).z
+    # one row per segment, one column per run; spin down swaps sigma+ and
+    # sigma- of these spin-up rates
+    plus, minus, flip = rate_table(config)(*local_coordinates(
+        x0, y0, z[:, None], config))["up"]
+    dt = geo.time_step
+    up = np.array([spin == "up" for spin in spins])
+    target = np.array([rng.exponential() for rng in rngs])
+    lam_plus, lam_minus = np.zeros(len(rngs)), np.zeros(len(rngs))
+    # Inhomogeneous jump times by hazard inversion: the flip rate is
+    # constant within a segment, so the remaining exponential budget
+    # `target` depletes linearly, and a run whose budget runs out inside
+    # the segment finishes it alone in `_flip_segment`.  The products of
+    # all segments are formed at once: elementwise, they round the same.
+    hazards, steps_plus, steps_minus = flip * dt, plus * dt, minus * dt
+    can_flip = hazards > 0.0
+    for i, hazard in enumerate(hazards):
+        hits = ((hazard >= target) & can_flip[i]).nonzero()[0]
+        if hits.size:
+            state = (up, target, lam_plus, lam_minus, flip[i], plus[i],
+                     minus[i])
+            done = [_flip_segment(rngs[j], *run, dt) for j, *run in zip(
+                hits.tolist(), *(a[hits].tolist() for a in state))]
+        target -= hazard
+        lam_plus += np.where(up, steps_plus[i], steps_minus[i])
+        lam_minus += np.where(up, steps_minus[i], steps_plus[i])
+        if hits.size:
+            up[hits], target[hits], lam_plus[hits], lam_minus[hits] = \
+                zip(*done)
+
+    eta = config.cavity.detection_efficiency
+    peak = coupling_at((x0, y0, 0.0), config.cavity).tolist()
+    duration = crossing_duration(geo)
+    return [TransitRecord(counts_sigma_plus=int(rng.poisson(eta * lp)),
+                          counts_sigma_minus=int(rng.poisson(eta * lm)),
+                          initial_spin=spin,
+                          final_spin="up" if u else "down",
+                          transit_duration=duration, peak_coupling=g)
+            for rng, spin, u, lp, lm, g in zip(
+                rngs, spins, up.tolist(), lam_plus.tolist(),
+                lam_minus.tolist(), peak)]
+
+
+def _flip_segment(rng, up, target, lam_plus, lam_minus, f, plus, minus, dt):
+    """One segment of one run whose flip budget runs out inside it, through
+    any number of flips, each after target / f with a fresh budget after.
+    plus and minus are the segment's spin-up emission rates."""
+    frac = 0.0
+    while True:
+        seg = dt * (1.0 - frac)
+        hazard = f * seg
+        if not (hazard >= target and hazard > 0.0):
+            lam_plus += (plus if up else minus) * seg
+            lam_minus += (minus if up else plus) * seg
+            return up, target - hazard, lam_plus, lam_minus
+        tau = target / f
+        lam_plus += (plus if up else minus) * tau
+        lam_minus += (minus if up else plus) * tau
+        frac += tau / dt
+        up = not up
+        target = rng.exponential()
+        if frac >= 1.0:
+            return up, target, lam_plus, lam_minus
 
 
 def simulate_transit(rng, initial_spin: str, config: TransitConfig
                      ) -> TransitRecord:
-    """Simulate one atom.  Draw order: trajectory (2 uniforms), one
-    exponential per spin-flip attempt, then the two Poisson counts."""
+    """Simulate one atom (a batch of one).  Draw order: trajectory (2
+    uniforms), one exponential per spin-flip attempt, then the two Poisson
+    counts."""
     if initial_spin not in SPINS:
         raise ConfigError(f"initial_spin must be 'up' or 'down', "
                           f"got {initial_spin!r}")
-    traj = sample_trajectory(rng, config.geometry)
-    # plain float lists: the loop below indexes them one segment at a time
-    rates = {spin: (view.flip.tolist(), view.sigma_plus.tolist(),
-                    view.sigma_minus.tolist())
-             for spin, view in transit_rate_table(traj, config).items()}
-    dt = traj.time_step
-    n_seg = len(traj.times)
-
-    spin = initial_spin
-    flip, plus, minus = rates[spin]
-    lam_plus = 0.0
-    lam_minus = 0.0
-    # Inhomogeneous jump times by hazard inversion: the flip rate is
-    # constant within a segment, so the remaining exponential budget
-    # `target` depletes linearly and the flip lands mid-segment when the
-    # budget runs out there.
-    target = rng.exponential()
-    i, frac = 0, 0.0
-    while i < n_seg:
-        f = flip[i]
-        seg = dt * (1.0 - frac)
-        hazard = f * seg
-        if hazard >= target and hazard > 0.0:
-            tau = target / f
-            lam_plus += plus[i] * tau
-            lam_minus += minus[i] * tau
-            frac += tau / dt
-            spin = _OTHER_SPIN[spin]
-            flip, plus, minus = rates[spin]
-            target = rng.exponential()
-            if frac >= 1.0:
-                i, frac = i + 1, 0.0
-        else:
-            target -= hazard
-            lam_plus += plus[i] * seg
-            lam_minus += minus[i] * seg
-            i, frac = i + 1, 0.0
-
-    eta = config.cavity.detection_efficiency
-    counts_plus = int(rng.poisson(eta * lam_plus))
-    counts_minus = int(rng.poisson(eta * lam_minus))
-    peak = float(coupling_at((traj.x0, traj.y0, 0.0), config.cavity))
-    return TransitRecord(counts_sigma_plus=counts_plus,
-                         counts_sigma_minus=counts_minus,
-                         initial_spin=initial_spin, final_spin=spin,
-                         transit_duration=crossing_duration(config.geometry),
-                         peak_coupling=peak)
+    return _transits([rng], [initial_spin], config)[0]
 
 
 def _draw_spin(rng, config: TransitConfig) -> str:
@@ -562,24 +613,37 @@ def _draw_spin(rng, config: TransitConfig) -> str:
     return "up" if rng.random() < 0.5 else "down"
 
 
+def _windows(rngs, atom_rate: float, window: float, config: TransitConfig
+             ) -> list:
+    """One measurement window per stream, each drawing in the order of
+    `simulate_window`: the atoms go in rounds, round k taking the k-th atom
+    of every window that has one, after its earlier atoms' draws."""
+    n_atoms = [int(rng.poisson(atom_rate * window)) for rng in rngs]
+    dark_plus, dark_minus = config.cavity.dark_rates_per_s
+    plus = [int(rng.poisson(dark_plus * window)) for rng in rngs]
+    minus = [int(rng.poisson(dark_minus * window)) for rng in rngs]
+    for k in range(max(n_atoms)):
+        live = [j for j, n in enumerate(n_atoms) if n > k]
+        streams = [rngs[j] for j in live]
+        spins = [_draw_spin(rng, config) for rng in streams]
+        for j, rec in zip(live, _transits(streams, spins, config)):
+            plus[j] += rec.counts_sigma_plus
+            minus[j] += rec.counts_sigma_minus
+    return [CountRecord(window=window, counts_sigma_plus=p,
+                        counts_sigma_minus=m, atom_count=n)
+            for p, m, n in zip(plus, minus, n_atoms)]
+
+
 def simulate_window(rng, atom_rate: float, window: float,
                     config: TransitConfig) -> CountRecord:
     """One measurement window.  Draw order: atom number, dark counts
-    (sigma+ then sigma-), then per-atom (spin if random, transit)."""
+    (sigma+ then sigma-), then per atom (spin if random, transit); the
+    runners take many windows' atoms in rounds, with the same result."""
     if atom_rate < 0:
         raise ConfigError(f"atom_rate must be >= 0, got {atom_rate}")
     if not window > 0:
         raise ConfigError(f"window must be > 0, got {window}")
-    n_atoms = int(rng.poisson(atom_rate * window))
-    dark_plus, dark_minus = config.cavity.dark_rates_per_s
-    counts_plus = int(rng.poisson(dark_plus * window))
-    counts_minus = int(rng.poisson(dark_minus * window))
-    for _ in range(n_atoms):
-        rec = simulate_transit(rng, _draw_spin(rng, config), config)
-        counts_plus += rec.counts_sigma_plus
-        counts_minus += rec.counts_sigma_minus
-    return CountRecord(window=window, counts_sigma_plus=counts_plus,
-                       counts_sigma_minus=counts_minus, atom_count=n_atoms)
+    return _windows([rng], atom_rate, window, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -588,47 +652,44 @@ def simulate_window(rng, atom_rate: float, window: float,
 
 def child_rng(master_seed: int, run_index: int):
     """Counter-based stream for one run: Philox keyed on
-    (master_seed, run_index), independent of worker scheduling."""
+    (master_seed, run_index), independent of how runs are grouped."""
     if master_seed < 0 or run_index < 0:
         raise ConfigError("seeds and run indices must be >= 0")
     key = np.array([master_seed, run_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_indexed(task, n_runs: int, n_workers: int):
+def _run_chunks(batch, n_runs: int, master_seed: int) -> list:
+    """batch(streams) on runs 0..n_runs-1, `_CHUNK` streams at a time."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
-    if n_workers <= 1:
-        return [task(i) for i in range(n_runs)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(task, range(n_runs)))
+    records = []
+    for start in range(0, n_runs, _CHUNK):
+        records += batch([child_rng(master_seed, i)
+                          for i in range(start, min(start + _CHUNK, n_runs))])
+    return records
 
 
-def run_ensemble(n_runs: int, master_seed: int, config: TransitConfig,
-                 n_workers: int = 1):
-    """n_runs measurement windows, one Philox child stream per run.
-    Output order is by run index regardless of scheduling."""
+def run_ensemble(n_runs: int, master_seed: int, config: TransitConfig):
+    """n_runs measurement windows, one Philox child stream per run, in
+    run-index order.  Record i equals simulate_window on stream i: each
+    chunk of windows draws its atom numbers and dark counts, then its atoms
+    in rounds (round k: the k-th atom of every window that has one)."""
     config.validate()
-
-    def task(i):
-        return simulate_window(child_rng(master_seed, i), config.atom_rate,
-                               config.window, config)
-
-    return _run_indexed(task, n_runs, n_workers)
+    return _run_chunks(lambda rngs: _windows(rngs, config.atom_rate,
+                                             config.window, config),
+                       n_runs, master_seed)
 
 
 def run_transit_ensemble(n_runs: int, master_seed: int,
-                         config: TransitConfig, n_workers: int = 1):
+                         config: TransitConfig):
     """n_runs single-atom transits with the same stream-splitting rule as
     run_ensemble; the per-run draw order is spin (if random) then
     transit."""
     config.validate()
-
-    def task(i):
-        rng = child_rng(master_seed, i)
-        return simulate_transit(rng, _draw_spin(rng, config), config)
-
-    return _run_indexed(task, n_runs, n_workers)
+    return _run_chunks(lambda rngs: _transits(
+        rngs, [_draw_spin(rng, config) for rng in rngs], config),
+        n_runs, master_seed)
 
 
 # ---------------------------------------------------------------------------

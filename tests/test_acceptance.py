@@ -6,7 +6,7 @@ width, agreement between the effective-rate model and the full two-mode
 master equation, the deterministic SNR prediction, counting statistics of
 10^4-sample ensembles, dark-count bookkeeping, and the structural
 invariants (exact branching sums, physical density matrices, spectrum
-asymmetry, byte-exact parallel reproducibility).
+asymmetry, byte-exact ensembles for any chunking of their runs).
 
 The tolerances are contractual.  A failure here means the model misses
 its target, and the right response is to fix the model or document the
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from ybcavity import constants
+from ybcavity import constants, transit
 from ybcavity.atomic import Polarization, build_level_scheme, decay_branching
 from ybcavity.dynamics import (GROUND_INDEX, N_ATOM, CavityParams,
                                LindbladGenerator, adiabatic_rates,
@@ -437,19 +437,22 @@ def test_spectrum_low_frequency_tail_narrow_beam():
         f"narrow-beam spectrum skewness {skew:.4f} is not below -0.2")
 
 
-def test_ensembles_byte_exact_across_workers(tmp_path):
+def test_ensembles_byte_exact_across_chunk_sizes(tmp_path, monkeypatch):
     """Window and transit ensembles under a fixed seed serialize to
-    byte-identical files with 1 and 8 workers."""
+    byte-identical files whether their runs are stepped together in
+    chunks of 1, 7 or all of them."""
     cfg = default_transit_config(light_shift_on=True, initial_spin="random")
     for name, runner, n_runs in (("windows", run_ensemble, 400),
                                  ("transits", run_transit_ensemble, 300)):
         writer = write_count_records if name == "windows" \
             else write_transit_records
         paths = []
-        for workers in (1, 8):
-            path = tmp_path / f"{name}_{workers}.csv"
-            writer(path, runner(n_runs, SEED_WORKERS, cfg,
-                                n_workers=workers))
+        for chunk in (n_runs, 1, 7):
+            monkeypatch.setattr(transit, "_CHUNK", chunk)
+            path = tmp_path / f"{name}_{chunk}.csv"
+            writer(path, runner(n_runs, SEED_WORKERS, cfg))
             paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes(), (
-            f"{name} ensemble differs between 1 and 8 workers")
+        for path in paths[1:]:
+            assert paths[0].read_bytes() == path.read_bytes(), (
+                f"{name} ensemble differs between chunks of {n_runs} and "
+                f"{path.stem.split('_')[1]}")

@@ -206,6 +206,19 @@ def test_string_for_a_number_is_a_config_error(tmp_path, monkeypatch,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variable, value", [
+    ("YBCAVITY_GEOMETRY__TIME_STEP", "1e-12"),
+    ("YBCAVITY_GEOMETRY__SIMULATION_HALFSPAN", "1.0"),
+    ("YBCAVITY_GEOMETRY__SIMULATION_HALFSPAN", "0.007"),
+])
+def test_geometry_that_cannot_be_simulated_is_a_config_error(
+        tmp_path, monkeypatch, capsys, variable, value):
+    # motdip validates the whole config but builds no trajectory
+    monkeypatch.setenv(variable, value)
+    assert main(["motdip", "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "snr", "scatter",
                                      "transit", "motdip"])
 def test_only_the_linear_drive_and_pi_shift_beam_run(tmp_path, monkeypatch,

@@ -1,6 +1,6 @@
 """Transit Monte Carlo tests: free-fall geometry, trajectory sampling,
-single-transit jump process, window aggregation, ensemble determinism,
-and record serialization."""
+the batched jump process against a scalar reference, window aggregation,
+ensemble determinism, the rate-table cache, and record serialization."""
 
 import math
 from dataclasses import replace
@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ybcavity import constants
+from ybcavity import constants, transit
 from ybcavity.atomic import Polarization
 from ybcavity.dynamics import CavityParams, coupling_at, spin_rates
 from ybcavity.errors import ConfigError
@@ -53,6 +53,28 @@ def test_geometry_validation_errors():
         TransitGeometry(drop_height=0.0).validate()
     with pytest.raises(ConfigError):
         TransitGeometry(time_step=-1e-6).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("simulation_halfspan", 1.0),      # the span would start above the trap
+    ("simulation_halfspan", 7e-3),     # at the trap: starts at rest
+    ("time_step", 1e-12),              # about 1e9 segments
+    ("time_step", 5e-324),             # the step count overflows a float
+    ("drop_height", math.inf),
+])
+def test_geometry_that_cannot_be_simulated_is_rejected(field, value):
+    # validation is arithmetic only: nothing of the segment grid is built
+    with pytest.raises(ConfigError):
+        TransitGeometry(**{field: value}).validate()
+
+
+def test_segment_count_bound_is_the_trajectory_length():
+    assert len(make_trajectory(0.0, 0.0, GEO).z) == \
+        transit._segment_count(GEO) == 675
+    coarse = TransitGeometry(time_step=5e-6)
+    assert len(make_trajectory(0.0, 0.0, coarse).z) == 135
+    # a ten times finer grid is still accepted
+    TransitGeometry(time_step=1e-7).validate()
 
 
 def test_trajectory_grid_covers_simulation_span():
@@ -257,6 +279,95 @@ def test_far_impact_parameter_yields_almost_nothing():
 
 
 # ---------------------------------------------------------------------------
+# the batched jump process against a scalar reference
+
+
+def _reference_transit(rng, initial_spin, config):
+    """The per-segment jump loop, one run at a time: the same draws in the
+    same order and the same floating-point operations as the batched
+    kernel.  Also returns the most flips that fell into one segment."""
+    traj = sample_trajectory(rng, config.geometry)
+    rates = {spin: (view.flip.tolist(), view.sigma_plus.tolist(),
+                    view.sigma_minus.tolist())
+             for spin, view in transit_rate_table(traj, config).items()}
+    dt = traj.time_step
+    spin = initial_spin
+    flip, plus, minus = rates[spin]
+    lam_plus = lam_minus = 0.0
+    target = rng.exponential()
+    i, frac, flips, most = 0, 0.0, 0, 0
+    while i < len(traj.times):
+        seg = dt * (1.0 - frac)
+        hazard = flip[i] * seg
+        if hazard >= target and hazard > 0.0:
+            tau = target / flip[i]
+            lam_plus += plus[i] * tau
+            lam_minus += minus[i] * tau
+            frac += tau / dt
+            spin = "down" if spin == "up" else "up"
+            flip, plus, minus = rates[spin]
+            target = rng.exponential()
+            flips += 1
+            most = max(most, flips)
+            if frac >= 1.0:
+                i, frac, flips = i + 1, 0.0, 0
+        else:
+            target -= hazard
+            lam_plus += plus[i] * seg
+            lam_minus += minus[i] * seg
+            i, frac, flips = i + 1, 0.0, 0
+    eta = config.cavity.detection_efficiency
+    peak = float(coupling_at((traj.x0, traj.y0, 0.0), config.cavity))
+    return TransitRecord(
+        counts_sigma_plus=int(rng.poisson(eta * lam_plus)),
+        counts_sigma_minus=int(rng.poisson(eta * lam_minus)),
+        initial_spin=initial_spin, final_spin=spin,
+        transit_duration=crossing_duration(config.geometry),
+        peak_coupling=peak), most
+
+
+def _reference_spin(rng, config):
+    if config.initial_spin != "random":
+        return config.initial_spin
+    return "up" if rng.random() < 0.5 else "down"
+
+
+def _reference_window(rng, config):
+    n_atoms = int(rng.poisson(config.atom_rate * config.window))
+    dark_plus, dark_minus = config.cavity.dark_rates_per_s
+    plus = int(rng.poisson(dark_plus * config.window))
+    minus = int(rng.poisson(dark_minus * config.window))
+    for _ in range(n_atoms):
+        rec, _ = _reference_transit(rng, _reference_spin(rng, config), config)
+        plus += rec.counts_sigma_plus
+        minus += rec.counts_sigma_minus
+    return CountRecord(window=config.window, counts_sigma_plus=plus,
+                       counts_sigma_minus=minus, atom_count=n_atoms)
+
+
+@pytest.mark.parametrize("time_step", [1e-6, 5e-6])
+@pytest.mark.parametrize("initial_spin", ["random", "down"])
+@pytest.mark.parametrize("shift_on", [True, False])
+def test_batched_runners_match_the_scalar_reference(shift_on, initial_spin,
+                                                    time_step):
+    cfg = default_transit_config(
+        light_shift_on=shift_on, initial_spin=initial_spin,
+        geometry=TransitGeometry(time_step=time_step))
+    n = 60
+    most = 0
+    for i, rec in enumerate(run_transit_ensemble(n, 8, cfg)):
+        rng = child_rng(8, i)
+        ref, flips = _reference_transit(rng, _reference_spin(rng, cfg), cfg)
+        assert rec == ref
+        most = max(most, flips)
+    assert run_ensemble(n, 9, cfg) == [_reference_window(child_rng(9, i), cfg)
+                                       for i in range(n)]
+    if time_step == 5e-6 and not shift_on:
+        # the coarse grid puts several flips into one segment
+        assert most >= 2
+
+
+# ---------------------------------------------------------------------------
 # windows
 
 
@@ -285,8 +396,8 @@ def test_dark_counts_scale_linearly_with_window():
 def test_window_atom_number_is_poisson_with_rate_times_window():
     cfg = default_transit_config()
     n = 1200
-    atoms = [simulate_window(child_rng(41, i), cfg.atom_rate, cfg.window,
-                             cfg).atom_count for i in range(n)]
+    # the records of simulate_window on streams 0..n-1
+    atoms = [rec.atom_count for rec in run_ensemble(n, 41, cfg)]
     mean = cfg.atom_rate * cfg.window
     assert abs(np.mean(atoms) - mean) < 4.0 * math.sqrt(mean / n)
 
@@ -323,20 +434,31 @@ def test_single_run_matches_child_stream_zero():
     assert ensemble == [direct]
 
 
-def test_window_ensemble_bit_identical_across_worker_counts():
+def test_window_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
     cfg = default_transit_config()
-    serial = run_ensemble(16, 99, cfg, n_workers=1)
-    threaded = run_ensemble(16, 99, cfg, n_workers=8)
-    assert serial == threaded
+    monkeypatch.setattr(transit, "_CHUNK", 16)
+    whole = run_ensemble(16, 99, cfg)
+    for chunk in (1, 7):
+        monkeypatch.setattr(transit, "_CHUNK", chunk)
+        assert run_ensemble(16, 99, cfg) == whole
 
 
-def test_transit_ensemble_bit_identical_across_worker_counts():
+def test_transit_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
     cfg = default_transit_config(initial_spin="random")
-    serial = run_transit_ensemble(24, 77, cfg, n_workers=1)
-    threaded = run_transit_ensemble(24, 77, cfg, n_workers=6)
-    assert serial == threaded
-    spins = {r.initial_spin for r in serial}
+    monkeypatch.setattr(transit, "_CHUNK", 24)
+    whole = run_transit_ensemble(24, 77, cfg)
+    for chunk in (1, 7):
+        monkeypatch.setattr(transit, "_CHUNK", chunk)
+        assert run_transit_ensemble(24, 77, cfg) == whole
+    spins = {r.initial_spin for r in whole}
     assert spins == {"up", "down"}
+
+
+def test_first_windows_do_not_depend_on_the_ensemble_size():
+    # perfbench's scatter check compares the first 64 windows of an
+    # 800-window run with a 64-window run
+    cfg = default_transit_config(light_shift_on=False)
+    assert run_ensemble(800, 3, cfg)[:64] == run_ensemble(64, 3, cfg)
 
 
 def test_same_seed_same_dataset_different_seed_differs():
@@ -346,6 +468,26 @@ def test_same_seed_same_dataset_different_seed_differs():
     c = run_ensemble(6, 6, cfg)
     assert a == b
     assert a != c
+
+
+def test_rate_table_cache_is_bounded_by_bytes(monkeypatch):
+    monkeypatch.setattr(transit, "_tables", {})
+    configs = [default_transit_config(light_shift_on=False,
+                                      excitation_detuning=d)
+               for d in (1e6, 2e6, 3e6)]
+    first = transit.rate_table(configs[0])
+    monkeypatch.setattr(transit, "_TABLE_BUDGET", int(2.5 * first.nbytes))
+    assert transit.rate_table(configs[0]) is first
+    # shift off, the rates are even in the detuning: one table for +/-
+    assert transit.rate_table(replace(configs[0],
+                                      excitation_detuning=-1e6)) is first
+    for cfg in configs[1:]:
+        assert transit.rate_table(cfg) is transit.rate_table(cfg)
+        held = sum(t.nbytes for t in transit._tables.values())
+        assert held <= transit._TABLE_BUDGET
+    # the least recently used table made room for the third
+    assert len(transit._tables) == 2
+    assert transit.rate_table(configs[0]) is not first
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import constants
-from .errors import ConfigError
+from .errors import ConfigError, check, rule
 
 
 class Polarization(Enum):
@@ -59,34 +59,23 @@ class LevelScheme:
     splitting is a plain frequency in Hz.
     """
 
-    gamma_P1: float = constants.GAMMA_P1
-    gamma_D1_line: float = constants.GAMMA_D1_LINE
-    branching_D1_to_P0: float = constants.BRANCHING_D1_TO_P0
-    d1_hyperfine_splitting: float = constants.D1_HYPERFINE_SPLITTING_HZ
+    gamma_P1: float = rule(constants.GAMMA_P1, gt=0.0)
+    gamma_D1_line: float = rule(constants.GAMMA_D1_LINE, gt=0.0)
+    branching_D1_to_P0: float = rule(constants.BRANCHING_D1_TO_P0, ge=0.0,
+                                     le=1.0)
+    d1_hyperfine_splitting: float = rule(constants.D1_HYPERFINE_SPLITTING_HZ,
+                                         gt=0.0)
 
-    def validate(self) -> "LevelScheme":
-        if not self.gamma_P1 > 0:
-            raise ConfigError(f"gamma_P1 must be positive, got {self.gamma_P1}")
-        if not self.gamma_D1_line > 0:
-            raise ConfigError(
-                f"gamma_D1_line must be positive, got {self.gamma_D1_line}")
-        if not 0.0 <= self.branching_D1_to_P0 <= 1.0:
-            raise ConfigError(
-                f"branching_D1_to_P0 must lie in [0, 1], got "
-                f"{self.branching_D1_to_P0}")
-        if not self.d1_hyperfine_splitting > 0:
-            raise ConfigError("d1_hyperfine_splitting must be positive")
-        return self
+    validate = check   # no rule spans fields
 
 
 def build_level_scheme(**overrides) -> LevelScheme:
     """Assemble and validate a LevelScheme; kwargs override the defaults."""
-    known = {"gamma_P1", "gamma_D1_line", "branching_D1_to_P0",
-             "d1_hyperfine_splitting"}
-    bad = set(overrides) - known
-    if bad:
-        raise ConfigError(f"unknown level-scheme parameters: {sorted(bad)}")
-    return LevelScheme(**overrides).validate()
+    try:
+        scheme = LevelScheme(**overrides)
+    except TypeError as exc:   # a keyword that names no field
+        raise ConfigError(f"unknown level-scheme parameter: {exc}") from exc
+    return scheme.validate()
 
 
 def transition_weight(ground_m: float, polarization: Polarization) -> float:

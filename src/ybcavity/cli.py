@@ -24,15 +24,15 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import (EMIT_FORMATS, RunConfig, default_run_config,
-                     dump_config, load_config)
+from .config import RunConfig, default_run_config, dump_config, load_config
 from .errors import ConfigError, NumericalError
 from .observables import (count_weighted_skewness, fluorescence_spectrum,
                           mot_dip_profile, pearson_correlation, predicted_snr,
                           snr_from_counts, spectrum_peak, write_dip_csv,
                           write_snr_csv, write_spectrum_csv, write_stats_json)
-from .transit import (probe_detuning, run_ensemble, run_transit_ensemble,
-                      write_count_records, write_transit_records)
+from .transit import (EMIT_FORMATS, probe_detuning, run_ensemble,
+                      run_transit_ensemble, write_count_records,
+                      write_transit_records)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,10 +53,6 @@ def _outfile(config: RunConfig, name: str) -> str:
     out = config.run.output_path
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, name)
-
-
-def _records_name(stem: str, emit_format: str) -> str:
-    return f"{stem}.{'csv' if emit_format == 'csv' else 'jsonl'}"
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +101,12 @@ def cmd_scatter(config: RunConfig) -> int:
     run = config.run
     transit_cfg = config.to_transit_config()
     summary = {"format": SUMMARY_FORMAT_TAG, "n_runs": run.n_runs,
-               "initial_spin": run.initial_spin}
+               "initial_spin": transit_cfg.initial_spin}
     for label, shift_on in (("off", False), ("on", True)):
         cfg = replace(transit_cfg, light_shift_on=shift_on)
         records = run_ensemble(run.n_runs, seed, cfg)
-        stem = _records_name(f"scatter_shift_{label}", run.emit_format)
-        write_count_records(_outfile(config, stem), records,
+        name = f"scatter_shift_{label}.{run.emit_format}"
+        write_count_records(_outfile(config, name), records,
                             emit_format=run.emit_format)
         r = pearson_correlation(records)
         summary[f"pearson_shift_{label}"] = None if math.isnan(r) else r
@@ -124,23 +120,22 @@ def cmd_scatter(config: RunConfig) -> int:
 
 def cmd_transit(config: RunConfig) -> int:
     seed = _require_seed(config)
-    run = config.run
-    records = run_transit_ensemble(run.n_runs, seed,
-                                   config.to_transit_config())
-    stem = _records_name("transit_records", run.emit_format)
-    write_transit_records(_outfile(config, stem), records,
+    run, transit_cfg = config.run, config.to_transit_config()
+    records = run_transit_ensemble(run.n_runs, seed, transit_cfg)
+    name = f"transit_records.{run.emit_format}"
+    write_transit_records(_outfile(config, name), records,
                           emit_format=run.emit_format)
     n = len(records)
     mean_counts = sum(r.counts_sigma_plus + r.counts_sigma_minus
                       for r in records) / n
     summary = {"format": SUMMARY_FORMAT_TAG, "n_runs": n,
-               "initial_spin": run.initial_spin,
-               "light_shift_on": run.light_shift_on,
+               "initial_spin": transit_cfg.initial_spin,
+               "light_shift_on": transit_cfg.light_shift_on,
                "mean_counts_per_atom": mean_counts,
                "flip_fraction":
                    sum(r.final_spin != r.initial_spin for r in records) / n}
-    if run.initial_spin in ("up", "down"):
-        snr = snr_from_counts(records, run.initial_spin)
+    if transit_cfg.initial_spin in ("up", "down"):
+        snr = snr_from_counts(records, transit_cfg.initial_spin)
         summary["monte_carlo_snr"] = "inf" if math.isinf(snr) else snr
     write_stats_json(_outfile(config, "transit_summary.json"), summary)
     return EXIT_OK

@@ -1,15 +1,19 @@
 """Structured run configuration: one JSON document covering every
 parameter set, with environment-variable overrides for CI.
 
-Layout: named sections ("scheme", "cavity", "drive", "shift_beam",
-"geometry", "mot", "run", "grids") whose keys mirror the dataclass
-fields.  `dump_config(parse(...))` is byte-idempotent: the emitter sorts
-keys and prints floats via repr, so a config file can serve as a
-regression fixture.
+Layout: named sections (`SECTIONS`) whose keys are the fields of their
+dataclass; the "run" section also holds the fields of TransitConfig
+that are not sections (light_shift_on, excitation_detuning, atom_rate,
+window, initial_spin).  Every value must obey its field's declared rule
+(`errors.rule`), so a wrong kind, a non-finite number or a value out of
+range is a ConfigError.  `dump_config(parse(...))` is byte-idempotent:
+the emitter sorts keys and prints floats via repr, so a config file can
+serve as a regression fixture.
 
 Environment overrides use the prefix YBCAVITY_ with double underscores
-for nesting, e.g. ``YBCAVITY_RUN__MASTER_SEED=7`` or
-``YBCAVITY_SHIFT_BEAM__POWER=0.004``.  Values are parsed as JSON with a
+for nesting, e.g. ``YBCAVITY_RUN__MASTER_SEED=7``,
+``YBCAVITY_MOT__GAMMA0=0.4`` or ``YBCAVITY_GRIDS__DIP_MHZ__STEP=2``;
+keys match without regard to case.  Values are parsed as JSON with a
 fallback to plain strings.
 """
 
@@ -18,21 +22,20 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 
 import numpy as np
 
-from . import constants
-from .atomic import LevelScheme, Polarization, build_level_scheme
+from .atomic import LevelScheme
 from .dynamics import CavityParams
-from .errors import ConfigError
+from .errors import ConfigError, check, rule
 from .lightshift import BeamParams
 from .observables import MotParams
-from .transit import TransitConfig, TransitGeometry, default_transit_config
+from .transit import (EMIT_FORMATS, TransitConfig, TransitGeometry,
+                      default_transit_config)
 
 ENV_PREFIX = "YBCAVITY_"
-
-EMIT_FORMATS = ("csv", "jsonl")
 
 
 @dataclass(frozen=True)
@@ -40,16 +43,12 @@ class GridSpec:
     """Inclusive-start arithmetic grid; stop is covered when it lands on
     a step multiple."""
 
-    start: float
-    stop: float
-    step: float
+    start: float = rule()
+    stop: float = rule()
+    step: float = rule(gt=0.0)
 
     def validate(self) -> "GridSpec":
-        if not all(math.isfinite(v) for v in (self.start, self.stop,
-                                              self.step)):
-            raise ConfigError(f"grid values must be finite, got {self}")
-        if not self.step > 0:
-            raise ConfigError(f"grid step must be > 0, got {self.step}")
+        check(self)
         if self.stop < self.start:
             raise ConfigError("grid stop must be >= start")
         return self
@@ -64,145 +63,103 @@ class Grids:
     """Sweep grids for the emitting commands (MHz, mW, um units as
     named)."""
 
-    spectrum_mhz: GridSpec = field(
-        default_factory=lambda: GridSpec(-10.0, 10.0, 0.25))
-    dip_mhz: GridSpec = field(
-        default_factory=lambda: GridSpec(-400.0, 400.0, 5.0))
-    snr_power_mw: tuple = (0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0)
-    snr_waist_um: tuple = (20.0, 30.0, 40.0, 50.0)
+    spectrum_mhz: GridSpec = rule(GridSpec(-10.0, 10.0, 0.25), GridSpec)
+    dip_mhz: GridSpec = rule(GridSpec(-400.0, 400.0, 5.0), GridSpec)
+    snr_power_mw: tuple = rule((0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0), tuple,
+                               ge=0.0)
+    snr_waist_um: tuple = rule((20.0, 30.0, 40.0, 50.0), tuple, gt=0.0)
 
     def validate(self) -> "Grids":
-        self.spectrum_mhz.validate()
-        self.dip_mhz.validate()
-        if not self.snr_power_mw or any(not 0 <= p < math.inf
-                                        for p in self.snr_power_mw):
-            raise ConfigError("snr_power_mw must be nonempty, all finite "
-                              "and >= 0")
-        if not self.snr_waist_um or any(not 0 < w < math.inf
-                                        for w in self.snr_waist_um):
-            raise ConfigError("snr_waist_um must be nonempty, all finite "
-                              "and > 0")
+        check(self)
+        if not self.snr_power_mw or not self.snr_waist_um:
+            raise ConfigError("snr_power_mw and snr_waist_um must be "
+                              "nonempty")
         return self
 
 
 @dataclass(frozen=True)
 class RunSection:
-    """Stochastic-run bookkeeping: what is measured and how it is
-    emitted.  master_seed may stay None for deterministic commands but
-    is required by the sampling ones.  threads is validated but has no
-    effect: the ensembles run on one thread."""
+    """Stochastic-run bookkeeping: how many runs, their seed, and where
+    and how the records are emitted.  master_seed may stay None for
+    deterministic commands but is required by the sampling ones (it keys
+    a Philox stream, hence the 64-bit bound).  threads is validated but
+    has no effect: the ensembles run on one thread."""
 
-    light_shift_on: bool = True
-    excitation_detuning: float = None
-    atom_rate: float = constants.ATOM_RATE
-    window: float = constants.MEASUREMENT_WINDOW
-    initial_spin: str = "random"
-    n_runs: int = 2000
-    master_seed: int = None
-    threads: int = 1
-    output_path: str = "."
-    emit_format: str = "csv"
+    n_runs: int = rule(2000, int, ge=1)
+    master_seed: int = rule(None, int, ge=0, le=2 ** 64 - 1)
+    threads: int = rule(1, int, ge=1)
+    output_path: str = rule(".", str)
+    emit_format: str = rule("csv", str, choices=EMIT_FORMATS)
 
-    def validate(self) -> "RunSection":
-        for name in ("n_runs", "threads", "master_seed"):
-            value = getattr(self, name)
-            if name == "master_seed" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.emit_format not in EMIT_FORMATS:
-            raise ConfigError(f"emit_format must be one of {EMIT_FORMATS}, "
-                              f"got {self.emit_format!r}")
-        if self.master_seed is not None and self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
-        return self
+    validate = check   # no rule spans fields
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs, grouped by the module that owns it."""
+    """Everything a command needs: the transit configuration (beams,
+    cavity, fall geometry and what a run measures), the trap-loss
+    parameters, the run bookkeeping and the sweep grids."""
 
-    scheme: LevelScheme
-    cavity: CavityParams
-    drive: BeamParams
-    shift_beam: BeamParams
-    geometry: TransitGeometry
-    mot: MotParams
-    run: RunSection
-    grids: Grids
+    transit: TransitConfig = rule(kind=TransitConfig)
+    mot: MotParams = rule(MotParams(), MotParams)
+    run: RunSection = rule(RunSection(), RunSection)
+    grids: Grids = rule(Grids(), Grids)
 
-    def validate(self) -> "RunConfig":
-        self.mot.validate()
-        self.run.validate()
-        self.grids.validate()
-        # the scheme, cavity, beams and geometry
-        self.to_transit_config().validate()
-        return self
+    validate = check   # each part validates itself
+
+    @property
+    def geometry(self) -> TransitGeometry:
+        """The fall geometry (the benchmark's transit check reads it)."""
+        return self.transit.geometry
 
     def to_transit_config(self) -> TransitConfig:
-        return TransitConfig(
-            scheme=self.scheme, cavity=self.cavity, drive=self.drive,
-            shift_beam=self.shift_beam, geometry=self.geometry,
-            light_shift_on=self.run.light_shift_on,
-            excitation_detuning=self.run.excitation_detuning,
-            atom_rate=self.run.atom_rate, window=self.run.window,
-            initial_spin=self.run.initial_spin)
+        return self.transit
 
 
 def default_run_config() -> RunConfig:
-    """Reference operating point for every section; the physics sections
-    are those of `default_transit_config`."""
-    transit = default_transit_config()
-    return RunConfig(
-        scheme=transit.scheme, cavity=transit.cavity, drive=transit.drive,
-        shift_beam=transit.shift_beam, geometry=transit.geometry,
-        mot=MotParams(),
-        run=RunSection(),
-        grids=Grids(),
-    ).validate()
+    """Reference operating point for every section; the transit part is
+    `default_transit_config()`."""
+    return RunConfig(default_transit_config()).validate()
 
 
 # ---------------------------------------------------------------------------
 # dict <-> dataclass plumbing
 
-_SCHEME_KEYS = ("gamma_P1", "gamma_D1_line", "branching_D1_to_P0",
-                "d1_hyperfine_splitting")
+# Section name -> the dataclass whose fields are its keys.  The transit
+# sections are fields of TransitConfig, the rest of RunConfig; the "run"
+# section also carries TransitConfig's own fields (light_shift_on, ...).
+SECTIONS = {"scheme": LevelScheme, "cavity": CavityParams,
+            "drive": BeamParams, "shift_beam": BeamParams,
+            "geometry": TransitGeometry, "mot": MotParams,
+            "run": RunSection, "grids": Grids}
+
+_TRANSIT_KEYS = frozenset(f.name for f in fields(TransitConfig))
 
 
-def _section_from_dict(cls, data: dict, section: str):
-    known = {f.name for f in fields(cls)}
-    bad = set(data) - known
+def _merge(obj, data, where: str = ""):
+    """obj with the values of a parsed JSON object put in: a nested
+    dataclass merges in turn, an enum goes by name, a list is a tuple."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    bad = set(data) - {f.name for f in fields(obj)}
     if bad:
-        raise ConfigError(f"unknown keys in section {section!r}: "
+        raise ConfigError(f"unknown keys in section {where!r}: "
                           f"{sorted(bad)}")
-    return cls(**data)
-
-
-def _beam_from_dict(data: dict, section: str) -> BeamParams:
-    data = dict(data)
-    if "polarization" in data:
-        name = str(data["polarization"]).upper()
-        if name not in Polarization.__members__:
-            raise ConfigError(f"bad polarization in {section!r}: "
-                              f"{data['polarization']!r}")
-        data["polarization"] = Polarization[name]
-    return _section_from_dict(BeamParams, data, section)
-
-
-def _grids_from_dict(data: dict, base: "Grids") -> Grids:
-    data = dict(data)
-    for key in ("spectrum_mhz", "dip_mhz"):
-        if key in data:
-            merged = {**asdict(getattr(base, key)), **dict(data[key])}
-            data[key] = _section_from_dict(GridSpec, merged, f"grids.{key}")
-    for key in ("snr_power_mw", "snr_waist_um"):
-        if key in data:
-            data[key] = tuple(data[key])
-    return _section_from_dict(Grids, data, "grids")
+    changes = {}
+    for key, value in data.items():
+        current = getattr(obj, key)
+        if is_dataclass(current):
+            value = _merge(current, value, f"{where}.{key}" if where else key)
+        elif isinstance(current, Enum):
+            try:
+                value = type(current)[str(value).upper()]
+            except KeyError:
+                raise ConfigError(f"bad {key} in {where!r}: "
+                                  f"{value!r}") from None
+        elif isinstance(value, list):
+            value = tuple(value)
+        changes[key] = value
+    return replace(obj, **changes)
 
 
 def config_from_dict(document: dict) -> RunConfig:
@@ -210,90 +167,49 @@ def config_from_dict(document: dict) -> RunConfig:
     omitted sections and keys keep their defaults."""
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {"scheme", "cavity", "drive", "shift_beam", "geometry", "mot",
-             "run", "grids"}
-    bad = set(document) - known
+    bad = set(document) - set(SECTIONS)
     if bad:
         raise ConfigError(f"unknown config sections: {sorted(bad)}")
-
+    parts, transit = {}, {}
+    for name, data in document.items():
+        if name == "run" and isinstance(data, dict):
+            parts["run"] = {k: v for k, v in data.items()
+                            if k not in _TRANSIT_KEYS}
+            transit.update((k, v) for k, v in data.items()
+                           if k in _TRANSIT_KEYS)
+        else:
+            (transit if name in _TRANSIT_KEYS else parts)[name] = data
     base = default_run_config()
-    scheme_over = dict(document.get("scheme", {}))
-    unknown = set(scheme_over) - set(_SCHEME_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown keys in section 'scheme': "
-                          f"{sorted(unknown)}")
-    try:
-        cfg = RunConfig(
-            scheme=build_level_scheme(**scheme_over),
-            cavity=replace(base.cavity, **document.get("cavity", {}))
-            if document.get("cavity") else base.cavity,
-            drive=_beam_from_dict({**_beam_to_dict(base.drive),
-                                   **document.get("drive", {})}, "drive"),
-            shift_beam=_beam_from_dict({**_beam_to_dict(base.shift_beam),
-                                        **document.get("shift_beam", {})},
-                                       "shift_beam"),
-            geometry=replace(base.geometry, **document.get("geometry", {}))
-            if document.get("geometry") else base.geometry,
-            mot=replace(base.mot, **document.get("mot", {}))
-            if document.get("mot") else base.mot,
-            run=replace(base.run, **document.get("run", {}))
-            if document.get("run") else base.run,
-            grids=_grids_from_dict(document.get("grids", {}), base.grids)
-            if document.get("grids") else base.grids,
-        ).validate()
-    except TypeError as exc:  # an unknown key, or a value of the wrong type
-        raise ConfigError(f"bad config key or value: {exc}") from exc
-    return cfg
+    base = replace(base, transit=_merge(base.transit, transit))
+    return _merge(base, parts).validate()
 
 
-def _beam_to_dict(beam: BeamParams) -> dict:
-    d = asdict(beam)
-    d["polarization"] = beam.polarization.name.lower()
-    return d
-
-
-def _grids_to_dict(grids: Grids) -> dict:
-    return {"spectrum_mhz": asdict(grids.spectrum_mhz),
-            "dip_mhz": asdict(grids.dip_mhz),
-            "snr_power_mw": list(grids.snr_power_mw),
-            "snr_waist_um": list(grids.snr_waist_um)}
+def _as_dict(obj) -> dict:
+    """A dataclass as a JSON-ready mapping, the inverse of `_merge`."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _as_dict(value)
+        elif isinstance(value, Enum):
+            value = value.name.lower()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    scheme = {k: getattr(config.scheme, k) for k in _SCHEME_KEYS}
-    return {"scheme": scheme,
-            "cavity": asdict(config.cavity),
-            "drive": _beam_to_dict(config.drive),
-            "shift_beam": _beam_to_dict(config.shift_beam),
-            "geometry": asdict(config.geometry),
-            "mot": asdict(config.mot),
-            "run": asdict(config.run),
-            "grids": _grids_to_dict(config.grids)}
-
-
-class _ReprFloat(float):
-    """float whose json rendering is repr(), for byte-stable emission."""
-
-    def __repr__(self):
-        return float.__repr__(self)
+    document = _as_dict(config)
+    for key, value in document.pop("transit").items():
+        (document if key in SECTIONS else document["run"])[key] = value
+    return document
 
 
 def dump_config(config: RunConfig) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, repr floats,
-    trailing newline."""
-    def posh(obj):
-        if isinstance(obj, dict):
-            return {k: posh(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [posh(v) for v in obj]
-        if isinstance(obj, bool):
-            return obj
-        if isinstance(obj, float):
-            return _ReprFloat(obj)
-        return obj
-
-    return json.dumps(posh(config_to_dict(config)), indent=2,
-                      sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, floats as
+    repr() gives them (json's own rendering), trailing newline."""
+    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -307,32 +223,36 @@ def _parse_env_value(text: str):
         return text
 
 
+def _match(keys, part: str) -> str:
+    """The key in `keys` that `part` names regardless of case, else part
+    in lower case."""
+    return next((k for k in keys if k.lower() == part.lower()), part.lower())
+
+
 def apply_env_overrides(document: dict, environ=None) -> dict:
-    """Overlay YBCAVITY_SECTION__KEY=value pairs onto a config document.
-    Unknown sections raise, so typos fail fast in CI."""
+    """Overlay YBCAVITY_SECTION__KEY=value pairs (and deeper paths, such as
+    YBCAVITY_GRIDS__DIP_MHZ__STEP) onto a config document.  Each part of a
+    path names a key of the canonical document, matched without regard to
+    case; an unknown part is kept, lowercased, so typos fail fast in CI."""
     environ = os.environ if environ is None else environ
-    out = {k: dict(v) if isinstance(v, dict) else v
-           for k, v in document.items()}
-    for name, raw in sorted(environ.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        path = name[len(ENV_PREFIX):].lower().split("__")
-        if len(path) == 2:
-            section, key = path
-        elif len(path) == 3 and path[0] == "grids":
-            section, key = path[0], path[1]  # grids.<grid>.<field>
-            sub = out.setdefault(section, {}).setdefault(key, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"cannot override {name}: not a mapping")
-            sub[path[2]] = _parse_env_value(raw)
-            continue
-        else:
+    names = sorted(name for name in environ if name.startswith(ENV_PREFIX))
+    out = dict(document)
+    canonical = config_to_dict(default_run_config()) if names else {}
+    for name in names:
+        path = name[len(ENV_PREFIX):].split("__")
+        if len(path) < 2:
             raise ConfigError(f"malformed override variable {name}; expected "
                               f"{ENV_PREFIX}SECTION__KEY")
-        out.setdefault(section, {})
-        if not isinstance(out[section], dict):
-            raise ConfigError(f"cannot override {name}: not a mapping")
-        out[section][key] = _parse_env_value(raw)
+        node, known = out, canonical
+        for part in path[:-1]:
+            key = _match(known, part)
+            child = node.get(key, {})
+            if not isinstance(child, dict):
+                raise ConfigError(f"cannot override {name}: not a mapping")
+            node[key] = dict(child)
+            node = node[key]
+            known = known.get(key) if isinstance(known.get(key), dict) else {}
+        node[_match(known, path[-1])] = _parse_env_value(environ[name])
     return out
 
 

@@ -39,7 +39,7 @@ from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
 from .atomic import LevelScheme, Polarization
-from .errors import ConfigError, ModelError, NumericalError
+from .errors import ConfigError, ModelError, NumericalError, check, rule
 from .lightshift import BeamParams, ShiftResult
 
 TWO_PI = constants.TWO_PI
@@ -64,27 +64,20 @@ class CavityParams:
     pure standing wave of a two-mirror cavity, 1 a flat profile.
     """
 
-    g0: float = constants.G0
-    kappa: float = constants.KAPPA
-    gamma: float = constants.GAMMA_P1
-    mode_waist: float = constants.MODE_WAIST
-    detection_efficiency: float = constants.DETECTION_EFFICIENCY
-    dark_rate_sigma_plus_per_ms: float = constants.DARK_RATE_SIGMA_PLUS_PER_MS
-    dark_rate_sigma_minus_per_ms: float = constants.DARK_RATE_SIGMA_MINUS_PER_MS
-    axial_rms_factor: float = constants.AXIAL_RMS_FACTOR
+    g0: float = rule(constants.G0, gt=0.0)
+    kappa: float = rule(constants.KAPPA, gt=0.0)
+    gamma: float = rule(constants.GAMMA_P1, gt=0.0)
+    mode_waist: float = rule(constants.MODE_WAIST, gt=0.0)
+    detection_efficiency: float = rule(constants.DETECTION_EFFICIENCY,
+                                       ge=0.0, le=1.0)
+    dark_rate_sigma_plus_per_ms: float = rule(
+        constants.DARK_RATE_SIGMA_PLUS_PER_MS, ge=0.0)
+    dark_rate_sigma_minus_per_ms: float = rule(
+        constants.DARK_RATE_SIGMA_MINUS_PER_MS, ge=0.0)
+    axial_rms_factor: float = rule(constants.AXIAL_RMS_FACTOR,
+                                   ge=constants.AXIAL_RMS_FACTOR, le=1.0)
 
-    def validate(self) -> "CavityParams":
-        for name in ("g0", "kappa", "gamma", "mode_waist"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.detection_efficiency <= 1.0:
-            raise ConfigError("detection_efficiency must lie in [0, 1]")
-        if (self.dark_rate_sigma_plus_per_ms < 0
-                or self.dark_rate_sigma_minus_per_ms < 0):
-            raise ConfigError("dark rates must be >= 0")
-        if not constants.AXIAL_RMS_FACTOR <= self.axial_rms_factor <= 1.0:
-            raise ConfigError("axial_rms_factor must lie in [1/sqrt(2), 1]")
-        return self
+    validate = check   # no rule spans fields
 
     @property
     def dark_rates_per_s(self):

@@ -29,7 +29,7 @@ from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
 from .atomic import LevelScheme, Polarization, _as_m2
-from .errors import ConfigError, ResonanceError
+from .errors import ConfigError, ResonanceError, check, rule
 
 TWO_PI = constants.TWO_PI
 
@@ -40,21 +40,14 @@ class BeamParams:
     (rad/s, relative to the transition named by its role), polarization,
     and transverse misalignment along x (m)."""
 
-    power: float
-    waist: float
-    detuning: float = 0.0
-    polarization: Polarization = Polarization.PI
-    axis_offset: float = 0.0
+    power: float = rule(ge=0.0)
+    waist: float = rule(gt=0.0)
+    detuning: float = rule(0.0)
+    polarization: Polarization = rule(Polarization.PI, Polarization)
+    axis_offset: float = rule(0.0)
 
     def __post_init__(self):
-        for name in ("power", "waist", "detuning", "axis_offset"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"beam {name} must be finite, "
-                                  f"got {getattr(self, name)}")
-        if self.power < 0:
-            raise ConfigError(f"beam power must be >= 0, got {self.power}")
-        if not self.waist > 0:
-            raise ConfigError(f"beam waist must be > 0, got {self.waist}")
+        check(self)
 
     @property
     def peak_intensity(self) -> float:

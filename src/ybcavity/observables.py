@@ -30,7 +30,7 @@ from scipy.constants import c, h
 
 from . import constants
 from .dynamics import axial_profile
-from .errors import ConfigError
+from .errors import ConfigError, check, rule
 from .transit import (TransitConfig, _write_csv, local_coordinates,
                       make_trajectory, rate_table)
 
@@ -66,23 +66,14 @@ class MotParams:
     event removes the atom (shelved outside the cooling cycle).
     """
 
-    R: float = 1.0e6
-    Gamma0: float = 0.5
-    probe_power_density: float = 30.0
-    natural_linewidth_D1: float = 16e3
-    branching: float = constants.BRANCHING_D1_TO_P0
-    p1_population: float = 0.46
+    R: float = rule(1.0e6, ge=0.0)
+    Gamma0: float = rule(0.5, ge=0.0)
+    probe_power_density: float = rule(30.0, ge=0.0)
+    natural_linewidth_D1: float = rule(16e3, gt=0.0)
+    branching: float = rule(constants.BRANCHING_D1_TO_P0, ge=0.0, le=1.0)
+    p1_population: float = rule(0.46, ge=0.0, le=1.0)
 
-    def validate(self) -> "MotParams":
-        for name in ("R", "Gamma0", "probe_power_density",
-                     "natural_linewidth_D1", "p1_population"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, "
-                                  f"got {getattr(self, name)}")
-        if not 0.0 <= self.branching <= 1.0:
-            raise ConfigError(f"branching must be in [0, 1], "
-                              f"got {self.branching}")
-        return self
+    validate = check   # no rule spans fields
 
     @property
     def eta(self) -> float:

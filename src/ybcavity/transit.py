@@ -33,12 +33,13 @@ from . import constants
 from .atomic import LevelScheme, Polarization, build_level_scheme
 from .dynamics import (_DRIVE_FRACTIONS, CavityParams, coupling_at,
                        drive_rabi_sq, require_linear_drive, spin_rates)
-from .errors import ConfigError
+from .errors import ConfigError, check, rule
 from .lightshift import (BeamParams, ShiftResult, default_shift_beam,
                          stark_shift)
 
 SPINS = ("up", "down")
 
+EMIT_FORMATS = ("csv", "jsonl")   # record file formats, also their extensions
 TRANSIT_FORMAT_TAG = "ybcavity.transit.v1"
 WINDOW_FORMAT_TAG = "ybcavity.window.v1"
 
@@ -65,18 +66,14 @@ class TransitGeometry:
     around the mode center, resolved in time_step slices.
     """
 
-    drop_height: float = constants.DROP_HEIGHT
-    mode_waist: float = constants.MODE_WAIST
-    impact_radius_factor: float = 2.0
-    simulation_halfspan: float = 125e-6
-    time_step: float = 1e-6
+    drop_height: float = rule(constants.DROP_HEIGHT, gt=0.0)
+    mode_waist: float = rule(constants.MODE_WAIST, gt=0.0)
+    impact_radius_factor: float = rule(2.0, gt=0.0)
+    simulation_halfspan: float = rule(125e-6, gt=0.0)
+    time_step: float = rule(1e-6, gt=0.0)
 
     def validate(self) -> "TransitGeometry":
-        for name in ("drop_height", "mode_waist", "impact_radius_factor",
-                     "simulation_halfspan", "time_step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, "
-                                  f"got {getattr(self, name)}")
+        check(self)
         if not self.simulation_halfspan < self.drop_height:
             raise ConfigError("simulation_halfspan must be < drop_height")
         if _segment_count(self) > _MAX_SEGMENTS:
@@ -178,36 +175,23 @@ class TransitConfig:
     and the shift beam pi, the only beams the rate and shift models cover.
     """
 
-    scheme: LevelScheme
-    cavity: CavityParams
-    drive: BeamParams
-    shift_beam: BeamParams
-    geometry: TransitGeometry
-    light_shift_on: bool = True
-    excitation_detuning: float = None
-    atom_rate: float = constants.ATOM_RATE
-    window: float = constants.MEASUREMENT_WINDOW
-    initial_spin: str = "random"
+    scheme: LevelScheme = rule(kind=LevelScheme)
+    cavity: CavityParams = rule(kind=CavityParams)
+    drive: BeamParams = rule(kind=BeamParams)
+    shift_beam: BeamParams = rule(kind=BeamParams)
+    geometry: TransitGeometry = rule(kind=TransitGeometry)
+    light_shift_on: bool = rule(True, bool)
+    excitation_detuning: float = rule(None)
+    atom_rate: float = rule(constants.ATOM_RATE, ge=0.0)
+    window: float = rule(constants.MEASUREMENT_WINDOW, gt=0.0)
+    initial_spin: str = rule("random", str, choices=SPINS + ("random",))
 
     def validate(self) -> "TransitConfig":
-        self.scheme.validate()
-        self.cavity.validate()
-        self.geometry.validate()
+        check(self)
         require_linear_drive(self.drive)
         if self.shift_beam.polarization is not Polarization.PI:
             raise ConfigError("the shift beam must be polarized pi, got "
                               f"{self.shift_beam.polarization.name.lower()}")
-        if self.initial_spin not in SPINS + ("random",):
-            raise ConfigError("initial_spin must be 'up', 'down' or "
-                              f"'random', got {self.initial_spin!r}")
-        if self.atom_rate < 0:
-            raise ConfigError(f"atom_rate must be >= 0, "
-                              f"got {self.atom_rate}")
-        if not self.window > 0:
-            raise ConfigError(f"window must be > 0, got {self.window}")
-        if self.excitation_detuning is not None \
-                and not math.isfinite(self.excitation_detuning):
-            raise ConfigError("excitation_detuning must be finite")
         return self
 
 
@@ -720,30 +704,26 @@ def _write_jsonl(stream, tag, dicts):
         stream.write(json.dumps(d, sort_keys=True) + "\n")
 
 
-def write_transit_records(path, records, emit_format: str = "csv"):
+def _write_records(path, tag, columns, rows, emit_format):
+    """Write rows as CSV or JSON lines; the format name is also the file
+    extension the CLI gives them."""
+    if emit_format not in EMIT_FORMATS:
+        raise ConfigError(f"unknown format {emit_format!r}")
     with open(path, "w", newline="") as fh:
         if emit_format == "csv":
-            _write_csv(fh, TRANSIT_FORMAT_TAG, _TRANSIT_COLUMNS,
-                       (_transit_row(r) for r in records))
-        elif emit_format == "jsonl":
-            _write_jsonl(fh, TRANSIT_FORMAT_TAG,
-                         (dict(zip(_TRANSIT_COLUMNS, _transit_row(r)))
-                          for r in records))
+            _write_csv(fh, tag, columns, rows)
         else:
-            raise ConfigError(f"unknown format {emit_format!r}")
+            _write_jsonl(fh, tag, (dict(zip(columns, row)) for row in rows))
+
+
+def write_transit_records(path, records, emit_format: str = "csv"):
+    _write_records(path, TRANSIT_FORMAT_TAG, _TRANSIT_COLUMNS,
+                   map(_transit_row, records), emit_format)
 
 
 def write_count_records(path, records, emit_format: str = "csv"):
-    with open(path, "w", newline="") as fh:
-        if emit_format == "csv":
-            _write_csv(fh, WINDOW_FORMAT_TAG, _WINDOW_COLUMNS,
-                       (_window_row(r) for r in records))
-        elif emit_format == "jsonl":
-            _write_jsonl(fh, WINDOW_FORMAT_TAG,
-                         (dict(zip(_WINDOW_COLUMNS, _window_row(r)))
-                          for r in records))
-        else:
-            raise ConfigError(f"unknown format {emit_format!r}")
+    _write_records(path, WINDOW_FORMAT_TAG, _WINDOW_COLUMNS,
+                   map(_window_row, records), emit_format)
 
 
 def _read_tagged(path, expected_tag):

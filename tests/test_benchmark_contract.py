@@ -9,9 +9,14 @@ editing them) and check that every name they rely on still resolves.
 
 import ast
 import importlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from ybcavity.config import load_config
+from ybcavity.transit import TransitConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -98,3 +103,38 @@ def test_every_imported_package_name_resolves(source):
             importlib.import_module(module)
         else:
             _resolve(module, attribute)
+
+
+def _load(name: str):
+    """A perfbench module loaded by path; both used here import only the
+    standard library at top level and have no import side effects."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_config_loads(tmp_path):
+    # every config a round writes, and the one-worker scatter re-run that
+    # `checks.py` derives from it, passes the config checks and gives the
+    # transit configuration and geometry the checks read
+    workloads, checks = _load("workloads"), _load("checks")
+    paths = []
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 7):
+            for index in range(2):
+                round_dir = tmp_path / f"{workload}-{seed}-{index}"
+                plan = workloads.prepare(workload, seed, index, round_dir)
+                paths += [p for p in round_dir.glob("*.json")
+                          if p.name != "plan.json"]
+                if workload == "scatter":
+                    doc = json.loads((round_dir / plan["config"]).read_text())
+                    doc["run"].update(n_runs=checks.FIRST_WINDOWS, threads=1)
+                    paths.append(round_dir / "serial.json")
+                    paths[-1].write_text(json.dumps(doc))
+    assert len(paths) == 2 * 2 * (2 + 1 + 2)   # sweep, transit, scatter
+    for path in paths:
+        config = load_config(str(path))
+        assert isinstance(config.to_transit_config(), TransitConfig)
+        assert config.geometry is config.to_transit_config().geometry

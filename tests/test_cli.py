@@ -7,7 +7,8 @@ import os
 import pytest
 
 from ybcavity.cli import main
-from ybcavity.config import config_from_dict, default_run_config, dump_config
+from ybcavity.config import (config_from_dict, default_run_config,
+                             dump_config, load_config)
 
 
 @pytest.fixture(autouse=True)
@@ -204,6 +205,52 @@ def test_string_for_a_number_is_a_config_error(tmp_path, monkeypatch,
     monkeypatch.setenv(variable, value)
     assert main(["motdip", "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable, value", [
+    (None, '{"mot": {"Gamma0": NaN}}'),
+    ("YBCAVITY_RUN__ATOM_RATE", "NaN"),
+    ("YBCAVITY_RUN__WINDOW", "Infinity"),
+    ("YBCAVITY_CAVITY__DARK_RATE_SIGMA_PLUS_PER_MS", "NaN"),
+    ("YBCAVITY_CAVITY__KAPPA", "Infinity"),
+    ("YBCAVITY_RUN__LIGHT_SHIFT_ON", '"no"'),
+    ("YBCAVITY_GEOMETRY__IMPACT_RADIUS_FACTOR", "true"),
+    ("YBCAVITY_MOT__P1_POPULATION", "Infinity"),
+    (None, '{"mot": {"natural_linewidth_D1": 0}}'),   # divides by zero
+    ("YBCAVITY_RUN__MASTER_SEED", str(2 ** 64)),   # beyond the Philox key
+])
+def test_bad_value_exits_2_and_writes_no_data(tmp_path, monkeypatch, capsys,
+                                              variable, value):
+    # a value given as None is a config file's text
+    out = tmp_path / "out"
+    args = ["motdip", "--out", str(out)]
+    if variable is None:
+        path = tmp_path / "config.json"
+        path.write_text(value)
+        args += ["--config", str(path)]
+    else:
+        monkeypatch.setenv(variable, value)
+    assert main(args) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_key_can_be_set_from_the_environment(tmp_path, monkeypatch):
+    # every key of every section, named in upper case as shells do
+    text = dump_config(default_run_config())
+
+    def leaves(doc, path):
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                yield from leaves(value, path + [key])
+            else:
+                yield path + [key], value
+
+    for path, value in leaves(json.loads(text), []):
+        monkeypatch.setenv("YBCAVITY_" + "__".join(path).upper(),
+                           json.dumps(value))
+    assert main(["motdip", "--out", str(tmp_path)]) == 0
+    assert dump_config(load_config()) == text
 
 
 @pytest.mark.parametrize("variable, value", [

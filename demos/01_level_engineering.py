@@ -12,8 +12,8 @@ states.  This script walks through the numbers.
 
 import numpy as np
 
-from ybcavity import (BeamParams, Polarization, build_level_scheme,
-                      default_shift_beam, stark_shift, sublevel_splitting)
+from ybcavity import (ShiftBeam, build_level_scheme, default_shift_beam,
+                      stark_shift, sublevel_splitting)
 
 scheme = build_level_scheme()
 
@@ -45,8 +45,7 @@ print("  m'=+/-1/2 shift %.1f MHz, splitting %.1f MHz"
 # mostly to the near F''=1/2 one.  Flip the beam to the blue side and the
 # m'=1/2 shift changes sign while the m'=3/2 shift barely moves -- the
 # engineered splitting collapses.
-blue = BeamParams(power=beam.power, waist=beam.waist,
-                  detuning=-beam.detuning, polarization=Polarization.PI)
+blue = ShiftBeam(power=beam.power, waist=beam.waist, detuning=-beam.detuning)
 print("\nsame beam blue-detuned by +300 MHz:")
 for m in (+1.5, +0.5):
     print("  shift of m' = +/-%.1f : %+7.2f MHz"

@@ -15,7 +15,7 @@ power.
 
 import numpy as np
 
-from ybcavity import (BeamParams, CavityParams, Polarization, ShiftResult,
+from ybcavity import (BeamParams, CavityParams, ShiftResult,
                       adiabatic_rates, build_hamiltonian, build_level_scheme,
                       build_lindblad, default_transit_config,
                       ground_vacuum_state, stark_shift, steady_state)
@@ -36,7 +36,7 @@ print("single-atom cooperativity C = g0^2/(kappa gamma) = %.1f"
 # line most where the coupling is strongest, which suppresses resonant
 # scattering there.  The full model reproduces the same trend.)
 print("\nweak drive (5 nW), three positions across the mode:")
-drive = BeamParams(power=5e-9, waist=25e-6, polarization=Polarization.LINEAR_Y)
+drive = BeamParams(power=5e-9, waist=25e-6)   # polarized along y
 shifts = ShiftResult(delta_32=6.8e6, delta_12=-12.8e6)
 det = 6.8e6  # probe parked on the shifted cyclic resonance
 

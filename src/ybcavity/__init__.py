@@ -13,12 +13,9 @@ Monte Carlo transit/photon statistics, and the derived observables
 from .errors import (
     YbCavityError, ConfigError, ResonanceError, ModelError, NumericalError,
 )
-from .atomic import (
-    Polarization, LevelScheme,
-    build_level_scheme, transition_weight, decay_branching,
-)
+from .atomic import LevelScheme, build_level_scheme
 from .lightshift import (
-    BeamParams, ShiftResult,
+    BeamParams, ShiftBeam, ShiftResult,
     default_shift_beam, stark_shift, sublevel_splitting,
 )
 from .dynamics import (

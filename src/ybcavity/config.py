@@ -23,25 +23,25 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from .atomic import LevelScheme
 from .dynamics import CavityParams
 from .errors import ConfigError, check, rule
-from .lightshift import BeamParams
+from .lightshift import BeamParams, ShiftBeam
 from .observables import MotParams
 from .transit import (EMIT_FORMATS, TransitConfig, TransitGeometry,
                       default_transit_config)
 
 ENV_PREFIX = "YBCAVITY_"
+_MAX_GRID_POINTS = 10_000   # each point of a sweep is a full solve
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inclusive-start arithmetic grid; stop is covered when it lands on
-    a step multiple."""
+    """Inclusive-start arithmetic grid of at most `_MAX_GRID_POINTS`
+    points; stop is covered when it lands on a step multiple."""
 
     start: float = rule()
     stop: float = rule()
@@ -51,10 +51,17 @@ class GridSpec:
         check(self)
         if self.stop < self.start:
             raise ConfigError("grid stop must be >= start")
+        # compared as a float, so an overflowing ratio is caught too
+        if not self._steps() < _MAX_GRID_POINTS:
+            raise ConfigError(f"grid has over {_MAX_GRID_POINTS} points")
         return self
 
+    def _steps(self) -> float:
+        """Whole steps from start to stop, before flooring."""
+        return (self.stop - self.start) / self.step + 1e-9
+
     def values(self) -> np.ndarray:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        n = int(math.floor(self._steps())) + 1
         return self.start + self.step * np.arange(n)
 
 
@@ -129,7 +136,7 @@ def default_run_config() -> RunConfig:
 # sections are fields of TransitConfig, the rest of RunConfig; the "run"
 # section also carries TransitConfig's own fields (light_shift_on, ...).
 SECTIONS = {"scheme": LevelScheme, "cavity": CavityParams,
-            "drive": BeamParams, "shift_beam": BeamParams,
+            "drive": BeamParams, "shift_beam": ShiftBeam,
             "geometry": TransitGeometry, "mot": MotParams,
             "run": RunSection, "grids": Grids}
 
@@ -138,7 +145,7 @@ _TRANSIT_KEYS = frozenset(f.name for f in fields(TransitConfig))
 
 def _merge(obj, data, where: str = ""):
     """obj with the values of a parsed JSON object put in: a nested
-    dataclass merges in turn, an enum goes by name, a list is a tuple."""
+    dataclass merges in turn, a list is a tuple."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object, got {data!r}")
     bad = set(data) - {f.name for f in fields(obj)}
@@ -150,12 +157,6 @@ def _merge(obj, data, where: str = ""):
         current = getattr(obj, key)
         if is_dataclass(current):
             value = _merge(current, value, f"{where}.{key}" if where else key)
-        elif isinstance(current, Enum):
-            try:
-                value = type(current)[str(value).upper()]
-            except KeyError:
-                raise ConfigError(f"bad {key} in {where!r}: "
-                                  f"{value!r}") from None
         elif isinstance(value, list):
             value = tuple(value)
         changes[key] = value
@@ -191,8 +192,6 @@ def _as_dict(obj) -> dict:
         value = getattr(obj, f.name)
         if is_dataclass(value):
             value = _as_dict(value)
-        elif isinstance(value, Enum):
-            value = value.name.lower()
         elif isinstance(value, tuple):
             value = list(value)
         out[f.name] = value

@@ -4,9 +4,10 @@ The Hilbert space is {|up>, |down>, four 3P1(F'=3/2) sublevels} tensor
 Fock(sigma+ mode) tensor Fock(sigma- mode).  The sigma+ cavity mode couples
 every q = +1 transition with its coupling weight, the sigma- mode every
 q = -1 transition; the classical side drive, polarized along y, enters
-as equal sigma+ and sigma- components (the only drive modelled: other
-polarizations raise ConfigError).  kappa and gamma are HWHM-convention
-rates, so Lindblad collapse channels carry 2*kappa and 2*gamma.
+as equal sigma+ and sigma- components on the four transitions of
+`DRIVE_TRANSITIONS` (the only drive modelled, so the beam carries no
+polarization).  kappa and gamma are HWHM-convention rates, so Lindblad
+collapse channels carry 2*kappa and 2*gamma.
 
 The sampler needs rates for one ground spin at a time.  `adiabatic_rates`
 gets them from the conditional steady state of a reduced master equation:
@@ -38,7 +39,7 @@ import scipy.sparse.linalg as spla
 from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
-from .atomic import LevelScheme, Polarization
+from .atomic import LevelScheme
 from .errors import ConfigError, ModelError, NumericalError, check, rule
 from .lightshift import BeamParams, ShiftResult
 
@@ -142,17 +143,14 @@ def drive_rabi_sq(position, drive: BeamParams, scheme: LevelScheme) -> float:
     return 2.0 * intensity * d_sq / (c * epsilon_0 * hbar ** 2)
 
 
-# Intensity fraction of the drive in each spherical component q.  The
-# readout drives both cyclic transitions with one beam polarized along y,
-# an equal sigma+/sigma- superposition; it is the only drive modelled.
-_DRIVE_FRACTIONS = {+1: 0.5, -1: 0.5}
-
-
-def require_linear_drive(drive: BeamParams) -> None:
-    """Raise ConfigError unless the drive is polarized along y."""
-    if drive.polarization is not Polarization.LINEAR_Y:
-        raise ConfigError("the drive must be polarized linear_y, got "
-                          f"{drive.polarization.name.lower()}")
+# The transitions the drive excites, as (ground m2, q, excited m2,
+# intensity fraction, squared coupling weight), spin up first and sigma+
+# before sigma-.  The readout drives both cyclic transitions with one beam
+# polarized along y, an equal sigma+/sigma- superposition with no pi part;
+# it is the only drive modelled.
+DRIVE_TRANSITIONS = tuple(
+    (g2, q, g2 + 2 * q, 0.5, float(constants.EXCITATION_WEIGHTS[(g2, q)]))
+    for g2 in (+1, -1) for q in (+1, -1))
 
 
 def _cavity_couplings(e2: int):
@@ -199,7 +197,6 @@ def build_hamiltonian(scheme: LevelScheme, cavity: CavityParams,
     are taken resonant with the drive frequency (the experiment locks them
     together), so no bare photon term appears.
     """
-    require_linear_drive(drive)
     if n_max < 1:
         raise ModelError(f"Fock truncation n_max must be >= 1, got {n_max}")
     a, i_ph = _fock_ops(n_max)
@@ -224,16 +221,10 @@ def build_hamiltonian(scheme: LevelScheme, cavity: CavityParams,
             h += amp * (term + term.conj().T)
 
     om_sq = float(drive_rabi_sq(position, drive, scheme))
-    for q, frac in _DRIVE_FRACTIONS.items():
-        om_q = math.sqrt(frac * om_sq)
-        for g2, g_idx in GROUND_INDEX.items():
-            e2 = g2 + 2 * q
-            if abs(e2) > 3:
-                continue
-            w = float(constants.EXCITATION_WEIGHTS[(g2, q)])
-            term = 0.5 * om_q * math.sqrt(w) * _embed(
-                _atom_proj(EXCITED_INDEX[e2], g_idx), i_ph, i_ph)
-            h += term + term.conj().T
+    for g2, _, e2, frac, w in DRIVE_TRANSITIONS:
+        term = 0.5 * math.sqrt(frac * om_sq) * math.sqrt(w) * _embed(
+            _atom_proj(EXCITED_INDEX[e2], GROUND_INDEX[g2]), i_ph, i_ph)
+        h += term + term.conj().T
     return h
 
 
@@ -545,10 +536,9 @@ class _SpinModel:
 
     def __init__(self, kappa: float, gamma: float):
         up = +1
-        fractions = _DRIVE_FRACTIONS
-        self.excited_m2 = [up + 2 * q for q in sorted(fractions, reverse=True)
-                           if abs(up + 2 * q) <= 3]
-        q_of = {up + 2 * q: q for q in fractions}
+        driven = [(e2, frac, w) for g2, _, e2, frac, w in DRIVE_TRANSITIONS
+                  if g2 == up]
+        self.excited_m2 = [e2 for e2, _, _ in driven]
         others = sorted({g2 for e2 in self.excited_m2
                          for _, _, g2 in _cavity_couplings(e2) if g2 != up})
         n_exc = len(self.excited_m2)
@@ -572,14 +562,12 @@ class _SpinModel:
         h_g = np.zeros((dim, dim))
         h_om = np.zeros((dim, dim))
         flip_frac = np.zeros(n_atom)
-        for k, e2 in enumerate(self.excited_m2):
+        for k, (e2, frac, w_exc) in enumerate(driven):
             for mode, w, g2 in _cavity_couplings(e2):
                 fld = (a_plus, i_minus) if mode == +1 else (i_plus, a_minus)
                 term = math.sqrt(w) * embed(proj(1 + k, ground[g2]), *fld)
                 h_g += term + term.T
-            w_exc = float(constants.EXCITATION_WEIGHTS[(up, q_of[e2])])
-            term = 0.5 * math.sqrt(fractions[q_of[e2]] * w_exc) \
-                * embed(proj(1 + k, 0))
+            term = 0.5 * math.sqrt(frac * w_exc) * embed(proj(1 + k, 0))
             h_om += term + term.T
             flip_frac[1 + k] = sum(float(f) for g2, _, f
                                    in constants.DECAY_BRANCHES[e2] if g2 != up)
@@ -722,7 +710,7 @@ def spin_rates(spin: str, coupling, rabi_sq, excitation_detuning: float,
                shifts: ShiftResult, cavity: CavityParams) -> np.ndarray:
     """Per-spin rates at local coordinates, as an array (..., 4) holding
     the EmissionRates fields in order: photons/s into the sigma+ and sigma-
-    modes, flips/s and free-space scatters/s, under the linear-y drive.
+    modes, flips/s and free-space scatters/s, under the y-polarized drive.
 
     coupling (rad/s), rabi_sq (total drive Omega^2, rad^2/s^2) and the
     shift fields broadcast against each other.  The rates are even under
@@ -753,7 +741,7 @@ def spin_rates(spin: str, coupling, rabi_sq, excitation_detuning: float,
 def adiabatic_rates(spin: str, excitation_detuning: float, position,
                     shifts: ShiftResult, scheme: LevelScheme,
                     cavity: CavityParams, drive: BeamParams) -> EmissionRates:
-    """Polarization-resolved emission, flip and free-space rates for one
+    """Emission into each cavity mode, flip and free-space rates for one
     ground spin state at a position (name kept from the earlier adiabatic
     closed form).
 
@@ -768,7 +756,6 @@ def adiabatic_rates(spin: str, excitation_detuning: float, position,
     which case the returned rate fields are arrays; scalars in, scalars
     out.
     """
-    require_linear_drive(drive)
     g = coupling_at(position, cavity)
     rates = spin_rates(spin, g, drive_rabi_sq(position, drive, scheme),
                        excitation_detuning, shifts, cavity)

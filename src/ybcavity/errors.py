@@ -36,10 +36,10 @@ def rule(default=MISSING, kind=float, *, gt=None, ge=None, le=None,
          choices=None):
     """A config dataclass field: its default and the rule its values obey.
 
-    kind is float, int, bool, str, tuple (of floats) or a type (an enum, or
-    a nested config dataclass); a field whose default is None also takes
-    None.  gt, ge and le bound a number, or each element of a tuple;
-    choices lists the values allowed.
+    kind is float, int, bool, str, tuple (of floats) or a nested config
+    dataclass; a field whose default is None also takes None.  gt, ge and
+    le bound a number, or each element of a tuple; choices lists the
+    values allowed.
     """
     return field(default=default, metadata={"rule": dict(
         kind=kind, gt=gt, ge=ge, le=le, choices=choices)})

@@ -14,9 +14,13 @@ Geometry: beams propagate along the y axis (perpendicular to both the
 cavity axis x and the fall axis z), so the transverse beam coordinate at a
 point (x, y, z) is r^2 = (x - axis_offset)^2 + z^2.
 
-Units: powers in W, lengths in m, `BeamParams.detuning` in rad/s (angular,
-relative to the D1 F=1/2 component for the shift beam); returned shifts are
-plain frequencies in Hz.
+Both beams have one fixed polarization, so neither carries it: the drive
+(`BeamParams`) is polarized along y and the shift beam (`ShiftBeam`, a
+BeamParams with a detuning) is pi-polarized.
+
+Units: powers in W, lengths in m, `ShiftBeam.detuning` in rad/s (angular,
+relative to the D1 F=1/2 component); returned shifts are plain
+frequencies in Hz.
 """
 
 from __future__ import annotations
@@ -28,22 +32,24 @@ import numpy as np
 from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
-from .atomic import LevelScheme, Polarization, _as_m2
-from .errors import ConfigError, ResonanceError, check, rule
+from .atomic import LevelScheme, _as_m2
+from .errors import ResonanceError, check, rule
 
 TWO_PI = constants.TWO_PI
+# Closest approach (in 3P1-3D1 linewidths) of the shift beam to a
+# hyperfine component the sublevel couples to; the perturbative shift is
+# meaningless nearer.
+_RESONANCE_FLOOR = 10.0
 
 
 @dataclass(frozen=True)
 class BeamParams:
-    """A Gaussian beam: power (W), 1/e^2 intensity waist (m), detuning
-    (rad/s, relative to the transition named by its role), polarization,
-    and transverse misalignment along x (m)."""
+    """A Gaussian beam: power (W), 1/e^2 intensity waist (m) and
+    transverse misalignment along x (m).  The drive is one: polarized
+    along y, its frequency set by the run's excitation detuning."""
 
     power: float = rule(ge=0.0)
     waist: float = rule(gt=0.0)
-    detuning: float = rule(0.0)
-    polarization: Polarization = rule(Polarization.PI, Polarization)
     axis_offset: float = rule(0.0)
 
     def __post_init__(self):
@@ -58,6 +64,14 @@ class BeamParams:
         exp(-2 [(x - axis_offset)^2 + z^2] / w^2); broadcasts over arrays."""
         r_sq = (np.asarray(x) - self.axis_offset) ** 2 + np.asarray(z) ** 2
         return np.exp(-2.0 * r_sq / self.waist ** 2)
+
+
+@dataclass(frozen=True)
+class ShiftBeam(BeamParams):
+    """The pi-polarized 1539-nm beam: a Gaussian beam plus its detuning
+    (rad/s) from the D1 F''=1/2 component."""
+
+    detuning: float = rule(constants.SHIFT_DETUNING)
 
 
 @dataclass(frozen=True)
@@ -80,10 +94,10 @@ class ShiftResult:
 def default_shift_beam(power: float = constants.SHIFT_POWER,
                        waist: float = constants.SHIFT_WAIST,
                        detuning: float = constants.SHIFT_DETUNING,
-                       axis_offset: float = 0.0) -> BeamParams:
+                       axis_offset: float = 0.0) -> ShiftBeam:
     """Shift beam at the reference operating point (9 mW, 50 um, -300 MHz)."""
-    return BeamParams(power=power, waist=waist, detuning=detuning,
-                      polarization=Polarization.PI, axis_offset=axis_offset)
+    return ShiftBeam(power=power, waist=waist, axis_offset=axis_offset,
+                     detuning=detuning)
 
 
 def _rabi_sq_unit(intensity: float, scheme: LevelScheme) -> float:
@@ -102,33 +116,29 @@ def _rabi_sq_unit(intensity: float, scheme: LevelScheme) -> float:
             * constants.D1_SHIFT_CALIBRATION)
 
 
-def _component_detunings(beam: BeamParams, scheme: LevelScheme):
-    """Angular detunings from the F''=1/2 and F''=3/2 components (keyed 2F'')."""
+def _component_detunings(detuning: float, scheme: LevelScheme):
+    """Angular detunings from the F''=1/2 and F''=3/2 components (keyed
+    2F''), given the detuning from F''=1/2."""
     return {
-        1: beam.detuning,
-        3: beam.detuning + TWO_PI * scheme.d1_hyperfine_splitting,
+        1: detuning,
+        3: detuning + TWO_PI * scheme.d1_hyperfine_splitting,
     }
 
 
-def stark_shift(sublevel_m: float, beam: BeamParams, scheme: LevelScheme,
-                position=(0.0, 0.0, 0.0),
-                resonance_floor: float = 10.0) -> float:
+def stark_shift(sublevel_m: float, beam: ShiftBeam, scheme: LevelScheme,
+                position=(0.0, 0.0, 0.0)) -> float:
     """Shift (Hz) of a 3P1(F'=3/2) sublevel at `position`, an (x, y, z)
     triple whose entries may be arrays: the shift broadcasts over them,
     and scalars in give a float out.
 
-    Raises ResonanceError when the beam sits within `resonance_floor`
-    linewidths of any hyperfine component the sublevel actually couples to;
-    the perturbative formula is meaningless there.
+    Raises ResonanceError when the beam sits within `_RESONANCE_FLOOR`
+    linewidths of any hyperfine component the sublevel actually couples to.
     """
     m2 = _as_m2(sublevel_m, "sublevel_m")
     if abs(m2) not in (1, 3):
         raise ValueError(f"sublevel_m must be one of +/-1/2, +/-3/2, "
                          f"got {sublevel_m}")
-    if beam.polarization is not Polarization.PI:
-        raise ConfigError("the light-shift model covers a pi-polarized beam; "
-                          f"got {beam.polarization}")
-    detunings = _component_detunings(beam, scheme)
+    detunings = _component_detunings(beam.detuning, scheme)
     x, _, z = position
     omega_sq = _rabi_sq_unit(beam.peak_intensity * beam.profile(x, z), scheme)
     shift_rad = 0.0
@@ -136,9 +146,9 @@ def stark_shift(sublevel_m: float, beam: BeamParams, scheme: LevelScheme,
         weight = constants.D1_PI_WEIGHTS[(abs(m2), f2)]
         if weight == 0:
             continue
-        if abs(delta_k) < resonance_floor * scheme.gamma_D1_line:
+        if abs(delta_k) < _RESONANCE_FLOOR * scheme.gamma_D1_line:
             raise ResonanceError(
-                f"shift beam within {resonance_floor} linewidths of the "
+                f"shift beam within {_RESONANCE_FLOOR} linewidths of the "
                 f"F''={f2}/2 component (detuning {delta_k:.3g} rad/s)")
         shift_rad += float(weight) * omega_sq / (4.0 * delta_k)
     shift = shift_rad / TWO_PI
@@ -155,8 +165,7 @@ def sublevel_splitting(delta_32_measured: float, scheme: LevelScheme,
     reference -300 MHz point) and is independent of intensity, so a measured
     delta_32 pins everything else.  Input and outputs in Hz.
     """
-    detunings = _component_detunings(
-        BeamParams(power=0.0, waist=1.0, detuning=detuning), scheme)
+    detunings = _component_detunings(detuning, scheme)
     w = constants.D1_PI_WEIGHTS
     resp_32 = float(w[(3, 3)]) / detunings[3]
     resp_12 = (float(w[(1, 1)]) / detunings[1]

@@ -155,10 +155,10 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
     col = (lambda a: np.asarray(a, dtype=float)[:, None])
     coords = local_coordinates(col(x0), col(y0), geo_z.z, config,
                                axial=col(axial))
-    rates = rate_table(config)(*coords)
-    # the two spins share one flip rate f (mirror-symmetric drive)
-    (up_plus, up_minus, flip), (dn_plus, dn_minus, _) = \
-        rates["up"], rates["down"]
+    # the two spins share one flip rate f, and spin down has sigma+ and
+    # sigma- swapped (mirror-symmetric drive)
+    up_plus, up_minus, flip = rate_table(config)(*coords)
+    dn_plus, dn_minus = up_minus, up_plus
 
     x = 2.0 * flip * dt
     amp = (p_up_initial - 0.5) * np.exp(x - np.cumsum(x, axis=1))

@@ -30,12 +30,12 @@ import numpy as np
 from scipy.constants import g as FREE_FALL_G
 
 from . import constants
-from .atomic import LevelScheme, Polarization, build_level_scheme
-from .dynamics import (_DRIVE_FRACTIONS, CavityParams, coupling_at,
-                       drive_rabi_sq, require_linear_drive, spin_rates)
+from .atomic import LevelScheme, build_level_scheme
+from .dynamics import (DRIVE_TRANSITIONS, CavityParams, coupling_at,
+                       drive_rabi_sq, spin_rates)
 from .errors import ConfigError, check, rule
-from .lightshift import (BeamParams, ShiftResult, default_shift_beam,
-                         stark_shift)
+from .lightshift import (BeamParams, ShiftBeam, ShiftResult,
+                         default_shift_beam, stark_shift)
 
 SPINS = ("up", "down")
 
@@ -143,11 +143,10 @@ def _speed_at(geometry: TransitGeometry, height_above_center: float) -> float:
     return math.sqrt(2.0 * FREE_FALL_G * drop)
 
 
-def crossing_duration(geometry: TransitGeometry, half_width: float = None
-                      ) -> float:
-    """Exact time (s) a falling atom spends with |z| <= half_width
-    (default: one mode waist)."""
-    w = geometry.mode_waist if half_width is None else half_width
+def crossing_duration(geometry: TransitGeometry) -> float:
+    """Exact time (s) a falling atom spends within one mode waist of the
+    mode center, |z| <= mode_waist."""
+    w = geometry.mode_waist
     v0 = _speed_at(geometry, geometry.simulation_halfspan)
     h = geometry.simulation_halfspan
 
@@ -171,14 +170,15 @@ class TransitConfig:
     None means "track the engineered resonance": the m'=+/-3/2 shift at
     the mode center when the shift beam is on, zero otherwise.
     initial_spin is the per-atom preparation policy: 'up', 'down', or
-    'random' (fair coin per atom).  The drive must be polarized linear_y
-    and the shift beam pi, the only beams the rate and shift models cover.
+    'random' (fair coin per atom).  atom_rate x window, the mean number of
+    atoms per window, is at most `_MAX_ATOMS_PER_WINDOW`: each atom round
+    of a window batch is a full pass of the sampler.
     """
 
     scheme: LevelScheme = rule(kind=LevelScheme)
     cavity: CavityParams = rule(kind=CavityParams)
     drive: BeamParams = rule(kind=BeamParams)
-    shift_beam: BeamParams = rule(kind=BeamParams)
+    shift_beam: ShiftBeam = rule(kind=ShiftBeam)
     geometry: TransitGeometry = rule(kind=TransitGeometry)
     light_shift_on: bool = rule(True, bool)
     excitation_detuning: float = rule(None)
@@ -188,11 +188,14 @@ class TransitConfig:
 
     def validate(self) -> "TransitConfig":
         check(self)
-        require_linear_drive(self.drive)
-        if self.shift_beam.polarization is not Polarization.PI:
-            raise ConfigError("the shift beam must be polarized pi, got "
-                              f"{self.shift_beam.polarization.name.lower()}")
+        atoms = self.atom_rate * self.window
+        if not atoms <= _MAX_ATOMS_PER_WINDOW:
+            raise ConfigError(f"atom_rate x window must be <= "
+                              f"{_MAX_ATOMS_PER_WINDOW:g}, got {atoms!r}")
         return self
+
+
+_MAX_ATOMS_PER_WINDOW = 1e3   # ~900x the default 1.1
 
 
 def default_transit_config(light_shift_on: bool = True,
@@ -202,8 +205,7 @@ def default_transit_config(light_shift_on: bool = True,
         scheme=build_level_scheme(),
         cavity=CavityParams(),
         drive=BeamParams(power=constants.DRIVE_POWER,
-                         waist=constants.DRIVE_WAIST,
-                         polarization=Polarization.LINEAR_Y),
+                         waist=constants.DRIVE_WAIST),
         shift_beam=default_shift_beam(),
         geometry=TransitGeometry(),
         light_shift_on=light_shift_on,
@@ -277,8 +279,8 @@ class RateTable:
     sampled once onto a grid `_TABLE_REFINE` times finer, and lookups
     interpolate that grid multilinearly.  Past the last drive node the
     saturation is below `_WEAK_SATURATION` and the rates scale with
-    Omega^2.  The linear-y drive is mirror-symmetric, so spin down reads
-    the spin-up table with sigma+ and sigma- swapped.
+    Omega^2.  The y-polarized drive is mirror-symmetric, so the table holds
+    spin up only; spin down has sigma+ and sigma- swapped.
     """
 
     def __init__(self, scheme: LevelScheme, cavity: CavityParams,
@@ -287,7 +289,6 @@ class RateTable:
         # table builds need it
         from scipy import interpolate
 
-        require_linear_drive(drive)
         self.g0 = cavity.g0
         self.om0_sq = float(drive_rabi_sq((drive.axis_offset, 0.0, 0.0),
                                           drive, scheme))
@@ -339,9 +340,8 @@ class RateTable:
         floor = max(rates.max(), 1e-300) * 1e-30
         spline = interpolate.RegularGridInterpolator(
             nodes, np.log(np.maximum(rates, floor)), method="cubic")
-        logs = spline(fine)
-        # log rates of spin up: sigma+, sigma-, flip
-        self.channels = [logs[..., k].ravel() for k in range(3)]
+        # log rates of spin up, one row per channel: sigma+, sigma-, flip
+        self.channels = np.moveaxis(spline(fine), -1, 0).reshape(3, -1)
 
     def _drive_axis(self, centre, excitation_detuning, gamma):
         """Dense samples of tau and of its [0, 1] node coordinate, from a
@@ -351,10 +351,9 @@ class RateTable:
         tau = np.linspace(0.0, math.sqrt(self.t_max), 2001)
         density = np.full(tau.shape, 1.0 / tau[-1])
         frac = np.exp(-self.ratio * tau ** 2) if self.ratio else 0.0
-        driven = {(abs(g2 + 2 * q), share * float(
-            constants.EXCITATION_WEIGHTS[(g2, q)]))
-            for g2 in (+1, -1) for q, share in _DRIVE_FRACTIONS.items()
-            if abs(g2 + 2 * q) <= 3}
+        # one entry per |m'| (the spins mirror each other), 1/2 before 3/2
+        driven = sorted({(abs(e2), frac * w)
+                         for _, _, e2, frac, w in DRIVE_TRANSITIONS})
         for e2, strength in driven:
             shift = centre.delta_32 if e2 == 3 else centre.delta_12
             om_sq = self.om0_sq * np.exp(-tau ** 2) * strength
@@ -370,14 +369,36 @@ class RateTable:
         return self.v_c * np.expm1(xi * math.log1p(1.0 / self.v_c))
 
     def __call__(self, g, om_sq, frac):
-        """{spin: (sigma+, sigma-, flip)} rate arrays at the given points
-        (the shift fraction is read only by a three-dimensional table)."""
+        """Spin-up (sigma+, sigma-, flip) rate arrays at the given points
+        (the shift fraction is read only by a three-dimensional table);
+        spin down has the same flip rate and sigma+ and sigma- swapped."""
         g, om_sq, frac = np.broadcast_arrays(g, om_sq, frac)
         if self.zero:
             zeros = np.zeros(g.shape)
-            return {spin: (zeros, zeros, zeros) for spin in SPINS}
+            return zeros, zeros, zeros
         v = np.minimum((g / self.g0) ** 2, 1.0)
         weak = om_sq / self.om0_sq
+
+        def corner(idx, w):
+            # all three channels in one gather, weighted in place
+            values = self.channels.take(idx, axis=1)
+            values *= w
+            return values
+
+        # the corners add up in stencil order, each freed once added
+        stencil = self._stencil(self._unit_coords(v, weak, frac))
+        logs = corner(*stencil[0])
+        for idx, w in stencil[1:]:
+            logs += corner(idx, w)
+        np.exp(logs, out=logs)
+        logs *= weak
+        logs[:2] *= v   # the cavity rates were stored over v
+        return tuple(logs)
+
+    def _unit_coords(self, v, weak, frac):
+        """The [0, 1] node coordinates of points at (v, Omega^2 over its
+        peak, shift fraction); a method of its own so that its
+        temporaries are freed before the gather."""
         with np.errstate(divide="ignore"):
             tau = np.sqrt(np.clip(-np.log(weak), 0.0, self.t_max))
             # tau is sampled uniformly, so locate it without a search
@@ -390,12 +411,7 @@ class RateTable:
                 coords.append(np.sqrt(np.clip(-np.log(frac), 0.0,
                                               self.sig_max ** 2))
                               / self.sig_max)
-        stencil = self._stencil(coords)
-        plus, minus, flip = (
-            np.exp(sum(w * chan.take(idx) for idx, w in stencil)) * weak
-            for chan in self.channels)
-        up = (v * plus, v * minus, flip)
-        return {"up": up, "down": (up[1], up[0], up[2])}
+        return coords
 
     def _stencil(self, coords):
         """(flat index, weight) pairs of the multilinear stencil on the
@@ -420,8 +436,9 @@ class RateTable:
     @property
     def nbytes(self) -> int:
         """Bytes held by the table's arrays."""
-        arrays = [self.tau, self.tau_unit, self.tau_step]
-        return sum(a.nbytes for a in arrays + getattr(self, "channels", []))
+        arrays = [self.tau, self.tau_unit, self.tau_step,
+                  *getattr(self, "channels", ())]   # a zero table has none
+        return sum(a.nbytes for a in arrays)
 
 
 _TABLE_BUDGET = 32 << 20   # bytes of tables kept: every 2-d table, few 3-d
@@ -461,8 +478,9 @@ def transit_rate_table(trajectory: Trajectory, config: TransitConfig):
     """Emission/flip rates along the path for both spin states."""
     coords = local_coordinates(trajectory.x0, trajectory.y0, trajectory.z,
                                config)
-    return {spin: _RateView(*r)
-            for spin, r in rate_table(config)(*coords).items()}
+    plus, minus, flip = rate_table(config)(*coords)
+    return {"up": _RateView(plus, minus, flip),
+            "down": _RateView(minus, plus, flip)}
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +537,7 @@ def _transits(rngs, spins, config: TransitConfig) -> list:
     # one row per segment, one column per run; spin down swaps sigma+ and
     # sigma- of these spin-up rates
     plus, minus, flip = rate_table(config)(*local_coordinates(
-        x0, y0, z[:, None], config))["up"]
+        x0, y0, z[:, None], config))
     dt = geo.time_step
     up = np.array([spin == "up" for spin in spins])
     target = np.array([rng.exponential() for rng in rngs])
@@ -597,11 +615,11 @@ def _draw_spin(rng, config: TransitConfig) -> str:
     return "up" if rng.random() < 0.5 else "down"
 
 
-def _windows(rngs, atom_rate: float, window: float, config: TransitConfig
-             ) -> list:
+def _windows(rngs, config: TransitConfig) -> list:
     """One measurement window per stream, each drawing in the order of
     `simulate_window`: the atoms go in rounds, round k taking the k-th atom
     of every window that has one, after its earlier atoms' draws."""
+    atom_rate, window = config.atom_rate, config.window
     n_atoms = [int(rng.poisson(atom_rate * window)) for rng in rngs]
     dark_plus, dark_minus = config.cavity.dark_rates_per_s
     plus = [int(rng.poisson(dark_plus * window)) for rng in rngs]
@@ -618,16 +636,13 @@ def _windows(rngs, atom_rate: float, window: float, config: TransitConfig
             for p, m, n in zip(plus, minus, n_atoms)]
 
 
-def simulate_window(rng, atom_rate: float, window: float,
-                    config: TransitConfig) -> CountRecord:
-    """One measurement window.  Draw order: atom number, dark counts
-    (sigma+ then sigma-), then per atom (spin if random, transit); the
-    runners take many windows' atoms in rounds, with the same result."""
-    if atom_rate < 0:
-        raise ConfigError(f"atom_rate must be >= 0, got {atom_rate}")
-    if not window > 0:
-        raise ConfigError(f"window must be > 0, got {window}")
-    return _windows([rng], atom_rate, window, config)[0]
+def simulate_window(rng, config: TransitConfig) -> CountRecord:
+    """One measurement window of config.window seconds at config.atom_rate.
+    Draw order: atom number, dark counts (sigma+ then sigma-), then per
+    atom (spin if random, transit); the runners take many windows' atoms in
+    rounds, with the same result."""
+    config.validate()
+    return _windows([rng], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +675,8 @@ def run_ensemble(n_runs: int, master_seed: int, config: TransitConfig):
     chunk of windows draws its atom numbers and dark counts, then its atoms
     in rounds (round k: the k-th atom of every window that has one)."""
     config.validate()
-    return _run_chunks(lambda rngs: _windows(rngs, config.atom_rate,
-                                             config.window, config),
-                       n_runs, master_seed)
+    return _run_chunks(lambda rngs: _windows(rngs, config), n_runs,
+                       master_seed)
 
 
 def run_transit_ensemble(n_runs: int, master_seed: int,

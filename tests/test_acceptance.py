@@ -22,7 +22,7 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from ybcavity import constants, transit
-from ybcavity.atomic import Polarization, build_level_scheme, decay_branching
+from ybcavity.atomic import build_level_scheme
 from ybcavity.dynamics import (GROUND_INDEX, N_ATOM, CavityParams,
                                LindbladGenerator, adiabatic_rates,
                                build_hamiltonian, build_lindblad, evolve,
@@ -154,8 +154,7 @@ def test_effective_rates_match_full_master_equation():
     worst = 0.0
     for _ in range(10):
         pos = (0.0, rng.uniform(-9.5e-6, 9.5e-6), rng.uniform(-9.5e-6, 9.5e-6))
-        drive = BeamParams(power=rng.uniform(1e-9, 8e-9), waist=25e-6,
-                           polarization=Polarization.LINEAR_Y)
+        drive = BeamParams(power=rng.uniform(1e-9, 8e-9), waist=25e-6)
         d32 = rng.uniform(0.0, 6.8e6)
         shifts = ShiftResult(delta_32=d32, delta_12=-(16.0 / 8.5) * d32)
         det = rng.uniform(-2e6, 8e6)
@@ -388,8 +387,8 @@ def test_dark_correction_zero_rates_identity():
 
 def test_branching_tables_sum_to_one_exactly():
     """Every excited sublevel's decay fractions sum to exactly 1.0."""
-    for m2 in (-3, -1, 1, 3):
-        total = sum(frac for _, _, frac in decay_branching(m2 / 2.0))
+    for m2, branches in constants.DECAY_BRANCHES.items():
+        total = sum(float(frac) for _, _, frac in branches)
         assert total == 1.0, (
             f"decay fractions of m' = {m2}/2 sum to {total!r}, not 1.0")
 
@@ -402,8 +401,7 @@ def test_random_evolutions_stay_physical():
     rng = np.random.default_rng(7)
     for _ in range(100):
         pos = (0.0, rng.uniform(-2e-5, 2e-5), rng.uniform(-2e-5, 2e-5))
-        drive = BeamParams(power=rng.uniform(0.0, 2e-6), waist=25e-6,
-                           polarization=Polarization.LINEAR_Y)
+        drive = BeamParams(power=rng.uniform(0.0, 2e-6), waist=25e-6)
         shifts = ShiftResult(delta_32=rng.uniform(-1e6, 7e6),
                              delta_12=rng.uniform(-13e6, 1e6))
         h = build_hamiltonian(scheme, cavity, drive, shifts,

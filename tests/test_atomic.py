@@ -13,9 +13,7 @@ from sympy import S, simplify
 from sympy.physics.quantum.cg import CG
 
 from ybcavity import constants
-from ybcavity.atomic import (
-    Polarization, build_level_scheme, decay_branching, transition_weight,
-)
+from ybcavity.atomic import build_level_scheme
 from ybcavity.errors import ConfigError
 
 I_NUC = S(1) / 2
@@ -65,11 +63,11 @@ def test_excitation_weights_match_uncoupled_basis_oracle():
 
 
 def test_cyclic_weight_is_unity_and_ratios_are_3_2_1():
-    assert transition_weight(+0.5, Polarization.SIGMA_PLUS) == 1.0
-    assert transition_weight(+0.5, Polarization.PI) == pytest.approx(2 / 3)
-    assert transition_weight(+0.5, Polarization.SIGMA_MINUS) == pytest.approx(1 / 3)
-    # exact 3:2:1 between the stretch, pi and cross couplings
     weights = constants.EXCITATION_WEIGHTS
+    assert weights[(+1, +1)] == 1
+    assert weights[(+1, 0)] == Fraction(2, 3)
+    assert weights[(+1, -1)] == Fraction(1, 3)
+    # exact 3:2:1 between the stretch, pi and cross couplings
     assert (weights[(+1, +1)] / weights[(+1, -1)]) == Fraction(3)
     assert (weights[(+1, 0)] / weights[(+1, -1)]) == Fraction(2)
 
@@ -83,15 +81,6 @@ def test_mirror_symmetry_and_equal_sums():
     assert up_sum == dn_sum == Fraction(2)
 
 
-def test_transition_weight_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        transition_weight(1.5, Polarization.SIGMA_PLUS)
-    with pytest.raises(ValueError):
-        transition_weight(0.3, Polarization.PI)
-    with pytest.raises(ValueError):
-        transition_weight(0.5, Polarization.LINEAR_Y)
-
-
 # ---------------------------------------------------------------------------
 # decay branching
 
@@ -102,20 +91,19 @@ def test_branching_sums_to_one_exactly():
 
 
 def test_stretch_states_are_cyclic():
-    assert decay_branching(+1.5) == [(+0.5, Polarization.SIGMA_PLUS, 1.0)]
-    assert decay_branching(-1.5) == [(-0.5, Polarization.SIGMA_MINUS, 1.0)]
+    # key m2', value (m2 ground, q, fraction): one decay, to the start
+    assert constants.DECAY_BRANCHES[+3] == ((+1, +1, 1),)
+    assert constants.DECAY_BRANCHES[-3] == ((-1, -1, 1),)
 
 
 def test_inner_sublevel_branching_values():
-    table = dict(((g, pol), frac)
-                 for (g, pol, frac) in decay_branching(+0.5))
-    assert table[(+0.5, Polarization.PI)] == pytest.approx(2 / 3)
-    assert table[(-0.5, Polarization.SIGMA_PLUS)] == pytest.approx(1 / 3)
+    table = {(g2, q): frac
+             for (g2, q, frac) in constants.DECAY_BRANCHES[+1]}
+    assert table == {(+1, 0): Fraction(2, 3), (-1, +1): Fraction(1, 3)}
     # mirror image
-    mirrored = dict(((g, pol), frac)
-                    for (g, pol, frac) in decay_branching(-0.5))
-    assert mirrored[(-0.5, Polarization.PI)] == pytest.approx(2 / 3)
-    assert mirrored[(+0.5, Polarization.SIGMA_MINUS)] == pytest.approx(1 / 3)
+    mirrored = {(g2, q): frac
+                for (g2, q, frac) in constants.DECAY_BRANCHES[-1]}
+    assert mirrored == {(-1, 0): Fraction(2, 3), (+1, -1): Fraction(1, 3)}
 
 
 def test_branching_matches_emission_oracle():
@@ -136,13 +124,6 @@ def test_branching_matches_emission_oracle():
         assert set(branches) == set(strengths)
         for key, w in strengths.items():
             assert branches[key] == _to_frac(simplify(w / total)), (m2, key)
-
-
-def test_decay_branching_rejects_bad_m():
-    with pytest.raises(ValueError):
-        decay_branching(2.5)
-    with pytest.raises(ValueError):
-        decay_branching(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ directly.  A refactor that removes or moves one of them does not fail the
 benchmark run loudly: a missing span target only makes its metrics
 absent.  These tests read the benchmark sources (without importing or
 editing them) and check that every name they rely on still resolves.
+The demos are read the same way, so removing a name a demo uses fails
+here rather than only when the demo is run.
 """
 
 import ast
@@ -94,10 +96,17 @@ def test_every_span_target_resolves(module, attribute):
     assert callable(_resolve(module, attribute))
 
 
-@pytest.mark.parametrize("source", ["worker.py", "checks.py"])
+# benchmark files by name, then the demos, which import the package the
+# same way
+SOURCES = {name: PERFBENCH / name for name in ("worker.py", "checks.py")}
+SOURCES.update((f"demos/{path.name}", path) for path in
+               sorted((PERFBENCH.parent / "demos").glob("*.py")))
+
+
+@pytest.mark.parametrize("source", SOURCES)
 def test_every_imported_package_name_resolves(source):
-    names = _package_names(PERFBENCH / source)
-    assert names, f"perfbench/{source} imports nothing from ybcavity"
+    names = _package_names(SOURCES[source])
+    assert names, f"{source} imports nothing from ybcavity"
     for module, attribute in names:
         if attribute is None:
             importlib.import_module(module)

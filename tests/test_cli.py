@@ -218,6 +218,9 @@ def test_string_for_a_number_is_a_config_error(tmp_path, monkeypatch,
     ("YBCAVITY_MOT__P1_POPULATION", "Infinity"),
     (None, '{"mot": {"natural_linewidth_D1": 0}}'),   # divides by zero
     ("YBCAVITY_RUN__MASTER_SEED", str(2 ** 64)),   # beyond the Philox key
+    ("YBCAVITY_DRIVE__DETUNING", "1e9"),   # a key the drive does not have
+    ("YBCAVITY_GRIDS__DIP_MHZ__STEP", "1e-300"),   # ~10^303 grid points
+    ("YBCAVITY_RUN__WINDOW", "1e300"),   # ~10^303 atoms per window
 ])
 def test_bad_value_exits_2_and_writes_no_data(tmp_path, monkeypatch, capsys,
                                               variable, value):

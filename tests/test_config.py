@@ -7,7 +7,6 @@ way every time."""
 import json
 import math
 from dataclasses import fields, is_dataclass
-from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -56,8 +55,6 @@ def _value(f, default):
     if is_dataclass(kind):
         return st.fixed_dictionaries({}, optional={
             g.name: _value(g, default[g.name]) for g in fields(kind)})
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        return st.just(default)   # each beam has one allowed polarization
     if rule["choices"] is not None:
         return st.sampled_from(rule["choices"])
     if kind is bool:

@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from ybcavity import constants
-from ybcavity.atomic import Polarization, build_level_scheme
+from ybcavity.atomic import build_level_scheme
 from ybcavity.dynamics import (
     CavityParams, EmissionRates, LindbladGenerator, SystemState,
     adiabatic_rates, build_hamiltonian, build_lindblad, coupling_at,
@@ -21,10 +21,8 @@ from ybcavity.transit import default_transit_config, probe_detuning
 
 SCHEME = build_level_scheme()
 CAVITY = CavityParams().validate()
-DRIVE = BeamParams(power=1.8e-6, waist=25e-6,
-                   polarization=Polarization.LINEAR_Y)
-WEAK_DRIVE = BeamParams(power=5e-9, waist=25e-6,
-                        polarization=Polarization.LINEAR_Y)
+DRIVE = BeamParams(power=1.8e-6, waist=25e-6)
+WEAK_DRIVE = BeamParams(power=5e-9, waist=25e-6)
 SHIFTS_ON = ShiftResult(delta_32=6.8e6, delta_12=-12.8e6)
 SHIFTS_OFF = ShiftResult(delta_32=0.0, delta_12=0.0)
 
@@ -53,8 +51,7 @@ def test_hamiltonian_is_hermitian():
 
 
 def test_ground_vacuum_is_eigenstate_without_drive():
-    dark = BeamParams(power=0.0, waist=25e-6,
-                      polarization=Polarization.LINEAR_Y)
+    dark = BeamParams(power=0.0, waist=25e-6)
     h = build_hamiltonian(SCHEME, CAVITY, dark, SHIFTS_OFF, 0.0, n_max=1)
     for g2 in (+1, -1):
         idx = _basis_index(GROUND_INDEX[g2], 0, 0, 1)
@@ -107,18 +104,6 @@ def test_fock_truncation_guard():
         build_hamiltonian(SCHEME, CAVITY, DRIVE, SHIFTS_OFF, 0.0, n_max=0)
 
 
-def test_non_linear_drive_is_rejected():
-    # the model covers the linear-y drive only
-    for pol in (Polarization.SIGMA_PLUS, Polarization.PI,
-                Polarization.SIGMA_MINUS):
-        drive = BeamParams(power=1.8e-6, waist=25e-6, polarization=pol)
-        with pytest.raises(ConfigError):
-            build_hamiltonian(SCHEME, CAVITY, drive, SHIFTS_OFF, 0.0)
-        with pytest.raises(ConfigError):
-            adiabatic_rates("up", 0.0, (0, 0, 0), SHIFTS_OFF, SCHEME,
-                            CAVITY, drive)
-
-
 # ---------------------------------------------------------------------------
 # Lindblad generator
 
@@ -136,8 +121,7 @@ def test_generator_preserves_trace():
 
 
 def test_ground_vacuum_is_stationary_without_drive():
-    dark = BeamParams(power=0.0, waist=25e-6,
-                      polarization=Polarization.LINEAR_Y)
+    dark = BeamParams(power=0.0, waist=25e-6)
     h = build_hamiltonian(SCHEME, CAVITY, dark, SHIFTS_OFF, 0.0, n_max=1)
     gen = build_lindblad(h, SCHEME, CAVITY)
     rho = ground_vacuum_state(1, p_up=0.7).rho
@@ -207,8 +191,7 @@ def test_evolution_is_cptp_on_random_states():
 
 
 def test_steady_state_without_drive_preserves_spin_populations():
-    dark = BeamParams(power=0.0, waist=25e-6,
-                      polarization=Polarization.LINEAR_Y)
+    dark = BeamParams(power=0.0, waist=25e-6)
     h = build_hamiltonian(SCHEME, CAVITY, dark, SHIFTS_OFF, 0.0, n_max=1)
     gen = build_lindblad(h, SCHEME, CAVITY)
     ss = steady_state(gen)

@@ -19,7 +19,6 @@ byte-identical outputs.  Exit codes: 0 success, 2 configuration errors,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -108,8 +107,7 @@ def cmd_scatter(config: RunConfig) -> int:
         name = f"scatter_shift_{label}.{run.emit_format}"
         write_count_records(_outfile(config, name), records,
                             emit_format=run.emit_format)
-        r = pearson_correlation(records)
-        summary[f"pearson_shift_{label}"] = None if math.isnan(r) else r
+        summary[f"pearson_shift_{label}"] = pearson_correlation(records)
         summary[f"mean_counts_sigma_plus_shift_{label}"] = \
             sum(x.counts_sigma_plus for x in records) / len(records)
         summary[f"mean_counts_sigma_minus_shift_{label}"] = \
@@ -135,8 +133,8 @@ def cmd_transit(config: RunConfig) -> int:
                "flip_fraction":
                    sum(r.final_spin != r.initial_spin for r in records) / n}
     if transit_cfg.initial_spin in ("up", "down"):
-        snr = snr_from_counts(records, transit_cfg.initial_spin)
-        summary["monte_carlo_snr"] = "inf" if math.isinf(snr) else snr
+        summary["monte_carlo_snr"] = snr_from_counts(
+            records, transit_cfg.initial_spin)
     write_stats_json(_outfile(config, "transit_summary.json"), summary)
     return EXIT_OK
 

@@ -364,7 +364,7 @@ def _reduction(lio, n_max: int, seeds, vec=None):
     commutes with P and `vec`, if given, is P-symmetric, since the
     solution is then P-symmetric too; otherwise every unknown stays.
     """
-    # imported here, like scipy.interpolate in transit: only solves need it
+    # imported here: only the full-model solves need it
     from scipy.sparse import csgraph
 
     _, label = csgraph.connected_components(abs(lio), directed=False)
@@ -511,106 +511,126 @@ def _low_rank(mat):
     return u[:, :rank] * sv[:rank], vh[:rank]
 
 
-class _SpinModel:
-    """Conditional master equation of the up spin under the linear drive.
+def _conditional_liouvillian(kappa: float, gamma: float):
+    """Conditional master equation of the up spin under the linear drive,
+    as (excited_m2, weights, comps, drive, quanta).
 
     Basis: the up ground state, the excited sublevels the drive reaches
-    from it, and any other ground state those sublevels reach by emitting
-    into a cavity mode, times Fock states up to `_FOCK_CUTOFF`; states
-    unreachable from the ground-vacuum state are dropped.  Free-space
-    decays always return the atom to |up> (those on a branch to the other
-    spin count as flips), and a photon leaking while the atom sits in
-    another ground state returns it to |up> as a flip as well, so the
-    steady state is what the spin sees until it flips.  The drive on those
-    other ground states is left out.  The drive is mirror-symmetric
-    (m -> -m swaps its sigma+ and sigma- parts), so spin down is this
-    model with the sigma+ and sigma- modes swapped.
+    from it (their m2 in `excited_m2`), and any other ground state those
+    sublevels reach by emitting into a cavity mode, times Fock states up to
+    `_FOCK_CUTOFF`; states unreachable from the ground-vacuum state are
+    dropped.  Free-space decays always return the atom to |up> (those on a
+    branch to the other spin count as flips), and a photon leaking while
+    the atom sits in another ground state returns it to |up> as a flip as
+    well, so the steady state is what the spin sees until it flips.  The
+    drive on those other ground states is left out.
+
+    The Liouvillian is sum_j p_j comps[j] + Omega drive with p = (1, g,
+    Delta_e...): the jumps, the cavity coupling and one detuning per
+    driven sublevel, as dense column-stacked superoperators.  `weights`
+    maps the populations to the (sigma+, sigma-, flip, free) rates, and
+    `quanta` counts each basis state's photons plus atomic excitation.
+    """
+    up = +1
+    driven = [(e2, frac, w) for g2, _, e2, frac, w in DRIVE_TRANSITIONS
+              if g2 == up]
+    excited_m2 = [e2 for e2, _, _ in driven]
+    others = sorted({g2 for e2 in excited_m2
+                     for _, _, g2 in _cavity_couplings(e2) if g2 != up})
+    n_exc = len(excited_m2)
+    ground = {up: 0, **{g2: 1 + n_exc + k for k, g2 in enumerate(others)}}
+    n_atom = 1 + n_exc + len(others)
+    n_plus, n_minus = (c + 1 for c in _FOCK_CUTOFF)
+    a_plus = np.diag(np.sqrt(np.arange(1.0, n_plus)), k=1)
+    a_minus = np.diag(np.sqrt(np.arange(1.0, n_minus)), k=1)
+    i_plus, i_minus = np.eye(n_plus), np.eye(n_minus)
+
+    def proj(i, j):
+        op = np.zeros((n_atom, n_atom))
+        op[i, j] = 1.0
+        return op
+
+    def embed(atom_op, plus=i_plus, minus=i_minus):
+        return np.kron(atom_op, np.kron(plus, minus))
+
+    dim = n_atom * n_plus * n_minus
+    h_det = [embed(proj(1 + k, 1 + k)) for k in range(n_exc)]
+    h_g = np.zeros((dim, dim))
+    h_om = np.zeros((dim, dim))
+    flip_frac = np.zeros(n_atom)
+    for k, (e2, frac, w_exc) in enumerate(driven):
+        for mode, w, g2 in _cavity_couplings(e2):
+            fld = (a_plus, i_minus) if mode == +1 else (i_plus, a_minus)
+            term = math.sqrt(w) * embed(proj(1 + k, ground[g2]), *fld)
+            h_g += term + term.T
+        term = 0.5 * math.sqrt(frac * w_exc) * embed(proj(1 + k, 0))
+        h_om += term + term.T
+        flip_frac[1 + k] = sum(float(f) for g2, _, f
+                               in constants.DECAY_BRANCHES[e2] if g2 != up)
+    keeps_atom = np.diag([1.0 if i <= n_exc else 0.0
+                          for i in range(n_atom)])
+    jumps = [(2 * kappa, embed(keeps_atom, a_plus, i_minus)),
+             (2 * kappa, embed(keeps_atom, i_plus, a_minus))]
+    for idx in list(ground.values())[1:]:
+        jumps += [(2 * kappa, embed(proj(0, idx), a_plus, i_minus)),
+                  (2 * kappa, embed(proj(0, idx), i_plus, a_minus))]
+    jumps += [(2 * gamma, embed(proj(0, 1 + k))) for k in range(n_exc)]
+
+    # keep the states the dynamics can reach from ground-vacuum
+    link = (np.abs(h_g) + np.abs(h_om) + sum(h_det)
+            + sum(np.abs(c_op) for _, c_op in jumps)) > 0
+    keep = np.zeros(dim, bool)
+    keep[0] = True
+    while True:
+        grown = keep | link[:, keep].any(axis=1)
+        if np.array_equal(grown, keep):
+            break
+        keep = grown
+
+    def cut(op):
+        return op[np.ix_(keep, keep)]
+
+    atom, n_p, n_m = (ax.ravel()[keep] for ax in np.meshgrid(
+        np.arange(n_atom), np.arange(n_plus), np.arange(n_minus),
+        indexing="ij"))
+    is_exc = (atom >= 1) & (atom <= n_exc)
+    is_other = atom > n_exc
+    # population -> (sigma+, sigma-, flip, free) rate weights
+    weights = np.column_stack([
+        2 * kappa * n_p, 2 * kappa * n_m,
+        2 * gamma * flip_frac[atom] + 2 * kappa * (n_p + n_m) * is_other,
+        2 * gamma * is_exc])
+
+    d = int(keep.sum())
+    comps = [_superop(np.zeros((d, d)),
+                      [(r, cut(c_op)) for r, c_op in jumps]),
+             _superop(cut(h_g))] + [_superop(cut(h)) for h in h_det]
+    drive = _superop(cut(h_om))
+    quanta = n_p + n_m + is_exc
+    return excited_m2, weights, comps, drive, quanta
+
+
+class _SpinModel:
+    """The rate model of `_conditional_liouvillian`, solved in batches.
+    The drive is mirror-symmetric (m -> -m swaps its sigma+ and sigma-
+    parts), so spin down is this model with the sigma+ and sigma- modes
+    swapped.
 
     The Hamiltonian is sum_e Delta_e P_e + g H_g + Omega H_Omega.  Only the
-    drive changes the number of quanta (photons plus atomic excitation), so
-    grading each density-matrix element rho_ab by q_a - q_b makes the
-    Liouvillian block tridiagonal.  `_populations` eliminates the graded
-    blocks from the top down to the Hermitian grade-0 block and solves
-    that one with the trace condition; grade -k is the adjoint of grade k.
+    drive changes the number of quanta, so grading each density-matrix
+    element rho_ab by q_a - q_b makes the Liouvillian block tridiagonal.
+    `_populations` eliminates the graded blocks from the top down to the
+    grade-0 block and solves that one with the trace condition; grade -k
+    is the adjoint of grade k.  Since rho is Hermitian, grade 0 is held in
+    real coordinates (rho_aa, and the sum and the difference over i of
+    each pair rho_ab, rho_ba), where grade -1 adds the complex conjugate of
+    grade 1's term and the solve is real.
     """
 
     def __init__(self, kappa: float, gamma: float):
-        up = +1
-        driven = [(e2, frac, w) for g2, _, e2, frac, w in DRIVE_TRANSITIONS
-                  if g2 == up]
-        self.excited_m2 = [e2 for e2, _, _ in driven]
-        others = sorted({g2 for e2 in self.excited_m2
-                         for _, _, g2 in _cavity_couplings(e2) if g2 != up})
-        n_exc = len(self.excited_m2)
-        ground = {up: 0, **{g2: 1 + n_exc + k for k, g2 in enumerate(others)}}
-        n_atom = 1 + n_exc + len(others)
-        n_plus, n_minus = (c + 1 for c in _FOCK_CUTOFF)
-        a_plus = np.diag(np.sqrt(np.arange(1.0, n_plus)), k=1)
-        a_minus = np.diag(np.sqrt(np.arange(1.0, n_minus)), k=1)
-        i_plus, i_minus = np.eye(n_plus), np.eye(n_minus)
-
-        def proj(i, j):
-            op = np.zeros((n_atom, n_atom))
-            op[i, j] = 1.0
-            return op
-
-        def embed(atom_op, plus=i_plus, minus=i_minus):
-            return np.kron(atom_op, np.kron(plus, minus))
-
-        dim = n_atom * n_plus * n_minus
-        h_det = [embed(proj(1 + k, 1 + k)) for k in range(n_exc)]
-        h_g = np.zeros((dim, dim))
-        h_om = np.zeros((dim, dim))
-        flip_frac = np.zeros(n_atom)
-        for k, (e2, frac, w_exc) in enumerate(driven):
-            for mode, w, g2 in _cavity_couplings(e2):
-                fld = (a_plus, i_minus) if mode == +1 else (i_plus, a_minus)
-                term = math.sqrt(w) * embed(proj(1 + k, ground[g2]), *fld)
-                h_g += term + term.T
-            term = 0.5 * math.sqrt(frac * w_exc) * embed(proj(1 + k, 0))
-            h_om += term + term.T
-            flip_frac[1 + k] = sum(float(f) for g2, _, f
-                                   in constants.DECAY_BRANCHES[e2] if g2 != up)
-        keeps_atom = np.diag([1.0 if i <= n_exc else 0.0
-                              for i in range(n_atom)])
-        jumps = [(2 * kappa, embed(keeps_atom, a_plus, i_minus)),
-                 (2 * kappa, embed(keeps_atom, i_plus, a_minus))]
-        for idx in list(ground.values())[1:]:
-            jumps += [(2 * kappa, embed(proj(0, idx), a_plus, i_minus)),
-                      (2 * kappa, embed(proj(0, idx), i_plus, a_minus))]
-        jumps += [(2 * gamma, embed(proj(0, 1 + k))) for k in range(n_exc)]
-
-        # keep the states the dynamics can reach from ground-vacuum
-        link = (np.abs(h_g) + np.abs(h_om) + sum(h_det)
-                + sum(np.abs(c_op) for _, c_op in jumps)) > 0
-        keep = np.zeros(dim, bool)
-        keep[0] = True
-        while True:
-            grown = keep | link[:, keep].any(axis=1)
-            if np.array_equal(grown, keep):
-                break
-            keep = grown
-
-        def cut(op):
-            return op[np.ix_(keep, keep)]
-
-        atom, n_p, n_m = (ax.ravel()[keep] for ax in np.meshgrid(
-            np.arange(n_atom), np.arange(n_plus), np.arange(n_minus),
-            indexing="ij"))
-        is_exc = (atom >= 1) & (atom <= n_exc)
-        is_other = atom > n_exc
-        # population -> (sigma+, sigma-, flip, free) rate weights
-        self.weights = np.column_stack([
-            2 * kappa * n_p, 2 * kappa * n_m,
-            2 * gamma * flip_frac[atom] + 2 * kappa * (n_p + n_m) * is_other,
-            2 * gamma * is_exc])
-
-        d = int(keep.sum())
-        comps = [_superop(np.zeros((d, d)),
-                          [(r, cut(c_op)) for r, c_op in jumps]),
-                 _superop(cut(h_g))] + [_superop(cut(h)) for h in h_det]
-        drive = _superop(cut(h_om))
-        quanta = n_p + n_m + is_exc
+        self.excited_m2, self.weights, comps, drive, quanta = \
+            _conditional_liouvillian(kappa, gamma)
+        d = len(quanta)
         rows, cols = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
         vec = (rows + d * cols).ravel()          # rho_ab -> a + d*b
         grade = (quanta[rows] - quanta[cols]).ravel()
@@ -623,30 +643,45 @@ class _SpinModel:
 
         top = int(grade.max())
         level = {k: vec[grade == k] for k in range(top + 1)}
-        adjoint = {v: (v % d) * d + v // d for v in range(d * d)}
-        level[-1] = np.array([adjoint[v] for v in level[1]])
         self.top = top
         self.size = {k: len(v) for k, v in level.items()}
         self.diag = {k: np.stack([c[np.ix_(level[k], level[k])].ravel()
-                                  for c in comps]) for k in range(top + 1)}
+                                  for c in comps]) for k in range(1, top + 1)}
         self.couple_up = {k: drive[np.ix_(level[k], level[k + 1])]
                           for k in range(1, top)}
         self.couple_down = {k: _low_rank(drive[np.ix_(level[k], level[k - 1])])
                             for k in range(1, top + 1)}
         pos0 = {v: n for n, v in enumerate(level[0])}
-        conj_perm = np.array([pos0[adjoint[v]] for v in level[0]])
-        right = self.couple_down[1][1]
-        # grade 0 sees grade 1 through its own coupling and grade -1, the
-        # adjoint, through the conjugate one (with rho_ba for rho_ab)
-        self.level0_terms = (
-            (drive[np.ix_(level[0], level[1])], right, False),
-            (np.conj(drive[np.ix_(level[0], level[-1])]),
-             right[:, conj_perm], True))
+        # real grade-0 coordinates: rho_aa in place, and for each pair
+        # (rho_ab, rho_ba) their sum at the first one's place and their
+        # difference over i at the second one's
+        to_real = np.zeros((self.size[0],) * 2, complex)
+        for p, v in enumerate(level[0]):
+            q = pos0[(v % d) * d + v // d]       # rho_ab -> rho_ba
+            lo, hi = min(p, q), max(p, q)
+            to_real[lo, p] = 1.0
+            if p != q:
+                to_real[hi, p] = -1j if p == lo else 1j
+        from_real = np.linalg.inv(to_real)
+        diag0 = np.stack([to_real @ c[np.ix_(level[0], level[0])] @ from_real
+                          for c in comps])
+        if np.abs(diag0.imag).max() > 1e-9 * np.abs(diag0).max():
+            raise ModelError("rate model lost its Hermitian grade 0")
+        self.diag[0] = diag0.real.reshape(len(comps), -1)
+        # grade -1, the adjoint of grade 1, adds the complex conjugate of
+        # grade 1's term in these coordinates, so the two add up to
+        # 2 Re(up0 @ y_1 @ right): with y_1's product viewed as
+        # interleaved (re, im) columns, right0's rows are 2 Re(right) and
+        # -2 Im(right) interleaved
+        self.up0 = to_real @ drive[np.ix_(level[0], level[1])]
+        right = 2.0 * self.couple_down[1][1] @ from_real
+        self.right0 = np.stack([right.real, -right.imag], axis=1).reshape(
+            -1, self.size[0])
         self.pop_pos = np.array([pos0[a + d * a] for a in range(d)])
 
     def _populations(self, params, omega):
         """Steady-state populations for a batch: params (N, 2 + n_exc)
-        complex = (1, g, Delta_e...), omega (N,) drive Rabi frequencies.
+        = (1, g, Delta_e...), omega (N,) drive Rabi frequencies.
 
         With A_k the drive-free block of grade k and D the drive couplings
         (D_{k,k-1} = left @ right), grade k > 0 follows from grade k-1 as
@@ -671,22 +706,20 @@ class _SpinModel:
                     -1, rank) @ right).reshape(n_pts, -1, below)
         n0 = self.size[0]
         b = (params @ self.diag[0]).reshape(n_pts, n0, n0)
-        rank = y_k.shape[2]
-        for left, right, conj in self.level0_terms:
-            term = (left @ y_k).reshape(-1, rank) @ right
-            b -= (np.conj(term) if conj else term).reshape(n_pts, n0, n0)
+        term = (self.up0 @ y_k).view(float).reshape(-1, 2 * y_k.shape[2])
+        b -= (term @ self.right0).reshape(n_pts, n0, n0)
         row = self.pop_pos[0]
         b[:, row, :] = 0.0
         b[:, row, self.pop_pos] = 1.0
-        rhs = np.zeros((n_pts, n0, 1), complex)
+        rhs = np.zeros((n_pts, n0, 1))
         rhs[:, row] = 1.0
         x0 = np.linalg.solve(b, rhs)[..., 0]
-        return x0[:, self.pop_pos].real
+        return x0[:, self.pop_pos]
 
     def rates(self, coupling, omega, detunings):
         """Rate columns (sigma+, sigma-, flip, free) for 1-d point arrays."""
         params = np.column_stack([np.ones_like(coupling), coupling,
-                                  *detunings]).astype(complex)
+                                  *detunings])
         out = np.empty((len(coupling), 4))
         for lo in range(0, len(coupling), _CHUNK):
             sl = slice(lo, lo + _CHUNK)

@@ -49,8 +49,9 @@ def check(obj):
     """Enforce the rule of every field of a config dataclass; returns obj.
 
     A float is finite, and an int is accepted as one without conversion; a
-    bool is never a number, and a number or a string never a bool.  A
-    nested config dataclass is checked by its own validate().
+    bool is never a number, and a number or a string never a bool.  Any
+    other value has exactly the declared type, so a ShiftBeam is no
+    BeamParams; a nested config dataclass is checked by its own validate().
     """
     for f in fields(obj):
         if "rule" in f.metadata:
@@ -78,7 +79,7 @@ def _check_value(name, value, default, kind, gt, ge, le, choices):
     elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-    elif not isinstance(value, kind):
+    elif type(value) is not kind:   # a subclass may carry unread fields
         raise ConfigError(f"{name} must be a {kind.__name__}, "
                           f"got {value!r}")
     elif is_dataclass(kind) and hasattr(value, "validate"):

@@ -380,7 +380,16 @@ def write_dip_csv(path, detuning_grid, values):
                     for d, v in zip(detuning_grid, values)))
 
 
+def _json_value(value):
+    """A summary value as strict JSON: an undefined (NaN) number becomes
+    null, and +/-inf the strings "inf" and "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
 def write_stats_json(path, stats: dict):
     with open(path, "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
+        json.dump({k: _json_value(v) for k, v in stats.items()}, fh,
+                  indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -256,6 +256,29 @@ _RESONANCE_WEIGHT = 0.5       # node budget of one resonance crossing
 _SHIFT_FLOOR = 1e-3           # shift fractions below this are held at it
 
 
+def _spline_matrix(n: int, m: int) -> np.ndarray:
+    """(m, n) matrix taking values at n >= 4 uniform nodes on [0, 1] to the
+    not-a-knot cubic spline through them, sampled at m uniform points."""
+    h = 1.0 / (n - 1)
+    # second derivatives k @ y: continuous first derivatives at the inner
+    # nodes, and a continuous third derivative across each end's first one
+    system = np.zeros((n, n))
+    second = np.zeros((n, n))
+    for i in range(1, n - 1):
+        system[i, i - 1:i + 2] = (1.0, 4.0, 1.0)
+        second[i, i - 1:i + 2] = (6.0 / h ** 2, -12.0 / h ** 2, 6.0 / h ** 2)
+    system[0, :3] = system[-1, -3:] = (1.0, -2.0, 1.0)
+    k = np.linalg.solve(system, second)
+    # node j * (m - 1) / (n - 1) of the fine grid lands exactly on node j
+    pos = np.arange(m) * (n - 1) / (m - 1)
+    i = np.minimum(pos.astype(np.intp), n - 2)
+    u = (pos - i)[:, None]
+    w = 1.0 - u
+    eye = np.eye(n)
+    return (w * eye[i] + u * eye[i + 1]
+            + h ** 2 / 6.0 * ((w ** 3 - w) * k[i] + (u ** 3 - u) * k[i + 1]))
+
+
 class RateTable:
     """Per-spin rates of one configuration on a grid of local coordinates.
 
@@ -275,20 +298,17 @@ class RateTable:
       shift:    sqrt(-ln s), proportional to the shift-beam radius.
     The stored quantities are logs of the rates over their weak-coupling,
     weak-drive scaling (v Omega^2 for the cavity rates, Omega^2 for
-    flips), which vary slowly.  A cubic spline through the nodes is
-    sampled once onto a grid `_TABLE_REFINE` times finer, and lookups
-    interpolate that grid multilinearly.  Past the last drive node the
-    saturation is below `_WEAK_SATURATION` and the rates scale with
-    Omega^2.  The y-polarized drive is mirror-symmetric, so the table holds
-    spin up only; spin down has sigma+ and sigma- swapped.
+    flips), which vary slowly.  The not-a-knot cubic spline through the
+    nodes, exact in each axis (`_spline_matrix`), is sampled once onto a
+    grid `_TABLE_REFINE` times finer, and lookups interpolate that grid
+    multilinearly.  Past the last drive node the saturation is below
+    `_WEAK_SATURATION` and the rates scale with Omega^2.  The y-polarized
+    drive is mirror-symmetric, so the table holds spin up only; spin down
+    has sigma+ and sigma- swapped.
     """
 
     def __init__(self, scheme: LevelScheme, cavity: CavityParams,
                  drive: BeamParams, shift_beam, excitation_detuning: float):
-        # imported here: it doubles the package's import time, and only
-        # table builds need it
-        from scipy import interpolate
-
         self.g0 = cavity.g0
         self.om0_sq = float(drive_rabi_sq((drive.axis_offset, 0.0, 0.0),
                                           drive, scheme))
@@ -329,19 +349,19 @@ class RateTable:
         self.zero = self.om0_sq == 0.0
         if self.zero:
             return
-        fine = np.stack(np.meshgrid(*(np.linspace(0.0, 1.0, n)
-                                      for n in self.fine), indexing="ij"),
-                        axis=-1)
         rates = spin_rates("up", self.g0 * np.sqrt(v_solve),
                            self.om0_sq * weak, excitation_detuning,
                            shifts, cavity)[..., :3]
         rates = rates / weak[..., None]
         rates[..., :2] /= v_solve[..., None]
         floor = max(rates.max(), 1e-300) * 1e-30
-        spline = interpolate.RegularGridInterpolator(
-            nodes, np.log(np.maximum(rates, floor)), method="cubic")
+        logs = np.log(np.maximum(rates, floor))
+        # each pass contracts the leading node axis and appends its fine
+        # axis, so the channel axis ends up first
+        for n, m in zip(n_nodes, self.fine):
+            logs = np.tensordot(logs, _spline_matrix(n, m), axes=(0, 1))
         # log rates of spin up, one row per channel: sigma+, sigma-, flip
-        self.channels = np.moveaxis(spline(fine), -1, 0).reshape(3, -1)
+        self.channels = logs.reshape(3, -1)
 
     def _drive_axis(self, centre, excitation_detuning, gamma):
         """Dense samples of tau and of its [0, 1] node coordinate, from a
@@ -602,7 +622,11 @@ def simulate_transit(rng, initial_spin: str, config: TransitConfig
                      ) -> TransitRecord:
     """Simulate one atom (a batch of one).  Draw order: trajectory (2
     uniforms), one exponential per spin-flip attempt, then the two Poisson
-    counts."""
+    counts.
+
+    A batch of one still walks every segment of the fall, so it costs
+    about 20 times as much as one run of `run_transit_ensemble`, which
+    gives stream i the same record: loop over the runner, not this."""
     if initial_spin not in SPINS:
         raise ConfigError(f"initial_spin must be 'up' or 'down', "
                           f"got {initial_spin!r}")
@@ -640,7 +664,11 @@ def simulate_window(rng, config: TransitConfig) -> CountRecord:
     """One measurement window of config.window seconds at config.atom_rate.
     Draw order: atom number, dark counts (sigma+ then sigma-), then per
     atom (spin if random, transit); the runners take many windows' atoms in
-    rounds, with the same result."""
+    rounds, with the same result.
+
+    Each round of atoms walks every segment of the fall, so one window
+    costs about 30 times as much as one run of `run_ensemble`, which gives
+    stream i the same record: loop over the runner, not this."""
     config.validate()
     return _windows([rng], config)[0]
 

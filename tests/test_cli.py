@@ -2,6 +2,7 @@
 environment overrides, and byte-level reproducibility."""
 
 import json
+import math
 import os
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ybcavity.cli import main
 from ybcavity.config import (config_from_dict, default_run_config,
                              dump_config, load_config)
+from ybcavity.observables import write_stats_json
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +76,34 @@ def test_spectrum_outputs_and_determinism(tmp_path):
     assert abs(summary["peak_shift_off_mhz"]) <= 0.5
     assert summary["peak_shift_on_mhz"] > 2.0
     assert summary["engineered_shift_mhz"] == pytest.approx(6.8, rel=0.1)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"bare {name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_flat_spectrum_summary_is_strict_json(tmp_path, monkeypatch):
+    # no detected counts: the skewnesses are undefined and read null
+    monkeypatch.setenv("YBCAVITY_CAVITY__DETECTION_EFFICIENCY", "0")
+    monkeypatch.setenv("YBCAVITY_GRIDS__SPECTRUM_MHZ",
+                       '{"start": 0, "stop": 0.5, "step": 0.25}')
+    assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    summary = _strict_json(
+        (tmp_path / "spectrum_summary.json").read_text())
+    assert summary["skewness_shift_off"] is None
+    assert summary["skewness_shift_on"] is None
+
+
+def test_summary_values_map_to_strict_json(tmp_path):
+    path = tmp_path / "summary.json"
+    write_stats_json(path, {"nan": float("nan"), "inf": math.inf,
+                            "minus_inf": -math.inf, "x": 1.5, "n": 3,
+                            "label": "up"})
+    assert _strict_json(path.read_text()) == {
+        "nan": None, "inf": "inf", "minus_inf": "-inf", "x": 1.5, "n": 3,
+        "label": "up"}
 
 
 def test_snr_sweep_structure(tmp_path):

@@ -13,7 +13,8 @@ from ybcavity.dynamics import (
     CavityParams, EmissionRates, LindbladGenerator, SystemState,
     adiabatic_rates, build_hamiltonian, build_lindblad, coupling_at,
     drive_rabi_sq, evolve, ground_vacuum_state, steady_state,
-    GROUND_INDEX, EXCITED_INDEX, N_ATOM, _reduction,
+    GROUND_INDEX, EXCITED_INDEX, N_ATOM, _conditional_liouvillian,
+    _reduction, _spin_model,
 )
 from ybcavity.errors import ConfigError, ModelError, NumericalError
 from ybcavity.lightshift import BeamParams, ShiftResult, stark_shift
@@ -399,6 +400,68 @@ def test_vectorized_rates_match_scalar_calls():
             scal.rate_sigma_minus, rel=1e-12)
         assert vec.spin_flip_rate[i] == pytest.approx(
             scal.spin_flip_rate, rel=1e-12)
+
+
+def _complex_elimination_rates(coupling, omega, detunings):
+    """Rates of the conditional model by the complex grade elimination:
+    every grade, negative ones included, eliminated on its own from the
+    top down, and grade 0 solved in complex arithmetic -- the reference for
+    the real grade-0 solve of `_SpinModel`."""
+    _, weights, comps, drive, quanta = _conditional_liouvillian(
+        CAVITY.kappa, CAVITY.gamma)
+    d = len(quanta)
+    rows, cols = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    vec, grade = (rows + d * cols).ravel(), (quanta[rows] - quanta[cols]).ravel()
+    top = int(grade.max())
+    params = np.column_stack([np.ones_like(coupling), coupling,
+                              *detunings]).astype(complex)
+    om_sq = (omega ** 2)[:, None, None]
+
+    def block(op, i, j):
+        return op[np.ix_(vec[grade == i], vec[grade == j])]
+
+    def drive_free(k):
+        return np.einsum("nc,cij->nij", params,
+                         np.stack([block(c, k, k) for c in comps]))
+
+    b = drive_free(0)
+    for sign in (+1, -1):
+        y = None
+        for k in range(sign * top, 0, -sign):
+            s_k = drive_free(k)
+            if y is not None:
+                s_k -= block(drive, k, k + sign) @ y
+            y = om_sq * np.linalg.solve(s_k, block(drive, k, k - sign))
+        b -= block(drive, 0, sign) @ y
+    level0 = list(vec[grade == 0])
+    pops = [level0.index(a * (d + 1)) for a in range(d)]
+    b[:, pops[0], :] = 0.0
+    b[:, pops[0], pops] = 1.0
+    rhs = np.zeros(b.shape[:2], complex)
+    rhs[:, pops[0]] = 1.0
+    x0 = np.linalg.solve(b, rhs[..., None])[..., 0]
+    return x0[:, pops].real @ weights
+
+
+def test_real_grade0_solve_matches_complex_elimination():
+    rng = np.random.default_rng(2024)
+    n = 96
+    coupling = CAVITY.g0 * rng.uniform(0.0, 1.0, n)
+    # Rabi frequencies from below saturation to a few kappa, detunings
+    # across the power-broadened lines
+    omega = np.exp(rng.uniform(math.log(0.1 * CAVITY.gamma),
+                               math.log(3.0 * CAVITY.kappa), n))
+    detunings = constants.TWO_PI * rng.uniform(-5e6, 5e6, (2, n))
+    omega[:16] = 0.03 * CAVITY.gamma          # weak: saturation 5e-4
+    detunings[:, 8:24] = 0.0                  # on resonance
+    detunings[0, 24:32] = 0.0                 # one sublevel on resonance
+    model = _spin_model(CAVITY.kappa, CAVITY.gamma)
+    got = model.rates(coupling, omega, list(detunings))
+    want = _complex_elimination_rates(coupling, omega, detunings)
+    # every rate above 1e-6 of its point's largest, the weak points too
+    sel = want > 1e-6 * want.max(axis=1, keepdims=True)
+    assert sel.sum(axis=0).min() >= 64 and sel[:16].sum() >= 48
+    np.testing.assert_allclose(got[sel], want[sel], rtol=1e-9)
 
 
 def test_invalid_spin_label():

@@ -3,6 +3,9 @@ the batched jump process against a scalar reference, window aggregation,
 ensemble determinism, the rate-table cache, and record serialization."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from ybcavity import constants, transit
 from ybcavity.dynamics import CavityParams, coupling_at, spin_rates
 from ybcavity.errors import ConfigError
-from ybcavity.lightshift import ShiftResult, stark_shift
+from ybcavity.lightshift import ShiftResult, default_shift_beam, stark_shift
 from ybcavity.transit import (
     CountRecord, TransitGeometry, TransitRecord,
     child_rng, crossing_duration, default_transit_config, local_coordinates,
@@ -197,6 +200,61 @@ def test_rate_table_matches_direct_solves(shift_offset):
         for k, got in enumerate((view.sigma_plus, view.sigma_minus,
                                  view.flip)):
             np.testing.assert_allclose(got[sel], direct[:, k], rtol=5e-3)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 16])
+def test_spline_matrix_is_exact_on_cubics_and_at_nodes(n):
+    m = (n - 1) * 7 + 1
+    mat = transit._spline_matrix(n, m)
+    nodes, fine = np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, m)
+    rng = np.random.default_rng(n)
+    for coef in rng.normal(size=(5, 4)):
+        np.testing.assert_allclose(mat @ np.polyval(coef, nodes),
+                                   np.polyval(coef, fine), rtol=0, atol=1e-12)
+    # every node of the coarse grid is a fine-grid point, reproduced exactly
+    np.testing.assert_array_equal(mat[::7], np.eye(n))
+
+
+@pytest.mark.parametrize("shift_offset", [0.0, 8e-6])
+def test_rate_table_passes_through_its_node_log_rates(monkeypatch,
+                                                      shift_offset):
+    # capture the node rates the build solves for, and find them again on
+    # the fine grid: the spline is an interpolant, not a fit
+    solved = []
+
+    def spy(*args):
+        out = spin_rates(*args)
+        solved.append((args[1], args[2], out))
+        return out
+
+    monkeypatch.setattr(transit, "spin_rates", spy)
+    cfg = default_transit_config(shift_beam=replace(
+        CFG_ON.shift_beam, axis_offset=shift_offset))
+    table = transit.RateTable(cfg.scheme, cfg.cavity, cfg.drive,
+                              cfg.shift_beam, probe_detuning(cfg))
+    (g, om_sq, rates), = solved
+    weak = om_sq / table.om0_sq
+    rates = rates[..., :3] / weak[..., None]
+    rates[..., :2] /= ((g / table.g0) ** 2)[..., None]
+    nodes = np.log(np.maximum(rates, rates.max() * 1e-30))
+    assert table.three_d == (shift_offset != 0.0)
+    fine = table.channels.reshape(3, *table.fine)
+    at_nodes = fine[(slice(None),) + tuple(
+        slice(None, None, k) for k in transit._TABLE_REFINE[:fine.ndim - 1])]
+    np.testing.assert_allclose(at_nodes, np.moveaxis(nodes, -1, 0),
+                               rtol=0, atol=1e-12)
+
+
+def test_table_builds_leave_scipy_interpolate_unimported():
+    code = ("import sys\n"
+            "from ybcavity.transit import default_transit_config, rate_table\n"
+            "rate_table(default_transit_config())\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -545,3 +603,7 @@ def test_config_validation_errors():
     # more than 10^3 atoms expected per window (here 2 x 10^3)
     with pytest.raises(ConfigError):
         default_transit_config(atom_rate=1e6, window=2e-3)
+    # a ShiftBeam is a BeamParams subclass whose detuning the drive never
+    # reads, so it is no drive
+    with pytest.raises(ConfigError, match="drive must be a BeamParams"):
+        default_transit_config(drive=default_shift_beam())

@@ -11,7 +11,10 @@ spin-flip jumps in flight, Poisson detection) and then assembles the
 and fluctuating atom number included.
 """
 
+import math
+
 import numpy as np
+from scipy.constants import g
 
 from ybcavity import (crossing_duration, default_transit_config,
                       pearson_correlation, run_ensemble,
@@ -22,9 +25,10 @@ N_WINDOWS = 1500
 SEED = 20260825
 
 cfg = default_transit_config(light_shift_on=True)
+fall_speed = math.sqrt(2.0 * g * cfg.geometry.drop_height)
 print("fall time through the mode: %.0f us (2w/v estimate %.0f us)"
       % (crossing_duration(cfg.geometry) * 1e6,
-         2.0 * cfg.geometry.mode_waist / cfg.geometry.fall_speed * 1e6))
+         2.0 * cfg.geometry.mode_waist / fall_speed * 1e6))
 
 # ---------------------------------------------------------------------------
 # Single-atom transits with a known initial spin.  The detected-count

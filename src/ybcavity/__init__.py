@@ -29,12 +29,11 @@ from .transit import (
     simulate_transit, simulate_window, child_rng,
     run_ensemble, run_transit_ensemble,
     write_transit_records, write_count_records,
-    read_transit_records, read_count_records,
 )
 from .observables import (
     MotParams, SpectrumPoint, CorrectedCounts,
     mot_dip_profile, dip_half_width,
-    expected_transit_counts, fluorescence_spectrum,
+    fluorescence_spectrum,
     spectrum_peak, count_weighted_skewness,
     snr_from_counts, dark_count_correct, predicted_snr,
     pearson_correlation,

@@ -48,10 +48,18 @@ def _require_seed(config: RunConfig) -> int:
     return seed
 
 
+def _make_output_dir(path: str) -> None:
+    """Create the output directory before any solve; one that cannot be
+    created (say, an existing file) is a configuration error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc}") from exc
+
+
 def _outfile(config: RunConfig, name: str) -> str:
-    out = config.run.output_path
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    return os.path.join(config.run.output_path, name)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=EMIT_FORMATS,
                         help="record file format (overrides "
                              "run.emit_format)")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="overrides run.threads, which has no "
-                             "effect: ensembles run on one thread")
     parser.add_argument("command", nargs="?", choices=sorted(_COMMANDS),
                         help="what to simulate and emit")
     return parser
@@ -191,8 +196,6 @@ def _assemble_config(args) -> RunConfig:
         overrides["output_path"] = args.out
     if args.format is not None:
         overrides["emit_format"] = args.format
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         config = replace(config, run=replace(config.run, **overrides))
     return config.validate()
@@ -212,6 +215,7 @@ def main(argv=None) -> int:
 
     try:
         config = _assemble_config(args)
+        _make_output_dir(config.run.output_path)
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")

@@ -68,7 +68,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class Grids:
     """Sweep grids for the emitting commands (MHz, mW, um units as
-    named)."""
+    named); each has at most `_MAX_GRID_POINTS` points."""
 
     spectrum_mhz: GridSpec = rule(GridSpec(-10.0, 10.0, 0.25), GridSpec)
     dip_mhz: GridSpec = rule(GridSpec(-400.0, 400.0, 5.0), GridSpec)
@@ -78,9 +78,10 @@ class Grids:
 
     def validate(self) -> "Grids":
         check(self)
-        if not self.snr_power_mw or not self.snr_waist_um:
-            raise ConfigError("snr_power_mw and snr_waist_um must be "
-                              "nonempty")
+        for name in ("snr_power_mw", "snr_waist_um"):
+            if not 0 < len(getattr(self, name)) <= _MAX_GRID_POINTS:
+                raise ConfigError(f"{name} must have 1 to "
+                                  f"{_MAX_GRID_POINTS} entries")
         return self
 
 
@@ -90,7 +91,8 @@ class RunSection:
     and how the records are emitted.  master_seed may stay None for
     deterministic commands but is required by the sampling ones (it keys
     a Philox stream, hence the 64-bit bound).  threads is validated but
-    has no effect: the ensembles run on one thread."""
+    has no effect: the ensembles run on one thread; it stays so that
+    config files that set it still load."""
 
     n_runs: int = rule(2000, int, ge=1)
     master_seed: int = rule(None, int, ge=0, le=2 ** 64 - 1)
@@ -262,12 +264,14 @@ def load_config(path=None, environ=None) -> RunConfig:
         document = {}
     else:
         try:
-            with open(path, "r") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 document = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: "
                               f"{exc}") from exc
+        if not isinstance(document, dict):
+            raise ConfigError(f"config {path} must be a JSON object")
     document = apply_env_overrides(document, environ)
     return config_from_dict(document)

@@ -1,12 +1,13 @@
 """Derived quantities: spectra, SNR curves, correlations, dark-count
 bookkeeping, and the trap-loss dip used to locate the 1539-nm line.
 
-The deterministic ensemble averages here use the same trajectory model and
+The deterministic ensemble averages here use the same fall lines and
 rate table as the Monte Carlo sampler (uniform impact disc, 1-us rate
 grid) but replace sampling with quadrature: Gauss-Legendre in the squared
-radial coordinate (the same u = (r/R)^2 variable the sampler inverts) and
-a uniform azimuthal rule, which together integrate the uniform-disc
-measure exactly in the smooth-integrand limit.  The cavity standing wave
+radial coordinate (the same u = (r/R)^2 variable the sampler inverts,
+`_RADIAL_NODES` points) and a uniform azimuthal rule (`_AZIMUTHAL_NODES`),
+which together integrate the uniform-disc measure exactly in the
+smooth-integrand limit.  The cavity standing wave
 varies on a sub-micron scale along x, far faster than anything else, so
 at each disc node the coupling is averaged over the standing-wave phase
 with its own Gauss-Legendre rule (`_PHASE_NODES` points on a quarter
@@ -31,8 +32,8 @@ from scipy.constants import c, h
 from . import constants
 from .dynamics import axial_profile
 from .errors import ConfigError, check, rule
-from .transit import (TransitConfig, _write_csv, local_coordinates,
-                      make_trajectory, rate_table)
+from .transit import (TransitConfig, _fall_heights, _write_records,
+                      local_coordinates, rate_table)
 
 SPECTRUM_FORMAT_TAG = "ybcavity.spectrum.v1"
 SNR_FORMAT_TAG = "ybcavity.snr.v1"
@@ -129,31 +130,34 @@ def dip_half_width(mot: MotParams) -> float:
 # deterministic transit ensemble
 
 
-def disc_quadrature(geometry, n_radial: int = 10, n_azimuthal: int = 8):
-    """Nodes (x0, y0) and weights averaging over the uniform impact disc."""
+_RADIAL_NODES = 10     # Gauss-Legendre nodes in the squared radius
+_AZIMUTHAL_NODES = 8   # uniform azimuthal nodes
+_PHASE_NODES = 6       # Gauss-Legendre nodes over the standing-wave phase
+
+
+def _disc_quadrature(geometry):
+    """Node arrays x0, y0 and weights averaging over the uniform impact
+    disc, radius-major."""
     radius = geometry.impact_radius_factor * geometry.mode_waist
-    u, w_u = np.polynomial.legendre.leggauss(n_radial)
-    u = 0.5 * (u + 1.0)          # map to (0, 1); measure du is uniform
-    w_u = 0.5 * w_u
-    nodes = []
-    for ui, wi in zip(u, w_u):
-        r = radius * math.sqrt(float(ui))
-        for k in range(n_azimuthal):
-            theta = 2.0 * math.pi * (k + 0.5) / n_azimuthal
-            nodes.append((r * math.cos(theta), r * math.sin(theta),
-                          float(wi) / n_azimuthal))
-    return nodes
+    u, w_u = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    r = radius * np.sqrt(0.5 * (u + 1.0))   # u mapped to (0, 1): du uniform
+    theta = [2.0 * math.pi * (k + 0.5) / _AZIMUTHAL_NODES
+             for k in range(_AZIMUTHAL_NODES)]
+    return (np.outer(r, [math.cos(t) for t in theta]).ravel(),
+            np.outer(r, [math.sin(t) for t in theta]).ravel(),
+            np.repeat(0.5 * w_u / _AZIMUTHAL_NODES, _AZIMUTHAL_NODES))
 
 
 def _expected_counts(x0, y0, axial, config: TransitConfig,
                      p_up_initial: float):
     """Expected cavity emissions (sigma+, sigma-) for a batch of fall
     lines (1-d arrays x0, y0 and standing-wave factors), before detection
-    thinning."""
-    geo_z = make_trajectory(0.0, 0.0, config.geometry)
-    dt = geo_z.time_step
+    thinning, with the spin occupation evolved through the flip rate:
+    exact per-segment integrals for the symmetric flip problem."""
+    dt = config.geometry.time_step
     col = (lambda a: np.asarray(a, dtype=float)[:, None])
-    coords = local_coordinates(col(x0), col(y0), geo_z.z, config,
+    coords = local_coordinates(col(x0), col(y0),
+                               _fall_heights(config.geometry), config,
                                axial=col(axial))
     # the two spins share one flip rate f, and spin down has sigma+ and
     # sigma- swapped (mirror-symmetric drive)
@@ -172,29 +176,8 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
     return exp_plus, exp_minus
 
 
-def expected_transit_counts(x0: float, y0: float, config: TransitConfig,
-                            p_up_initial: float = 0.5):
-    """Expected cavity emissions (sigma+, sigma-) for one fall line,
-    before detection thinning, with the spin occupation evolved through
-    the flip rate.  Exact per-segment integrals for the symmetric flip
-    problem.  The coupling is taken at the line's own standing-wave
-    phase."""
-    if not 0.0 <= p_up_initial <= 1.0:
-        raise ConfigError(f"p_up_initial must be in [0, 1], "
-                          f"got {p_up_initial}")
-    axial = axial_profile(constants.TWO_PI * x0 / constants.WAVELENGTH_GREEN,
-                          config.cavity)
-    ep, em = _expected_counts([x0], [y0], [axial], config, p_up_initial)
-    return float(ep[0]), float(em[0])
-
-
-_PHASE_NODES = 6
-
-
-def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float,
-                              n_radial: int, n_azimuthal: int):
-    x0, y0, w = np.array(disc_quadrature(config.geometry, n_radial,
-                                         n_azimuthal)).T
+def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float):
+    x0, y0, w = _disc_quadrature(config.geometry)
     u, w_u = np.polynomial.legendre.leggauss(_PHASE_NODES)
     axial = axial_profile(0.25 * math.pi * (u + 1.0), config.cavity)
     weights = np.outer(w, 0.5 * w_u).ravel()
@@ -209,8 +192,7 @@ def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float,
 
 
 def fluorescence_spectrum(detuning_grid, config: TransitConfig,
-                          light_shift_on: bool, n_radial: int = 10,
-                          n_azimuthal: int = 8):
+                          light_shift_on: bool):
     """Per-atom mean detected counts vs probe detuning (MHz grid), for an
     unpolarized atom ensemble."""
     grid = np.asarray(detuning_grid, dtype=float)
@@ -221,7 +203,7 @@ def fluorescence_spectrum(detuning_grid, config: TransitConfig,
     points = []
     for det in grid:
         cfg = replace(base, excitation_detuning=float(det) * 1e6)
-        ep, em = _ensemble_expected_counts(cfg, 0.5, n_radial, n_azimuthal)
+        ep, em = _ensemble_expected_counts(cfg, 0.5)
         points.append(SpectrumPoint(excitation_detuning=float(det),
                                     mean_counts=eta * (ep + em)))
     return points
@@ -300,8 +282,7 @@ def dark_count_correct(counts_pair, dark_rates_per_ms,
                            clamped=clamped)
 
 
-def predicted_snr(values, config: TransitConfig, vary: str = "power",
-                  n_radial: int = 10, n_azimuthal: int = 8):
+def predicted_snr(values, config: TransitConfig, vary: str = "power"):
     """Deterministic (rate-based, dark-count-free) SNR for a known
     initial spin, swept over light-shift beam power (W) or waist (m).
 
@@ -326,8 +307,7 @@ def predicted_snr(values, config: TransitConfig, vary: str = "power",
                            power=reference.power * scale)
         cfg = replace(config, shift_beam=beam, light_shift_on=True,
                       excitation_detuning=None)
-        desired, undesired = _ensemble_expected_counts(
-            cfg, 1.0, n_radial, n_azimuthal)
+        desired, undesired = _ensemble_expected_counts(cfg, 1.0)
         curve.append((float(v),
                       math.inf if undesired == 0.0 else desired / undesired))
     return curve
@@ -359,8 +339,7 @@ def pearson_correlation(records) -> float:
 
 
 def write_spectrum_csv(path, points):
-    with open(path, "w", newline="") as fh:
-        _write_csv(fh, SPECTRUM_FORMAT_TAG, ("detuning_MHz", "mean_counts"),
+    _write_records(path, SPECTRUM_FORMAT_TAG, ("detuning_MHz", "mean_counts"),
                    ((repr(float(p.excitation_detuning)),
                      repr(float(p.mean_counts))) for p in points))
 
@@ -368,14 +347,12 @@ def write_spectrum_csv(path, points):
 def write_snr_csv(path, curve, x_label: str):
     if x_label not in ("power_mW", "waist_um"):
         raise ConfigError(f"unknown snr sweep label {x_label!r}")
-    with open(path, "w", newline="") as fh:
-        _write_csv(fh, SNR_FORMAT_TAG, (x_label, "snr"),
+    _write_records(path, SNR_FORMAT_TAG, (x_label, "snr"),
                    ((repr(float(x)), repr(float(s))) for x, s in curve))
 
 
 def write_dip_csv(path, detuning_grid, values):
-    with open(path, "w", newline="") as fh:
-        _write_csv(fh, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
+    _write_records(path, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
                    ((repr(float(d)), repr(float(v)))
                     for d, v in zip(detuning_grid, values)))
 

@@ -51,7 +51,7 @@ _WINDOW_COLUMNS = ("window_s", "counts_sigma_plus", "counts_sigma_minus",
 
 
 # ---------------------------------------------------------------------------
-# geometry and trajectories
+# geometry and fall lines
 
 
 @dataclass(frozen=True)
@@ -80,27 +80,6 @@ class TransitGeometry:
             raise ConfigError(f"the fall takes over {_MAX_SEGMENTS} steps")
         return self
 
-    @property
-    def fall_speed(self) -> float:
-        """Speed (m/s) at the cavity after free fall from the trap."""
-        return math.sqrt(2.0 * FREE_FALL_G * self.drop_height)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A straight vertical fall line sampled on the time grid.
-
-    x0, y0 are the (fixed) transverse coordinates, z the vertical offset
-    from the mode center at each grid time; speed is the value at z = 0.
-    """
-
-    x0: float
-    y0: float
-    speed: float
-    times: np.ndarray
-    z: np.ndarray
-    time_step: float
-
 
 _MAX_SEGMENTS = 10_000   # 15x the default; bounds (chunk x segments) arrays
 
@@ -114,15 +93,13 @@ def _segment_count(geometry: TransitGeometry) -> int:
     return max(1, math.ceil(min(total / geometry.time_step, 1e300)))
 
 
-def make_trajectory(x0: float, y0: float, geometry: TransitGeometry
-                    ) -> Trajectory:
-    """Deterministic fall line through transverse point (x0, y0)."""
+def _fall_heights(geometry: TransitGeometry) -> np.ndarray:
+    """Height above the mode center at the start of each time slice of the
+    fall; every fall line is vertical, so all share these heights."""
     v0 = _speed_at(geometry, geometry.simulation_halfspan)
     times = np.arange(_segment_count(geometry)) * geometry.time_step
-    z = (geometry.simulation_halfspan - v0 * times
-         - 0.5 * FREE_FALL_G * times ** 2)
-    return Trajectory(x0=x0, y0=y0, speed=geometry.fall_speed, times=times,
-                      z=z, time_step=geometry.time_step)
+    return (geometry.simulation_halfspan - v0 * times
+            - 0.5 * FREE_FALL_G * times ** 2)
 
 
 def _impact(rng, geometry: TransitGeometry):
@@ -131,11 +108,6 @@ def _impact(rng, geometry: TransitGeometry):
     r = radius * math.sqrt(rng.random())
     theta = 2.0 * math.pi * rng.random()
     return r * math.cos(theta), r * math.sin(theta)
-
-
-def sample_trajectory(rng, geometry: TransitGeometry) -> Trajectory:
-    """Draw one fall line (two uniforms, see `_impact`)."""
-    return make_trajectory(*_impact(rng, geometry), geometry)
 
 
 def _speed_at(geometry: TransitGeometry, height_above_center: float) -> float:
@@ -217,7 +189,7 @@ def probe_detuning(config: TransitConfig) -> float:
     """Excitation detuning (Hz) actually applied in a run."""
     if config.excitation_detuning is not None:
         return config.excitation_detuning
-    if not config.light_shift_on or config.shift_beam.power == 0:
+    if not _shift_on(config):
         return 0.0
     return stark_shift(+1.5, config.shift_beam, config.scheme)
 
@@ -485,22 +457,13 @@ def rate_table(config: TransitConfig) -> RateTable:
     return table
 
 
-@dataclass(frozen=True)
-class _RateView:
-    """Per-grid-segment rates for one spin."""
-
-    sigma_plus: np.ndarray
-    sigma_minus: np.ndarray
-    flip: np.ndarray
-
-
-def transit_rate_table(trajectory: Trajectory, config: TransitConfig):
-    """Emission/flip rates along the path for both spin states."""
-    coords = local_coordinates(trajectory.x0, trajectory.y0, trajectory.z,
-                               config)
-    plus, minus, flip = rate_table(config)(*coords)
-    return {"up": _RateView(plus, minus, flip),
-            "down": _RateView(minus, plus, flip)}
+def transit_rate_table(x0, y0, config: TransitConfig):
+    """Spin-up (sigma+, sigma-, flip) rates along the fall lines through
+    the transverse points (x0, y0), one row per time slice and one column
+    per line; spin down has the same flip rate and sigma+ and sigma-
+    swapped."""
+    z = _fall_heights(config.geometry)[:, None]
+    return rate_table(config)(*local_coordinates(x0, y0, z, config))
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +516,7 @@ def _transits(rngs, spins, config: TransitConfig) -> list:
     together; each stream draws in the order of `simulate_transit`."""
     geo = config.geometry
     x0, y0 = np.array([_impact(rng, geo) for rng in rngs]).T
-    z = make_trajectory(0.0, 0.0, geo).z
-    # one row per segment, one column per run; spin down swaps sigma+ and
-    # sigma- of these spin-up rates
-    plus, minus, flip = rate_table(config)(*local_coordinates(
-        x0, y0, z[:, None], config))
+    plus, minus, flip = transit_rate_table(x0, y0, config)
     dt = geo.time_step
     up = np.array([spin == "up" for spin in spins])
     target = np.array([rng.exponential() for rng in rngs])
@@ -620,7 +579,7 @@ def _flip_segment(rng, up, target, lam_plus, lam_minus, f, plus, minus, dt):
 
 def simulate_transit(rng, initial_spin: str, config: TransitConfig
                      ) -> TransitRecord:
-    """Simulate one atom (a batch of one).  Draw order: trajectory (2
+    """Simulate one atom (a batch of one).  Draw order: impact point (2
     uniforms), one exponential per spin-flip attempt, then the two Poisson
     counts.
 
@@ -733,29 +692,22 @@ def _window_row(rec: CountRecord):
             rec.atom_count)
 
 
-def _write_csv(stream, tag, columns, rows):
-    stream.write(f"# format={tag}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-
-
-def _write_jsonl(stream, tag, dicts):
-    stream.write(json.dumps({"format": tag}, sort_keys=True) + "\n")
-    for d in dicts:
-        stream.write(json.dumps(d, sort_keys=True) + "\n")
-
-
-def _write_records(path, tag, columns, rows, emit_format):
-    """Write rows as CSV or JSON lines; the format name is also the file
-    extension the CLI gives them."""
+def _write_records(path, tag, columns, rows, emit_format="csv"):
+    """Write a file of rows under a versioned format tag, as CSV or JSON
+    lines; the format name is also the file extension the CLI gives it."""
     if emit_format not in EMIT_FORMATS:
         raise ConfigError(f"unknown format {emit_format!r}")
     with open(path, "w", newline="") as fh:
         if emit_format == "csv":
-            _write_csv(fh, tag, columns, rows)
+            fh.write(f"# format={tag}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
         else:
-            _write_jsonl(fh, tag, (dict(zip(columns, row)) for row in rows))
+            fh.write(json.dumps({"format": tag}, sort_keys=True) + "\n")
+            for row in rows:
+                fh.write(json.dumps(dict(zip(columns, row)), sort_keys=True)
+                         + "\n")
 
 
 def write_transit_records(path, records, emit_format: str = "csv"):
@@ -766,43 +718,3 @@ def write_transit_records(path, records, emit_format: str = "csv"):
 def write_count_records(path, records, emit_format: str = "csv"):
     _write_records(path, WINDOW_FORMAT_TAG, _WINDOW_COLUMNS,
                    map(_window_row, records), emit_format)
-
-
-def _read_tagged(path, expected_tag):
-    with open(path, "r", newline="") as fh:
-        first = fh.readline().strip()
-        if first.startswith("#"):
-            tag = first.split("format=", 1)[-1].strip()
-            if tag != expected_tag:
-                raise ConfigError(f"expected {expected_tag}, found {tag!r}")
-            reader = csv.DictReader(fh)
-            return list(reader)
-        header = json.loads(first)
-        if header.get("format") != expected_tag:
-            raise ConfigError(f"expected {expected_tag}, "
-                              f"found {header.get('format')!r}")
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def read_transit_records(path):
-    out = []
-    for row in _read_tagged(path, TRANSIT_FORMAT_TAG):
-        out.append(TransitRecord(
-            counts_sigma_plus=int(row["counts_sigma_plus"]),
-            counts_sigma_minus=int(row["counts_sigma_minus"]),
-            initial_spin=row["initial_spin"],
-            final_spin=row["final_spin"],
-            transit_duration=float(row["transit_duration_s"]),
-            peak_coupling=float(row["peak_coupling_rad_s"])))
-    return out
-
-
-def read_count_records(path):
-    out = []
-    for row in _read_tagged(path, WINDOW_FORMAT_TAG):
-        out.append(CountRecord(
-            window=float(row["window_s"]),
-            counts_sigma_plus=int(row["counts_sigma_plus"]),
-            counts_sigma_minus=int(row["counts_sigma_minus"]),
-            atom_count=int(row["atom_count"])))
-    return out

@@ -6,7 +6,9 @@ benchmark run loudly: a missing span target only makes its metrics
 absent.  These tests read the benchmark sources (without importing or
 editing them) and check that every name they rely on still resolves.
 The demos are read the same way, so removing a name a demo uses fails
-here rather than only when the demo is run.
+here rather than only when the demo is run.  The same scan, run over the
+acceptance suite too, together with the names the package's own modules
+read, checks that the package exports nothing that only unit tests read.
 """
 
 import ast
@@ -20,7 +22,9 @@ import pytest
 from ybcavity.config import load_config
 from ybcavity.transit import TransitConfig
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "ybcavity"
 
 
 def _resolve(module: str, attribute: str):
@@ -147,3 +151,23 @@ def test_every_benchmark_config_loads(tmp_path):
         config = load_config(str(path))
         assert isinstance(config.to_transit_config(), TransitConfig)
         assert config.geometry is config.to_transit_config().geometry
+
+
+def test_every_export_has_a_reader():
+    # each name `ybcavity/__init__.py` exports is read by a package module
+    # (its own included), or imported by a demo, a benchmark file or the
+    # acceptance suite, or named as a span target
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exports = [alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = {node.id for path in PACKAGE.glob("*.py")
+            if path.name != "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    importers = [*PERFBENCH.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]
+    read.update(attribute for path in importers
+                for _, attribute in _package_names(path))
+    read.update(attribute.split(".")[0] for _, attribute in _span_targets())
+    unread = [name for name in exports if name not in read]
+    assert not unread, f"exported, but only unit tests read: {unread}"

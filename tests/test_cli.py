@@ -141,20 +141,22 @@ def test_scatter_outputs_and_correlation_ordering(tmp_path):
     cfg = _small_stochastic(tmp_path, n_runs=150, initial_spin="up")
     out = tmp_path / "data"
     assert main(["scatter", "--config", cfg, "--seed", "11",
-                 "--out", str(out), "--threads", "2"]) == 0
+                 "--out", str(out)]) == 0
     summary = json.loads((out / "scatter_summary.json").read_text())
     assert summary["pearson_shift_on"] < summary["pearson_shift_off"]
     assert (out / "scatter_shift_off.csv").exists()
     assert (out / "scatter_shift_on.csv").exists()
 
 
-def test_scatter_reruns_are_byte_identical(tmp_path):
+def test_scatter_reruns_are_byte_identical(tmp_path, monkeypatch):
+    # run.threads is still accepted, and changes nothing
     cfg = _small_stochastic(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["scatter", "--config", cfg, "--seed", "3",
-                 "--out", str(out_a), "--threads", "1"]) == 0
+                 "--out", str(out_a)]) == 0
+    monkeypatch.setenv("YBCAVITY_RUN__THREADS", "4")
     assert main(["scatter", "--config", cfg, "--seed", "3",
-                 "--out", str(out_b), "--threads", "4"]) == 0
+                 "--out", str(out_b)]) == 0
     for name in ("scatter_shift_off.csv", "scatter_shift_on.csv",
                  "scatter_summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
@@ -181,6 +183,43 @@ def test_bad_config_file_is_a_config_error(tmp_path, capsys):
 
     cfg = _write_config(tmp_path, {"unknown_section": {}})
     assert main(["motdip", "--config", cfg]) == 2
+
+
+def test_threads_is_no_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["motdip", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    # the output directory cannot be created: exit 2 before any solve,
+    # and nothing is written
+    path = tmp_path / "taken"
+    path.write_text("keep\n")
+    for command in ("motdip", "spectrum"):
+        assert main([command, "--out", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert path.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_snr_sweep_length_is_bounded_before_any_solve(tmp_path, monkeypatch,
+                                                       capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("a sweep point was solved")
+
+    monkeypatch.setattr("ybcavity.cli.predicted_snr", solve)
+    for name in ("SNR_POWER_MW", "SNR_WAIST_UM"):
+        monkeypatch.setenv(f"YBCAVITY_GRIDS__{name}",
+                           json.dumps([1.0] * 10_001))
+        assert main(["snr", "--out", str(tmp_path / "out")]) == 2
+        assert "10000 entries" in capsys.readouterr().err
+        monkeypatch.setenv(f"YBCAVITY_GRIDS__{name}",
+                           json.dumps([1.0] * 10_000))
+        load_config()   # the bound itself is accepted
+        monkeypatch.delenv(f"YBCAVITY_GRIDS__{name}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_flag_overrides_reach_the_config(tmp_path):
@@ -251,15 +290,21 @@ def test_string_for_a_number_is_a_config_error(tmp_path, monkeypatch,
     ("YBCAVITY_DRIVE__DETUNING", "1e9"),   # a key the drive does not have
     ("YBCAVITY_GRIDS__DIP_MHZ__STEP", "1e-300"),   # ~10^303 grid points
     ("YBCAVITY_RUN__WINDOW", "1e300"),   # ~10^303 atoms per window
+    (None, "[]"),                        # documents must be JSON objects
+    (None, "[1, 2]"),
+    (None, '{"run": {"output_path": "caf\u00e9"}}'.encode("latin-1")),
 ])
 def test_bad_value_exits_2_and_writes_no_data(tmp_path, monkeypatch, capsys,
                                               variable, value):
-    # a value given as None is a config file's text
+    # a value given as None is a config file's text (bytes: not UTF-8)
     out = tmp_path / "out"
     args = ["motdip", "--out", str(out)]
     if variable is None:
         path = tmp_path / "config.json"
-        path.write_text(value)
+        if isinstance(value, bytes):
+            path.write_bytes(value)
+        else:
+            path.write_text(value)
         args += ["--config", str(path)]
     else:
         monkeypatch.setenv(variable, value)

@@ -7,22 +7,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ybcavity import constants
+from ybcavity import constants, observables
 from ybcavity.dynamics import axial_profile
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import stark_shift
 from ybcavity.observables import (
     CorrectedCounts, MotParams, SpectrumPoint, count_weighted_skewness,
-    dark_count_correct, dip_half_width, disc_quadrature,
-    expected_transit_counts, fluorescence_spectrum, mot_dip_profile,
-    pearson_correlation, predicted_snr, snr_from_counts, spectrum_peak,
-    write_dip_csv, write_snr_csv, write_spectrum_csv, write_stats_json,
+    dark_count_correct, dip_half_width, fluorescence_spectrum,
+    mot_dip_profile, pearson_correlation, predicted_snr, snr_from_counts,
+    spectrum_peak, write_dip_csv, write_snr_csv, write_spectrum_csv,
+    write_stats_json,
 )
-from ybcavity.observables import _expected_counts
+from ybcavity.observables import _disc_quadrature, _expected_counts
 from ybcavity.transit import (TransitGeometry, TransitRecord,
                               default_transit_config, run_ensemble)
 
 CFG = default_transit_config(light_shift_on=True)
+
+
+@pytest.fixture
+def coarse_disc(monkeypatch):
+    """A 6 x 4 impact-disc rule in place of the default 10 x 8."""
+    monkeypatch.setattr(observables, "_RADIAL_NODES", 6)
+    monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
 
 
 def _rec(plus, minus, spin="up"):
@@ -86,20 +93,27 @@ def test_mot_params_validation():
 # deterministic ensemble machinery
 
 
+def _line_counts(x0, y0, config, p_up_initial=1.0):
+    """Expected emissions (sigma+, sigma-) of one fall line, with the
+    coupling at the line's own standing-wave phase."""
+    axial = axial_profile(constants.TWO_PI * x0 / constants.WAVELENGTH_GREEN,
+                          config.cavity)
+    ep, em = _expected_counts([x0], [y0], [axial], config, p_up_initial)
+    return float(ep[0]), float(em[0])
+
+
 def test_disc_quadrature_weights_sum_to_one():
-    nodes = disc_quadrature(CFG.geometry)
-    total = sum(w for _, _, w in nodes)
-    assert total == pytest.approx(1.0, rel=1e-12)
+    x0, y0, w = _disc_quadrature(CFG.geometry)
+    assert x0.shape == y0.shape == w.shape == (80,)
+    assert w.sum() == pytest.approx(1.0, rel=1e-12)
     radius = CFG.geometry.impact_radius_factor * CFG.geometry.mode_waist
-    assert all(x * x + y * y <= radius ** 2 * (1 + 1e-12)
-               for x, y, _ in nodes)
+    assert np.all(x0 ** 2 + y0 ** 2 <= radius ** 2 * (1 + 1e-12))
 
 
 def test_expected_counts_time_grid_convergence():
-    coarse = expected_transit_counts(2e-6, 3e-6, CFG, p_up_initial=1.0)
+    coarse = _line_counts(2e-6, 3e-6, CFG)
     fine_geo = replace(CFG.geometry, time_step=0.25e-6)
-    fine = expected_transit_counts(2e-6, 3e-6, replace(CFG, geometry=fine_geo),
-                                   p_up_initial=1.0)
+    fine = _line_counts(2e-6, 3e-6, replace(CFG, geometry=fine_geo))
     assert coarse[0] == pytest.approx(fine[0], rel=5e-3)
     assert coarse[1] == pytest.approx(fine[1], rel=5e-3)
 
@@ -110,7 +124,7 @@ def test_expected_counts_match_monte_carlo_means():
                                  geometry=TransitGeometry(
                                      impact_radius_factor=1e-9))
     eta = cfg.cavity.detection_efficiency
-    ep, em = expected_transit_counts(0.0, 0.0, cfg, p_up_initial=1.0)
+    ep, em = _line_counts(0.0, 0.0, cfg)
     records = run_transit_ensemble(400, 3, cfg)
     mc = np.mean([r.counts_sigma_plus for r in records])
     se = np.std([r.counts_sigma_plus for r in records], ddof=1) \
@@ -123,11 +137,10 @@ def test_expected_counts_follow_the_axial_standing_wave():
     # a quarter wave further the atom sits on a node and the cavity is dark
     lam = constants.WAVELENGTH_GREEN
     flat = replace(CFG, cavity=replace(CFG.cavity, axial_rms_factor=1.0))
-    antinode = expected_transit_counts(0.0, 2e-6, CFG, p_up_initial=1.0)
-    assert antinode == pytest.approx(
-        expected_transit_counts(0.0, 2e-6, flat, p_up_initial=1.0),
-        rel=1e-12)
-    node = expected_transit_counts(lam / 4, 2e-6, CFG, p_up_initial=1.0)
+    antinode = _line_counts(0.0, 2e-6, CFG)
+    assert antinode == pytest.approx(_line_counts(0.0, 2e-6, flat),
+                                     rel=1e-12)
+    node = _line_counts(lam / 4, 2e-6, CFG)
     assert max(node) <= 1e-12 * antinode[0]
 
 
@@ -148,24 +161,19 @@ def test_phase_quadrature_matches_midpoint_average():
     assert gauss == pytest.approx(mid, rel=2e-3)
 
 
-def test_expected_counts_rejects_bad_initial_population():
-    with pytest.raises(ConfigError):
-        expected_transit_counts(0.0, 0.0, CFG, p_up_initial=1.5)
-
-
 # ---------------------------------------------------------------------------
 # fluorescence spectra
 
 
-def test_spectrum_without_shift_peaks_at_zero_and_is_symmetric():
+def test_spectrum_without_shift_peaks_at_zero_and_is_symmetric(coarse_disc):
     grid = np.arange(-6.0, 6.01, 0.5)
-    points = fluorescence_spectrum(grid, CFG, light_shift_on=False,
-                                   n_radial=6, n_azimuthal=4)
+    points = fluorescence_spectrum(grid, CFG, light_shift_on=False)
     assert abs(spectrum_peak(points)) <= 0.5
     assert abs(count_weighted_skewness(points)) < 0.1
 
 
-def test_spectrum_homogeneous_shift_peaks_at_engineered_resonance():
+def test_spectrum_homogeneous_shift_peaks_at_engineered_resonance(
+        coarse_disc):
     # a very wide shift beam at fixed peak intensity shifts every atom by
     # the same amount, so the whole spectrum translates
     wide = replace(CFG.shift_beam, waist=500e-6,
@@ -173,19 +181,19 @@ def test_spectrum_homogeneous_shift_peaks_at_engineered_resonance():
     cfg = replace(CFG, shift_beam=wide)
     d32 = stark_shift(+1.5, wide, cfg.scheme)
     grid = np.arange(0.0, 12.01, 0.25)
-    points = fluorescence_spectrum(grid, cfg, light_shift_on=True,
-                                   n_radial=6, n_azimuthal=4)
+    points = fluorescence_spectrum(grid, cfg, light_shift_on=True)
     assert spectrum_peak(points) == pytest.approx(d32 / 1e6, abs=0.25)
 
 
-def test_spectrum_with_shift_grows_low_frequency_tail():
+def test_spectrum_with_shift_grows_low_frequency_tail(monkeypatch):
     # inhomogeneous shift: path segments and impact parameters that see
     # less than the full beam intensity emit below the fully shifted
     # resonance, skewing the line toward low frequency and pulling the
     # peak below the center-atom shift
+    monkeypatch.setattr(observables, "_RADIAL_NODES", 8)
+    monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
     grid = np.arange(-2.0, 9.01, 0.25)
-    points = fluorescence_spectrum(grid, CFG, light_shift_on=True,
-                                   n_radial=8, n_azimuthal=4)
+    points = fluorescence_spectrum(grid, CFG, light_shift_on=True)
     assert count_weighted_skewness(points) < -0.2
     d32 = stark_shift(+1.5, CFG.shift_beam, CFG.scheme)
     assert spectrum_peak(points) < d32 / 1e6
@@ -253,27 +261,27 @@ def test_dark_count_correction_clamps_at_zero():
         dark_count_correct((1, 1), (1.0, 0.5), 0.0)
 
 
-def test_predicted_snr_power_sweep_structure():
+def test_predicted_snr_power_sweep_structure(coarse_disc):
     powers = [0.0, 1e-3, 3e-3, 9e-3]
-    curve = predicted_snr(powers, CFG, vary="power", n_radial=6,
-                          n_azimuthal=4)
+    curve = predicted_snr(powers, CFG, vary="power")
     values = [s for _, s in curve]
     assert values[0] == pytest.approx(1.0, abs=0.05)
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     assert values[-1] > 5.0
 
 
-def test_predicted_snr_waist_sweep_prefers_wide_beam():
-    curve = predicted_snr([20e-6, 50e-6], CFG, vary="waist", n_radial=6,
-                          n_azimuthal=4)
+def test_predicted_snr_waist_sweep_prefers_wide_beam(coarse_disc):
+    curve = predicted_snr([20e-6, 50e-6], CFG, vary="waist")
     assert curve[0][1] < curve[1][1]
 
 
-def test_predicted_snr_independent_of_detection_efficiency():
+def test_predicted_snr_independent_of_detection_efficiency(monkeypatch):
+    monkeypatch.setattr(observables, "_RADIAL_NODES", 4)
+    monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
     lo = replace(CFG, cavity=replace(CFG.cavity, detection_efficiency=0.05))
     hi = replace(CFG, cavity=replace(CFG.cavity, detection_efficiency=1.0))
-    a = predicted_snr([9e-3], lo, vary="power", n_radial=4, n_azimuthal=4)
-    b = predicted_snr([9e-3], hi, vary="power", n_radial=4, n_azimuthal=4)
+    a = predicted_snr([9e-3], lo, vary="power")
+    b = predicted_snr([9e-3], hi, vary="power")
     assert a[0][1] == pytest.approx(b[0][1], rel=1e-12)
 
 

@@ -1,7 +1,9 @@
-"""Transit Monte Carlo tests: free-fall geometry, trajectory sampling,
+"""Transit Monte Carlo tests: free-fall geometry, impact sampling,
 the batched jump process against a scalar reference, window aggregation,
 ensemble determinism, the rate-table cache, and record serialization."""
 
+import csv
+import json
 import math
 import os
 import subprocess
@@ -18,13 +20,13 @@ from ybcavity.lightshift import ShiftResult, default_shift_beam, stark_shift
 from ybcavity.transit import (
     CountRecord, TransitGeometry, TransitRecord,
     child_rng, crossing_duration, default_transit_config, local_coordinates,
-    make_trajectory, probe_detuning, read_count_records,
-    read_transit_records, run_ensemble, run_transit_ensemble,
-    sample_trajectory, shift_fraction, simulate_transit, simulate_window,
-    transit_rate_table, write_count_records, write_transit_records,
+    probe_detuning, run_ensemble, run_transit_ensemble, shift_fraction,
+    simulate_transit, simulate_window, transit_rate_table,
+    write_count_records, write_transit_records,
 )
 
 GEO = TransitGeometry().validate()
+Z = transit._fall_heights(GEO)
 CFG_ON = default_transit_config(light_shift_on=True)
 CFG_OFF = default_transit_config(light_shift_on=False)
 
@@ -33,19 +35,14 @@ CFG_OFF = default_transit_config(light_shift_on=False)
 # geometry
 
 
-def test_fall_speed_from_drop_height():
-    # v = sqrt(2 g h) for a 7 mm drop
-    expected = math.sqrt(2.0 * 9.80665 * 7e-3)
-    assert GEO.fall_speed == pytest.approx(expected, rel=1e-6)
-    assert 0.36 < GEO.fall_speed < 0.38
-
-
 def test_crossing_duration_matches_uniform_speed_limit():
     # gravity changes the speed by ~0.3% over a 38 um crossing; the
     # first-order corrections cancel by symmetry, so the exact kinematic
-    # result agrees with 2w/v to second order
+    # result agrees with 2w/v to second order, v = sqrt(2 g h) at the mode
+    speed = math.sqrt(2.0 * 9.80665 * GEO.drop_height)
+    assert 0.36 < speed < 0.38
     exact = crossing_duration(GEO)
-    uniform = 2.0 * GEO.mode_waist / GEO.fall_speed
+    uniform = 2.0 * GEO.mode_waist / speed
     assert exact == pytest.approx(uniform, rel=1e-4)
     assert 95e-6 < exact < 110e-6
 
@@ -71,42 +68,38 @@ def test_geometry_that_cannot_be_simulated_is_rejected(field, value):
 
 
 def test_segment_count_bound_is_the_trajectory_length():
-    assert len(make_trajectory(0.0, 0.0, GEO).z) == \
-        transit._segment_count(GEO) == 675
+    assert len(Z) == transit._segment_count(GEO) == 675
     coarse = TransitGeometry(time_step=5e-6)
-    assert len(make_trajectory(0.0, 0.0, coarse).z) == 135
+    assert len(transit._fall_heights(coarse)) == 135
     # a ten times finer grid is still accepted
     TransitGeometry(time_step=1e-7).validate()
 
 
 def test_trajectory_grid_covers_simulation_span():
-    traj = make_trajectory(3e-6, -2e-6, GEO)
-    assert traj.z[0] == GEO.simulation_halfspan
-    assert np.all(np.diff(traj.z) < 0.0)
+    assert Z[0] == GEO.simulation_halfspan
+    assert np.all(np.diff(Z) < 0.0)
     # final grid point lies within one step of the bottom edge
-    v_bottom = math.sqrt(traj.speed ** 2
-                         + 2.0 * 9.80665 * GEO.simulation_halfspan)
-    assert traj.z[-1] > -GEO.simulation_halfspan - v_bottom * traj.time_step
-    assert traj.z.shape == traj.times.shape
-    assert traj.x0 == 3e-6 and traj.y0 == -2e-6
+    v_bottom = math.sqrt(2.0 * 9.80665 * (GEO.drop_height
+                                          + GEO.simulation_halfspan))
+    assert Z[-1] > -GEO.simulation_halfspan - v_bottom * GEO.time_step
 
 
-def test_sample_trajectory_draw_order_and_support():
+def test_impact_draw_order_and_support():
     rng = child_rng(11, 0)
-    traj = sample_trajectory(rng, GEO)
+    x0, y0 = transit._impact(rng, GEO)
     # reproduce the documented draw order with a twin stream
     twin = child_rng(11, 0)
     radius = GEO.impact_radius_factor * GEO.mode_waist
     r = radius * math.sqrt(twin.random())
     theta = 2.0 * math.pi * twin.random()
-    assert traj.x0 == r * math.cos(theta)
-    assert traj.y0 == r * math.sin(theta)
+    assert x0 == r * math.cos(theta)
+    assert y0 == r * math.sin(theta)
 
     rng = child_rng(11, 1)
     r_sq = []
     for _ in range(4000):
-        t = sample_trajectory(rng, GEO)
-        r_sq.append((t.x0 ** 2 + t.y0 ** 2) / radius ** 2)
+        x0, y0 = transit._impact(rng, GEO)
+        r_sq.append((x0 ** 2 + y0 ** 2) / radius ** 2)
     r_sq = np.array(r_sq)
     assert np.all(r_sq <= 1.0)
     # uniform disc: (r/R)^2 is U(0,1), mean 1/2, sd 1/sqrt(12)
@@ -119,31 +112,29 @@ def test_sample_trajectory_draw_order_and_support():
 
 
 def test_shift_profile_off_is_zero():
-    traj = make_trajectory(0.0, 0.0, GEO)
-    frac = shift_fraction(traj.x0, traj.z, CFG_OFF)
-    assert frac.shape == traj.z.shape and np.all(frac == 0.0)
+    frac = shift_fraction(0.0, Z, CFG_OFF)
+    assert frac.shape == Z.shape and np.all(frac == 0.0)
 
 
 def test_shift_profile_center_and_envelope():
-    traj = make_trajectory(0.0, 0.0, GEO)
     beam = CFG_ON.shift_beam
-    position = (traj.x0, 0.0, traj.z)
+    position = (0.0, 0.0, Z)
     d32 = stark_shift(+1.5, beam, CFG_ON.scheme, position=position)
     d12 = stark_shift(+0.5, beam, CFG_ON.scheme, position=position)
-    frac = shift_fraction(traj.x0, traj.z, CFG_ON)
+    frac = shift_fraction(0.0, Z, CFG_ON)
     center32 = stark_shift(+1.5, beam, CFG_ON.scheme)
     center12 = stark_shift(+0.5, beam, CFG_ON.scheme)
     # the shift is linear in the local intensity: the centre value times
     # the shift-beam fraction the rate table reads
     np.testing.assert_allclose(d32, center32 * frac, rtol=1e-12)
     np.testing.assert_allclose(d12, center12 * frac, rtol=1e-12)
-    i0 = int(np.argmin(np.abs(traj.z)))
-    ratio = math.exp(-2.0 * traj.z[i0] ** 2 / beam.waist ** 2)
+    i0 = int(np.argmin(np.abs(Z)))
+    ratio = math.exp(-2.0 * Z[i0] ** 2 / beam.waist ** 2)
     assert d32[i0] == pytest.approx(center32 * ratio, rel=1e-12)
     assert d12[i0] == pytest.approx(center12 * ratio, rel=1e-12)
     # one waist down the path the intensity envelope is e^-2
-    iw = int(np.argmin(np.abs(traj.z - beam.waist)))
-    expected = center32 * math.exp(-2.0 * traj.z[iw] ** 2 / beam.waist ** 2)
+    iw = int(np.argmin(np.abs(Z - beam.waist)))
+    expected = center32 * math.exp(-2.0 * Z[iw] ** 2 / beam.waist ** 2)
     assert d32[iw] == pytest.approx(expected, rel=1e-12)
     assert abs(d32[iw]) < 0.2 * abs(center32)
 
@@ -157,20 +148,29 @@ def test_probe_detuning_tracks_engineered_resonance():
 
 
 def test_rate_table_shapes_and_spin_symmetry():
-    traj = make_trajectory(2e-6, 1e-6, GEO)
-    table = transit_rate_table(traj, CFG_ON)
-    n = len(traj.times)
-    for spin in ("up", "down"):
-        view = table[spin]
-        assert view.sigma_plus.shape == (n,)
-        assert view.sigma_minus.shape == (n,)
-        assert view.flip.shape == (n,)
-        assert np.all(view.flip >= 0.0)
-    # mirror symmetry of the level scheme under the linear drive
-    np.testing.assert_allclose(table["up"].sigma_plus,
-                               table["down"].sigma_minus, rtol=1e-12)
-    np.testing.assert_allclose(table["up"].flip, table["down"].flip,
-                               rtol=1e-12)
+    # one row per time slice, one column per fall line, and each column
+    # is the lookup of that line alone, to the bit
+    x0, y0 = np.array([2e-6, -5e-6, 0.0]), np.array([1e-6, 3e-6, 9e-6])
+    table = transit_rate_table(x0, y0, CFG_ON)
+    for rates in table:
+        assert rates.shape == (len(Z), 3)
+    assert np.all(table[2] >= 0.0)
+    for k in range(3):
+        alone = transit_rate_table(x0[k:k + 1], y0[k:k + 1], CFG_ON)
+        for rates, one in zip(table, alone):
+            np.testing.assert_array_equal(rates[:, k], one[:, 0])
+    # the table holds spin up only: by the mirror symmetry of the level
+    # scheme under the linear drive, spin down swaps sigma+ and sigma-
+    sel = slice(250, 430, 12)
+    g, om_sq, _ = local_coordinates(x0[0], y0[0], Z[sel], CFG_ON)
+    shifts = ShiftResult(
+        stark_shift(+1.5, CFG_ON.shift_beam, CFG_ON.scheme,
+                    (x0[0], y0[0], Z[sel])),
+        stark_shift(+0.5, CFG_ON.shift_beam, CFG_ON.scheme,
+                    (x0[0], y0[0], Z[sel])))
+    up, down = (spin_rates(spin, g, om_sq, probe_detuning(CFG_ON), shifts,
+                           CFG_ON.cavity) for spin in ("up", "down"))
+    np.testing.assert_allclose(down[:, [1, 0, 2]], up[:, :3], rtol=1e-12)
 
 
 @pytest.mark.parametrize("shift_offset", [None, 0.0, 8e-6])
@@ -184,21 +184,22 @@ def test_rate_table_matches_direct_solves(shift_offset):
     else:
         cfg = default_transit_config(shift_beam=replace(
             CFG_ON.shift_beam, axis_offset=shift_offset))
-    traj = make_trajectory(6e-6, 4e-6, GEO)
+    x0, y0 = 6e-6, 4e-6
     sel = slice(250, 430, 12)
-    table = transit_rate_table(traj, cfg)
-    g, om_sq, _ = local_coordinates(traj.x0, traj.y0, traj.z[sel], cfg)
-    path = (traj.x0, traj.y0, traj.z[sel])
+    plus, minus, flip = (rates[:, 0] for rates in
+                         transit_rate_table([x0], [y0], cfg))
+    g, om_sq, _ = local_coordinates(x0, y0, Z[sel], cfg)
+    path = (x0, y0, Z[sel])
     on = 0.0 if shift_offset is None else 1.0
     shifts = ShiftResult(
         delta_32=on * stark_shift(+1.5, cfg.shift_beam, cfg.scheme, path),
         delta_12=on * stark_shift(+0.5, cfg.shift_beam, cfg.scheme, path))
-    for spin in ("up", "down"):
+    # spin down has sigma+ and sigma- of spin up swapped
+    for spin, looked_up in (("up", (plus, minus, flip)),
+                            ("down", (minus, plus, flip))):
         direct = spin_rates(spin, g, om_sq, probe_detuning(cfg), shifts,
                             cfg.cavity)
-        view = table[spin]
-        for k, got in enumerate((view.sigma_plus, view.sigma_minus,
-                                 view.flip)):
+        for k, got in enumerate(looked_up):
             np.testing.assert_allclose(got[sel], direct[:, k], rtol=5e-3)
 
 
@@ -324,14 +325,11 @@ def test_far_impact_parameter_yields_almost_nothing():
     from dataclasses import replace
     geo = TransitGeometry(impact_radius_factor=3.0)
     cfg = default_transit_config(geometry=geo, initial_spin="up")
-    # force the trajectory to the disc rim: radius factor 3 with a tiny
-    # annulus by drawing directly
-    traj = make_trajectory(3.0 * geo.mode_waist, 0.0, geo)
-    table = transit_rate_table(traj, cfg)
-    lam = float(np.sum(table["up"].sigma_plus) * traj.time_step)
-    center = make_trajectory(0.0, 0.0, geo)
-    lam0 = float(np.sum(transit_rate_table(center, cfg)["up"].sigma_plus)
-                 * center.time_step)
+    # a fall line on the disc rim (radius factor 3) against one through
+    # the mode center
+    plus = transit_rate_table([3.0 * geo.mode_waist, 0.0], [0.0, 0.0],
+                              cfg)[0]
+    lam, lam0 = np.sum(plus, axis=0) * geo.time_step
     assert lam < 1e-3 * lam0
 
 
@@ -343,17 +341,18 @@ def _reference_transit(rng, initial_spin, config):
     """The per-segment jump loop, one run at a time: the same draws in the
     same order and the same floating-point operations as the batched
     kernel.  Also returns the most flips that fell into one segment."""
-    traj = sample_trajectory(rng, config.geometry)
-    rates = {spin: (view.flip.tolist(), view.sigma_plus.tolist(),
-                    view.sigma_minus.tolist())
-             for spin, view in transit_rate_table(traj, config).items()}
-    dt = traj.time_step
+    x0, y0 = transit._impact(rng, config.geometry)
+    plus, minus, flip = (rates[:, 0].tolist() for rates in
+                         transit_rate_table([x0], [y0], config))
+    # spin down has sigma+ and sigma- of spin up swapped
+    rates = {"up": (flip, plus, minus), "down": (flip, minus, plus)}
+    dt = config.geometry.time_step
     spin = initial_spin
     flip, plus, minus = rates[spin]
     lam_plus = lam_minus = 0.0
     target = rng.exponential()
     i, frac, flips, most = 0, 0.0, 0, 0
-    while i < len(traj.times):
+    while i < len(flip):
         seg = dt * (1.0 - frac)
         hazard = flip[i] * seg
         if hazard >= target and hazard > 0.0:
@@ -374,7 +373,7 @@ def _reference_transit(rng, initial_spin, config):
             lam_minus += minus[i] * seg
             i, frac, flips = i + 1, 0.0, 0
     eta = config.cavity.detection_efficiency
-    peak = float(coupling_at((traj.x0, traj.y0, 0.0), config.cavity))
+    peak = float(coupling_at((x0, y0, 0.0), config.cavity))
     return TransitRecord(
         counts_sigma_plus=int(rng.poisson(eta * lam_plus)),
         counts_sigma_minus=int(rng.poisson(eta * lam_minus)),
@@ -568,27 +567,38 @@ def test_transit_records_csv_round_trip(tmp_path):
     records = run_transit_ensemble(10, 13, default_transit_config())
     path = tmp_path / "transits.csv"
     write_transit_records(path, records, emit_format="csv")
-    assert read_transit_records(path) == records
-    first = path.read_text().splitlines()[0]
-    assert first == "# format=ybcavity.transit.v1"
+    with open(path, newline="") as fh:
+        assert fh.readline() == "# format=ybcavity.transit.v1\n"
+        rows = list(csv.DictReader(fh))
+    assert [TransitRecord(
+        counts_sigma_plus=int(row["counts_sigma_plus"]),
+        counts_sigma_minus=int(row["counts_sigma_minus"]),
+        initial_spin=row["initial_spin"], final_spin=row["final_spin"],
+        transit_duration=float(row["transit_duration_s"]),
+        peak_coupling=float(row["peak_coupling_rad_s"]))
+        for row in rows] == records
 
 
 def test_window_records_jsonl_round_trip(tmp_path):
     records = run_ensemble(8, 17, default_transit_config())
     path = tmp_path / "windows.jsonl"
     write_count_records(path, records, emit_format="jsonl")
-    assert read_count_records(path) == records
+    header, *rows = map(json.loads, path.read_text().splitlines())
+    assert header == {"format": "ybcavity.window.v1"}
+    # the window length is written as the text repr() gives it
+    assert [CountRecord(window=float(row["window_s"]),
+                        counts_sigma_plus=row["counts_sigma_plus"],
+                        counts_sigma_minus=row["counts_sigma_minus"],
+                        atom_count=row["atom_count"])
+            for row in rows] == records
 
 
-def test_serialization_rejects_wrong_tag_and_format(tmp_path):
+def test_writers_reject_unknown_format(tmp_path):
     records = run_transit_ensemble(3, 2, default_transit_config())
-    path = tmp_path / "mixed.csv"
-    write_transit_records(path, records, emit_format="csv")
-    with pytest.raises(ConfigError):
-        read_count_records(path)
     with pytest.raises(ConfigError):
         write_transit_records(tmp_path / "x.bin", records,
                               emit_format="parquet")
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_config_validation_errors():

@@ -34,13 +34,11 @@ def _as_m2(m: float, name: str = "m") -> int:
 class LevelScheme:
     """Immutable container for the rates and intervals of the level model.
 
-    gamma_P1 and gamma_D1_line are angular rates (rad/s); gamma_P1 is the
-    HWHM-convention half linewidth (population decay is 2*gamma_P1), while
-    gamma_D1_line is the full 3P1-3D1 partial decay rate.  The hyperfine
+    gamma_D1_line is the full 3P1-3D1 partial decay rate, an angular rate
+    (rad/s); the 3P1 linewidth is `CavityParams.gamma`.  The hyperfine
     splitting is a plain frequency in Hz.
     """
 
-    gamma_P1: float = rule(constants.GAMMA_P1, gt=0.0)
     gamma_D1_line: float = rule(constants.GAMMA_D1_LINE, gt=0.0)
     branching_D1_to_P0: float = rule(constants.BRANCHING_D1_TO_P0, ge=0.0,
                                      le=1.0)

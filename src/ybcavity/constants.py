@@ -16,7 +16,7 @@ Two kinds of numbers live here:
 
 Unit conventions (used consistently across the package):
   * rates and detunings named "gamma", "kappa", "g0", "detuning" are
-    angular (rad/s); `gamma_P1` and `kappa` are HWHM-convention rates,
+    angular (rad/s); `gamma` and `kappa` are HWHM-convention rates,
     so energy/population decay is 2*gamma and 2*kappa;
   * quantities documented as plain frequencies (shift results, hyperfine
     splitting, excitation detunings at the API surface) are in Hz;

@@ -10,14 +10,15 @@ polarization).  kappa and gamma are HWHM-convention rates, so Lindblad
 collapse channels carry 2*kappa and 2*gamma.
 
 The sampler needs rates for one ground spin at a time.  `adiabatic_rates`
-gets them from the conditional steady state of a reduced master equation:
-the spin, the excited sublevels the drive reaches from it, the mode of its
-cyclic transition up to two photons and the other mode up to one, with
-every decay that would leave the spin sent back to it and counted as a
-flip.  The cavity is kept explicit because at the reference drive (Rabi
-frequency comparable to kappa, ~1300x saturation) neither adiabatic
-elimination of the cavity nor independent saturated Lorentzians per drive
-channel hold.  The full model below is the reference the reduced one is
+gets them from the conditional steady state of the full model's spin-up
+sector: the spin and the excited sublevels the drive reaches from it, with
+the mode of its cyclic transition up to two photons and the other mode up
+to one, every decay that would leave the spin sent back to it and counted
+as a flip.  Both models are built from the same unit terms
+(`_model_terms`).  The cavity is kept explicit because at the reference
+drive (Rabi frequency comparable to kappa, ~1300x saturation) neither
+adiabatic elimination of the cavity nor independent saturated Lorentzians
+per drive channel hold.  The full model is the reference the sector is
 checked against, at the operating drive, with the shift beam on and off
 (see the tests).
 
@@ -56,10 +57,10 @@ class CavityParams:
     """Cavity and detection parameters.
 
     g0, kappa, gamma are angular rates (rad/s); kappa and gamma are HWHM
-    convention.  gamma duplicates LevelScheme.gamma_P1 on purpose (it is
-    the third member of the (g0, kappa, gamma) triple); keep them equal
-    unless deliberately exploring.  Dark rates are counts per millisecond
-    per detector, matching how such detectors are usually quoted.
+    convention.  gamma is the 3P1 half linewidth, the one source of both
+    the free-space decay and the drive's dipole (`drive_rabi_sq`).  Dark
+    rates are counts per millisecond per detector, matching how such
+    detectors are usually quoted.
     axial_rms_factor is the RMS of the axial coupling profile over one
     standing-wave period (see `coupling_at`): the default 1/sqrt(2) is the
     pure standing wave of a two-mirror cavity, 1 a flat profile.
@@ -126,20 +127,20 @@ def coupling_at(position, cavity: CavityParams) -> float:
                      / cavity.mode_waist ** 2))
 
 
-def drive_rabi_sq(position, drive: BeamParams, scheme: LevelScheme) -> float:
+def drive_rabi_sq(position, drive: BeamParams, cavity: CavityParams) -> float:
     """Total squared Rabi frequency (rad^2/s^2) of the excitation beam at a
     point, before polarization decomposition and coupling weights;
     broadcasts over array coordinates.
 
-    The dipole scale comes from the 3P1 natural width (2*gamma_P1), i.e. the
-    cyclic weight-1 transition; each P1 sublevel decays at that same total
-    rate, so no extra multiplicity factor appears.
+    The dipole scale comes from the 3P1 natural width (2*cavity.gamma),
+    i.e. the cyclic weight-1 transition; each P1 sublevel decays at that
+    same total rate, so no extra multiplicity factor appears.
     """
     x, _, z = position
     intensity = drive.peak_intensity * drive.profile(x, z)
     omega = TWO_PI * c / constants.WAVELENGTH_GREEN
     d_sq = (3.0 * math.pi * epsilon_0 * hbar * c ** 3
-            * 2.0 * scheme.gamma_P1 / omega ** 3)
+            * 2.0 * cavity.gamma / omega ** 3)
     return 2.0 * intensity * d_sq / (c * epsilon_0 * hbar ** 2)
 
 
@@ -168,20 +169,43 @@ def _cavity_couplings(e2: int):
 # full model
 
 
-def _fock_ops(n_max: int):
-    n_ph = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, n_ph)), k=1)
-    return a, np.eye(n_ph)
-
-
-def _embed(atom_op, plus_op, minus_op):
-    return np.kron(atom_op, np.kron(plus_op, minus_op))
-
-
 def _atom_proj(i, j):
     op = np.zeros((N_ATOM, N_ATOM))
     op[i, j] = 1.0
     return op
+
+
+def _model_terms(n_plus: int, n_minus: int):
+    """Unit terms of the six-level model on atom x Fock x Fock, the sigma+
+    and sigma- modes cut at n_plus and n_minus photons, as (excited,
+    coupling, drive, modes, embed): the projector of each excited sublevel
+    keyed by its m2, the cavity coupling at g = 1 and the drive at
+    Omega = 1 (both Hermitian), the two mode annihilators, and
+    embed(atom_op, plus, minus), which lifts atom and mode operators onto
+    the space (identities by default)."""
+    a_plus = np.diag(np.sqrt(np.arange(1.0, n_plus + 1)), k=1)
+    a_minus = np.diag(np.sqrt(np.arange(1.0, n_minus + 1)), k=1)
+    i_plus, i_minus = np.eye(n_plus + 1), np.eye(n_minus + 1)
+
+    def embed(atom_op, plus=i_plus, minus=i_minus):
+        return np.kron(atom_op, np.kron(plus, minus))
+
+    dim = N_ATOM * (n_plus + 1) * (n_minus + 1)
+    coupling, drive = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for e2, e_idx in EXCITED_INDEX.items():
+        for q, w, g2 in _cavity_couplings(e2):
+            fld = (a_plus, i_minus) if q == +1 else (i_plus, a_minus)
+            term = math.sqrt(w) * embed(_atom_proj(e_idx, GROUND_INDEX[g2]),
+                                        *fld)
+            coupling += term + term.T
+    for g2, _, e2, frac, w in DRIVE_TRANSITIONS:
+        term = 0.5 * math.sqrt(frac * w) * embed(
+            _atom_proj(EXCITED_INDEX[e2], GROUND_INDEX[g2]))
+        drive += term + term.T
+    excited = {e2: embed(_atom_proj(i, i)) for e2, i in EXCITED_INDEX.items()}
+    modes = (embed(np.eye(N_ATOM), plus=a_plus),
+             embed(np.eye(N_ATOM), minus=a_minus))
+    return excited, coupling, drive, modes, embed
 
 
 def build_hamiltonian(scheme: LevelScheme, cavity: CavityParams,
@@ -199,33 +223,14 @@ def build_hamiltonian(scheme: LevelScheme, cavity: CavityParams,
     """
     if n_max < 1:
         raise ModelError(f"Fock truncation n_max must be >= 1, got {n_max}")
-    a, i_ph = _fock_ops(n_max)
-    dim = N_ATOM * (n_max + 1) ** 2
-    h = np.zeros((dim, dim), dtype=complex)
-
+    excited, h_g, h_om, _, _ = _model_terms(n_max, n_max)
     delta_rad = TWO_PI * excitation_detuning
     shift_rad = {3: TWO_PI * shifts.delta_32, 1: TWO_PI * shifts.delta_12}
-    for e2, idx in EXCITED_INDEX.items():
-        h += (shift_rad[abs(e2)] - delta_rad) * _embed(
-            _atom_proj(idx, idx), i_ph, i_ph)
-
-    g_here = float(coupling_at(position, cavity))
-    for e2, e_idx in EXCITED_INDEX.items():
-        for q, w, g2 in _cavity_couplings(e2):
-            raise_op = _atom_proj(e_idx, GROUND_INDEX[g2])
-            amp = g_here * math.sqrt(w)
-            if q == +1:
-                term = _embed(raise_op, a, i_ph)
-            else:
-                term = _embed(raise_op, i_ph, a)
-            h += amp * (term + term.conj().T)
-
-    om_sq = float(drive_rabi_sq(position, drive, scheme))
-    for g2, _, e2, frac, w in DRIVE_TRANSITIONS:
-        term = 0.5 * math.sqrt(frac * om_sq) * math.sqrt(w) * _embed(
-            _atom_proj(EXCITED_INDEX[e2], GROUND_INDEX[g2]), i_ph, i_ph)
-        h += term + term.conj().T
-    return h
+    h = (float(coupling_at(position, cavity)) * h_g
+         + math.sqrt(float(drive_rabi_sq(position, drive, cavity))) * h_om)
+    for e2, proj in excited.items():
+        h += (shift_rad[abs(e2)] - delta_rad) * proj
+    return h.astype(complex)
 
 
 @dataclass
@@ -278,18 +283,14 @@ def build_lindblad(h: np.ndarray, scheme: LevelScheme,
     if rem or n_ph * n_ph != n_ph_sq or n_ph < 2:
         raise ModelError(f"Hamiltonian dimension {dim} is not 6 * n_ph^2")
     n_max = n_ph - 1
-    a, i_ph = _fock_ops(n_max)
+    _, _, _, modes, embed = _model_terms(n_max, n_max)
 
-    collapse = [
-        ("cavity_sigma_plus", math.sqrt(2.0 * cavity.kappa)
-         * _embed(np.eye(N_ATOM), a, i_ph)),
-        ("cavity_sigma_minus", math.sqrt(2.0 * cavity.kappa)
-         * _embed(np.eye(N_ATOM), i_ph, a)),
-    ]
+    collapse = [(name, math.sqrt(2.0 * cavity.kappa) * a) for name, a in
+                zip(("cavity_sigma_plus", "cavity_sigma_minus"), modes)]
     for e2, branches in constants.DECAY_BRANCHES.items():
         e_idx = EXCITED_INDEX[e2]
         for g2, q, frac in branches:
-            op = _embed(_atom_proj(GROUND_INDEX[g2], e_idx), i_ph, i_ph)
+            op = embed(_atom_proj(GROUND_INDEX[g2], e_idx))
             rate = 2.0 * cavity.gamma * float(frac)
             collapse.append((f"decay_m{e2:+d}_q{q:+d}", math.sqrt(rate) * op))
     return LindbladGenerator.from_operators(h, collapse, n_max)
@@ -320,16 +321,12 @@ class SystemState:
             raise NumericalError(f"negative eigenvalue {min_eig:.2e}")
         return self
 
-    def _mode_number_op(self, mode: int):
-        n_ph = self.n_max + 1
-        n_op = np.diag(np.arange(n_ph, dtype=float))
-        i_ph = np.eye(n_ph)
-        ops = [n_op, i_ph] if mode == 0 else [i_ph, n_op]
-        return _embed(np.eye(N_ATOM), *ops)
-
     def photon_number(self, mode: int) -> float:
         """<a^dag a> of mode 0 (sigma+) or 1 (sigma-)."""
-        return float(np.trace(self._mode_number_op(mode) @ self.rho).real)
+        n_ph = self.n_max + 1
+        pops = np.diagonal(self.rho).real.reshape(N_ATOM, n_ph, n_ph)
+        per_n = pops.sum(axis=(0, 2) if mode == 0 else (0, 1))
+        return float(per_n @ np.arange(n_ph))
 
     def atom_populations(self) -> np.ndarray:
         """Populations of the six atomic levels, traced over the field."""
@@ -515,15 +512,15 @@ def _conditional_liouvillian(kappa: float, gamma: float):
     """Conditional master equation of the up spin under the linear drive,
     as (excited_m2, weights, comps, drive, quanta).
 
-    Basis: the up ground state, the excited sublevels the drive reaches
-    from it (their m2 in `excited_m2`), and any other ground state those
-    sublevels reach by emitting into a cavity mode, times Fock states up to
-    `_FOCK_CUTOFF`; states unreachable from the ground-vacuum state are
-    dropped.  Free-space decays always return the atom to |up> (those on a
-    branch to the other spin count as flips), and a photon leaking while
-    the atom sits in another ground state returns it to |up> as a flip as
-    well, so the steady state is what the spin sees until it flips.  The
-    drive on those other ground states is left out.
+    It is the spin-up sector of the six-level model (`_model_terms`) with
+    the modes cut at `_FOCK_CUTOFF`: the up ground state and the excited
+    sublevels the drive reaches from it (their m2 in `excited_m2`), in
+    that order, times the Fock states.  Those sublevels emit into the
+    cavity only on their way back to up, so the coupling, the drive and
+    the photon losses keep the sector closed (a ModelError says if they
+    do not).  Each sublevel's free-space decay returns the atom to |up> at
+    2*gamma, its branches to the other spin counting as flips, so the
+    steady state is what the spin sees until it flips.
 
     The Liouvillian is sum_j p_j comps[j] + Omega drive with p = (1, g,
     Delta_e...): the jumps, the cavity coupling and one detuning per
@@ -531,80 +528,39 @@ def _conditional_liouvillian(kappa: float, gamma: float):
     maps the populations to the (sigma+, sigma-, flip, free) rates, and
     `quanta` counts each basis state's photons plus atomic excitation.
     """
-    up = +1
-    driven = [(e2, frac, w) for g2, _, e2, frac, w in DRIVE_TRANSITIONS
-              if g2 == up]
-    excited_m2 = [e2 for e2, _, _ in driven]
-    others = sorted({g2 for e2 in excited_m2
-                     for _, _, g2 in _cavity_couplings(e2) if g2 != up})
-    n_exc = len(excited_m2)
-    ground = {up: 0, **{g2: 1 + n_exc + k for k, g2 in enumerate(others)}}
-    n_atom = 1 + n_exc + len(others)
-    n_plus, n_minus = (c + 1 for c in _FOCK_CUTOFF)
-    a_plus = np.diag(np.sqrt(np.arange(1.0, n_plus)), k=1)
-    a_minus = np.diag(np.sqrt(np.arange(1.0, n_minus)), k=1)
-    i_plus, i_minus = np.eye(n_plus), np.eye(n_minus)
-
-    def proj(i, j):
-        op = np.zeros((n_atom, n_atom))
-        op[i, j] = 1.0
-        return op
-
-    def embed(atom_op, plus=i_plus, minus=i_minus):
-        return np.kron(atom_op, np.kron(plus, minus))
-
-    dim = n_atom * n_plus * n_minus
-    h_det = [embed(proj(1 + k, 1 + k)) for k in range(n_exc)]
-    h_g = np.zeros((dim, dim))
-    h_om = np.zeros((dim, dim))
-    flip_frac = np.zeros(n_atom)
-    for k, (e2, frac, w_exc) in enumerate(driven):
-        for mode, w, g2 in _cavity_couplings(e2):
-            fld = (a_plus, i_minus) if mode == +1 else (i_plus, a_minus)
-            term = math.sqrt(w) * embed(proj(1 + k, ground[g2]), *fld)
-            h_g += term + term.T
-        term = 0.5 * math.sqrt(frac * w_exc) * embed(proj(1 + k, 0))
-        h_om += term + term.T
-        flip_frac[1 + k] = sum(float(f) for g2, _, f
-                               in constants.DECAY_BRANCHES[e2] if g2 != up)
-    keeps_atom = np.diag([1.0 if i <= n_exc else 0.0
-                          for i in range(n_atom)])
-    jumps = [(2 * kappa, embed(keeps_atom, a_plus, i_minus)),
-             (2 * kappa, embed(keeps_atom, i_plus, a_minus))]
-    for idx in list(ground.values())[1:]:
-        jumps += [(2 * kappa, embed(proj(0, idx), a_plus, i_minus)),
-                  (2 * kappa, embed(proj(0, idx), i_plus, a_minus))]
-    jumps += [(2 * gamma, embed(proj(0, 1 + k))) for k in range(n_exc)]
-
-    # keep the states the dynamics can reach from ground-vacuum
-    link = (np.abs(h_g) + np.abs(h_om) + sum(h_det)
-            + sum(np.abs(c_op) for _, c_op in jumps)) > 0
-    keep = np.zeros(dim, bool)
-    keep[0] = True
-    while True:
-        grown = keep | link[:, keep].any(axis=1)
-        if np.array_equal(grown, keep):
-            break
-        keep = grown
+    up = GROUND_INDEX[+1]
+    excited_m2 = [e2 for g2, _, e2, _, _ in DRIVE_TRANSITIONS if g2 == +1]
+    shape = (N_ATOM,) + tuple(n + 1 for n in _FOCK_CUTOFF)
+    atoms = [up] + [EXCITED_INDEX[e2] for e2 in excited_m2]
+    keep = np.ravel_multi_index(
+        np.ix_(atoms, *map(range, shape[1:])), shape).ravel()
+    excited, h_g, h_om, modes, embed = _model_terms(*_FOCK_CUTOFF)
+    rest = np.ones(len(h_g), bool)
+    rest[keep] = False
+    for op in (h_g, h_om, *modes):
+        if op[np.ix_(rest, keep)].any() or op[np.ix_(keep, rest)].any():
+            raise ModelError("rate model's spin-up sector is not closed")
 
     def cut(op):
         return op[np.ix_(keep, keep)]
 
-    atom, n_p, n_m = (ax.ravel()[keep] for ax in np.meshgrid(
-        np.arange(n_atom), np.arange(n_plus), np.arange(n_minus),
-        indexing="ij"))
-    is_exc = (atom >= 1) & (atom <= n_exc)
-    is_other = atom > n_exc
+    jumps = [(2 * kappa, cut(a)) for a in modes]
+    jumps += [(2 * gamma, cut(embed(_atom_proj(up, EXCITED_INDEX[e2]))))
+              for e2 in excited_m2]
+    flip_frac = np.zeros(N_ATOM)
+    for e2 in excited_m2:
+        flip_frac[EXCITED_INDEX[e2]] = sum(
+            float(f) for g2, _, f in constants.DECAY_BRANCHES[e2] if g2 != +1)
+    atom, n_p, n_m = np.unravel_index(keep, shape)
+    is_exc = atom != up
     # population -> (sigma+, sigma-, flip, free) rate weights
-    weights = np.column_stack([
-        2 * kappa * n_p, 2 * kappa * n_m,
-        2 * gamma * flip_frac[atom] + 2 * kappa * (n_p + n_m) * is_other,
-        2 * gamma * is_exc])
+    weights = np.column_stack([2 * kappa * n_p, 2 * kappa * n_m,
+                               2 * gamma * flip_frac[atom],
+                               2 * gamma * is_exc])
 
-    d = int(keep.sum())
-    comps = [_superop(np.zeros((d, d)),
-                      [(r, cut(c_op)) for r, c_op in jumps]),
-             _superop(cut(h_g))] + [_superop(cut(h)) for h in h_det]
+    d = len(keep)
+    comps = [_superop(np.zeros((d, d)), jumps), _superop(cut(h_g))] \
+        + [_superop(cut(excited[e2])) for e2 in excited_m2]
     drive = _superop(cut(h_om))
     quanta = n_p + n_m + is_exc
     return excited_m2, weights, comps, drive, quanta
@@ -790,7 +746,7 @@ def adiabatic_rates(spin: str, excitation_detuning: float, position,
     out.
     """
     g = coupling_at(position, cavity)
-    rates = spin_rates(spin, g, drive_rabi_sq(position, drive, scheme),
+    rates = spin_rates(spin, g, drive_rabi_sq(position, drive, cavity),
                        excitation_detuning, shifts, cavity)
     ok = bool(np.all(g < cavity.kappa))
     cols = [rates[..., k] for k in range(4)]

@@ -77,18 +77,14 @@ class ShiftBeam(BeamParams):
 @dataclass(frozen=True)
 class ShiftResult:
     """Shifts (Hz) of the m'=+/-3/2 and m'=+/-1/2 sublevels and their
-    difference.  splitting is always delta_32 - delta_12 exactly."""
+    difference."""
 
     delta_32: float
     delta_12: float
-    splitting: float = None  # filled from the other two when omitted
 
-    def __post_init__(self):
-        if self.splitting is None:
-            object.__setattr__(self, "splitting",
-                               self.delta_32 - self.delta_12)
-        elif self.splitting != self.delta_32 - self.delta_12:
-            raise ValueError("splitting must equal delta_32 - delta_12")
+    @property
+    def splitting(self):
+        return self.delta_32 - self.delta_12
 
 
 def default_shift_beam(power: float = constants.SHIFT_POWER,

@@ -340,20 +340,20 @@ def pearson_correlation(records) -> float:
 
 def write_spectrum_csv(path, points):
     _write_records(path, SPECTRUM_FORMAT_TAG, ("detuning_MHz", "mean_counts"),
-                   ((repr(float(p.excitation_detuning)),
-                     repr(float(p.mean_counts))) for p in points))
+                   ((float(p.excitation_detuning), float(p.mean_counts))
+                    for p in points))
 
 
 def write_snr_csv(path, curve, x_label: str):
     if x_label not in ("power_mW", "waist_um"):
         raise ConfigError(f"unknown snr sweep label {x_label!r}")
     _write_records(path, SNR_FORMAT_TAG, (x_label, "snr"),
-                   ((repr(float(x)), repr(float(s))) for x, s in curve))
+                   ((float(x), float(s)) for x, s in curve))
 
 
 def write_dip_csv(path, detuning_grid, values):
     _write_records(path, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
-                   ((repr(float(d)), repr(float(v)))
+                   ((float(d), float(v))
                     for d, v in zip(detuning_grid, values)))
 
 

@@ -214,7 +214,7 @@ def local_coordinates(x0, y0, z, config: TransitConfig, axial=None):
         g = coupling_at((x0, y0, z), config.cavity)
     else:
         g = np.asarray(axial) * coupling_at((0.0, y0, z), config.cavity)
-    om_sq = drive_rabi_sq((x0, y0, z), config.drive, config.scheme)
+    om_sq = drive_rabi_sq((x0, y0, z), config.drive, config.cavity)
     return g, om_sq, shift_fraction(x0, z, config)
 
 
@@ -283,7 +283,7 @@ class RateTable:
                  drive: BeamParams, shift_beam, excitation_detuning: float):
         self.g0 = cavity.g0
         self.om0_sq = float(drive_rabi_sq((drive.axis_offset, 0.0, 0.0),
-                                          drive, scheme))
+                                          drive, cavity))
         self.v_c = cavity.kappa * cavity.gamma / cavity.g0 ** 2
         saturation = self.om0_sq / (2.0 * cavity.gamma ** 2)
         self.t_max = max(math.log(max(saturation, 1.0) / _WEAK_SATURATION),
@@ -683,12 +683,11 @@ def run_transit_ensemble(n_runs: int, master_seed: int,
 
 def _transit_row(rec: TransitRecord):
     return (rec.initial_spin, rec.final_spin, rec.counts_sigma_plus,
-            rec.counts_sigma_minus, repr(rec.transit_duration),
-            repr(rec.peak_coupling))
+            rec.counts_sigma_minus, rec.transit_duration, rec.peak_coupling)
 
 
 def _window_row(rec: CountRecord):
-    return (repr(rec.window), rec.counts_sigma_plus, rec.counts_sigma_minus,
+    return (rec.window, rec.counts_sigma_plus, rec.counts_sigma_minus,
             rec.atom_count)
 
 

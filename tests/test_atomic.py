@@ -14,6 +14,7 @@ from sympy.physics.quantum.cg import CG
 
 from ybcavity import constants
 from ybcavity.atomic import build_level_scheme
+from ybcavity.dynamics import CavityParams
 from ybcavity.errors import ConfigError
 
 I_NUC = S(1) / 2
@@ -157,7 +158,8 @@ def test_oracle_emission_sum_rule_justifies_dipole_normalization():
 
 def test_default_scheme_values():
     scheme = build_level_scheme()
-    assert scheme.gamma_P1 == pytest.approx(2 * 3.141592653589793 * 0.091e6)
+    assert CavityParams().gamma == pytest.approx(
+        2 * 3.141592653589793 * 0.091e6)
     assert scheme.branching_D1_to_P0 == 0.64
     assert scheme.gamma_D1_line == pytest.approx(constants.TWO_PI * 16e3)
     assert scheme.d1_hyperfine_splitting > 0
@@ -165,7 +167,7 @@ def test_default_scheme_values():
 
 def test_scheme_validation_errors():
     with pytest.raises(ConfigError):
-        build_level_scheme(gamma_P1=0.0)
+        CavityParams(gamma=0.0).validate()
     with pytest.raises(ConfigError):
         build_level_scheme(branching_D1_to_P0=1.2)
     with pytest.raises(ConfigError):
@@ -177,4 +179,4 @@ def test_scheme_validation_errors():
 def test_scheme_is_immutable():
     scheme = build_level_scheme()
     with pytest.raises(Exception):
-        scheme.gamma_P1 = 1.0
+        scheme.gamma_D1_line = 1.0

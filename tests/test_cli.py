@@ -169,6 +169,9 @@ def test_transit_jsonl_and_summary(tmp_path):
     lines = (tmp_path / "transit_records.jsonl").read_text().splitlines()
     assert json.loads(lines[0]) == {"format": "ybcavity.transit.v1"}
     assert len(lines) == 101
+    for row in map(json.loads, lines[1:]):
+        assert type(row["transit_duration_s"]) is float
+        assert type(row["peak_coupling_rad_s"]) is float
     summary = json.loads((tmp_path / "transit_summary.json").read_text())
     assert summary["mean_counts_per_atom"] > 1.0
     assert summary["monte_carlo_snr"] == "inf" \

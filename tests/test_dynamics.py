@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply, spsolve
 
-from ybcavity import constants
+from ybcavity import constants, dynamics
 from ybcavity.atomic import build_level_scheme
 from ybcavity.dynamics import (
     CavityParams, EmissionRates, LindbladGenerator, SystemState,
@@ -89,7 +89,7 @@ def test_drive_splits_into_equal_sigma_components():
     up_vac = _basis_index(GROUND_INDEX[+1], 0, 0, 1)
     e32 = _basis_index(EXCITED_INDEX[+3], 0, 0, 1)
     em1 = _basis_index(EXCITED_INDEX[-1], 0, 0, 1)
-    om_sq = drive_rabi_sq((0, 0, 0), DRIVE, SCHEME)
+    om_sq = drive_rabi_sq((0, 0, 0), DRIVE, CAVITY)
     assert h[e32, up_vac] == pytest.approx(
         0.5 * math.sqrt(0.5 * om_sq), rel=1e-12)
     # sigma- component carries the 1/3 cross weight
@@ -98,6 +98,14 @@ def test_drive_splits_into_equal_sigma_components():
     # no pi component from linear drive: e(+1) unreachable from |up>
     e11 = _basis_index(EXCITED_INDEX[+1], 0, 0, 1)
     assert h[e11, up_vac] == 0.0
+
+
+def test_drive_rabi_sq_scales_with_the_linewidth():
+    # one 3P1 linewidth sets both the decay and the drive's dipole
+    wide = CavityParams(gamma=2.0 * CAVITY.gamma).validate()
+    pos = (1e-6, -2e-6, 3e-6)
+    assert drive_rabi_sq(pos, DRIVE, wide) == pytest.approx(
+        2.0 * drive_rabi_sq(pos, DRIVE, CAVITY), rel=1e-14)
 
 
 def test_fock_truncation_guard():
@@ -462,6 +470,16 @@ def test_real_grade0_solve_matches_complex_elimination():
     sel = want > 1e-6 * want.max(axis=1, keepdims=True)
     assert sel.sum(axis=0).min() >= 64 and sel[:16].sum() >= 48
     np.testing.assert_allclose(got[sel], want[sel], rtol=1e-9)
+
+
+def test_conditional_model_guards_its_spin_up_sector(monkeypatch):
+    # a pi drive on |up> reaches m'=+1/2, which emits a sigma+ photon into
+    # |down>: the spin-up sector is no longer closed
+    pi_up = (+1, 0, +1, 0.5, float(constants.EXCITATION_WEIGHTS[(+1, 0)]))
+    monkeypatch.setattr(dynamics, "DRIVE_TRANSITIONS",
+                        dynamics.DRIVE_TRANSITIONS + (pi_up,))
+    with pytest.raises(ModelError, match="spin-up sector"):
+        _conditional_liouvillian(CAVITY.kappa, CAVITY.gamma)
 
 
 def test_invalid_spin_label():

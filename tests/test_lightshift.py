@@ -217,7 +217,5 @@ def test_axis_offset_moves_the_peak():
 
 
 def test_shift_result_invariant():
-    with pytest.raises(ValueError):
-        ShiftResult(delta_32=5e6, delta_12=-1e6, splitting=1e6)
     ok = ShiftResult(delta_32=5e6, delta_12=-1e6)
     assert ok.splitting == 6e6

@@ -585,8 +585,9 @@ def test_window_records_jsonl_round_trip(tmp_path):
     write_count_records(path, records, emit_format="jsonl")
     header, *rows = map(json.loads, path.read_text().splitlines())
     assert header == {"format": "ybcavity.window.v1"}
-    # the window length is written as the text repr() gives it
-    assert [CountRecord(window=float(row["window_s"]),
+    # the window length is a JSON number, not a string
+    assert all(type(row["window_s"]) is float for row in rows)
+    assert [CountRecord(window=row["window_s"],
                         counts_sigma_plus=row["counts_sigma_plus"],
                         counts_sigma_minus=row["counts_sigma_minus"],
                         atom_count=row["atom_count"])

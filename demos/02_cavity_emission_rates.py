@@ -47,7 +47,7 @@ for y_um in (0.0, 5.0, 9.0):
     h = build_hamiltonian(scheme, cavity, drive, shifts, det, pos, n_max=2)
     state = steady_state(build_lindblad(h, scheme, cavity),
                          ground_vacuum_state(2, p_up=0.5))
-    flux = 2.0 * cavity.kappa * state.photon_number(+1)
+    flux = 2.0 * cavity.kappa * state.photon_number(0)
     up = adiabatic_rates("up", det, pos, shifts, scheme, cavity, drive)
     dn = adiabatic_rates("down", det, pos, shifts, scheme, cavity, drive)
     rate = 0.5 * (up.rate_sigma_plus + dn.rate_sigma_plus)

@@ -40,18 +40,15 @@ class LevelScheme:
     """
 
     gamma_D1_line: float = rule(constants.GAMMA_D1_LINE, gt=0.0)
-    branching_D1_to_P0: float = rule(constants.BRANCHING_D1_TO_P0, ge=0.0,
-                                     le=1.0)
     d1_hyperfine_splitting: float = rule(constants.D1_HYPERFINE_SPLITTING_HZ,
                                          gt=0.0)
 
-    validate = check   # no rule spans fields
+    __post_init__ = check   # no rule spans fields
 
 
 def build_level_scheme(**overrides) -> LevelScheme:
-    """Assemble and validate a LevelScheme; kwargs override the defaults."""
+    """A LevelScheme; kwargs override the defaults."""
     try:
-        scheme = LevelScheme(**overrides)
+        return LevelScheme(**overrides)
     except TypeError as exc:   # a keyword that names no field
         raise ConfigError(f"unknown level-scheme parameter: {exc}") from exc
-    return scheme.validate()

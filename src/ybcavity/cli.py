@@ -198,7 +198,7 @@ def _assemble_config(args) -> RunConfig:
         overrides["emit_format"] = args.format
     if overrides:
         config = replace(config, run=replace(config.run, **overrides))
-    return config.validate()
+    return config
 
 
 def main(argv=None) -> int:

@@ -5,10 +5,11 @@ Layout: named sections (`SECTIONS`) whose keys are the fields of their
 dataclass; the "run" section also holds the fields of TransitConfig
 that are not sections (light_shift_on, excitation_detuning, atom_rate,
 window, initial_spin).  Every value must obey its field's declared rule
-(`errors.rule`), so a wrong kind, a non-finite number or a value out of
-range is a ConfigError.  `dump_config(parse(...))` is byte-idempotent:
-the emitter sorts keys and prints floats via repr, so a config file can
-serve as a regression fixture.
+(`errors.rule`), which its dataclass checks when it is built, so a wrong
+kind, a non-finite number, a value out of range or a cavity.mode_waist
+that is not geometry.mode_waist is a ConfigError.  `dump_config(parse(...))`
+is byte-idempotent: the emitter sorts keys and prints floats via repr, so
+a config file can serve as a regression fixture.
 
 Environment overrides use the prefix YBCAVITY_ with double underscores
 for nesting, e.g. ``YBCAVITY_RUN__MASTER_SEED=7``,
@@ -31,8 +32,7 @@ from .dynamics import CavityParams
 from .errors import ConfigError, check, rule
 from .lightshift import BeamParams, ShiftBeam
 from .observables import MotParams
-from .transit import (EMIT_FORMATS, TransitConfig, TransitGeometry,
-                      default_transit_config)
+from .transit import EMIT_FORMATS, TransitConfig, TransitGeometry
 
 ENV_PREFIX = "YBCAVITY_"
 _MAX_GRID_POINTS = 10_000   # each point of a sweep is a full solve
@@ -47,14 +47,13 @@ class GridSpec:
     stop: float = rule()
     step: float = rule(gt=0.0)
 
-    def validate(self) -> "GridSpec":
+    def __post_init__(self):
         check(self)
         if self.stop < self.start:
             raise ConfigError("grid stop must be >= start")
         # compared as a float, so an overflowing ratio is caught too
         if not self._steps() < _MAX_GRID_POINTS:
             raise ConfigError(f"grid has over {_MAX_GRID_POINTS} points")
-        return self
 
     def _steps(self) -> float:
         """Whole steps from start to stop, before flooring."""
@@ -76,13 +75,12 @@ class Grids:
                                ge=0.0)
     snr_waist_um: tuple = rule((20.0, 30.0, 40.0, 50.0), tuple, gt=0.0)
 
-    def validate(self) -> "Grids":
+    def __post_init__(self):
         check(self)
         for name in ("snr_power_mw", "snr_waist_um"):
             if not 0 < len(getattr(self, name)) <= _MAX_GRID_POINTS:
                 raise ConfigError(f"{name} must have 1 to "
                                   f"{_MAX_GRID_POINTS} entries")
-        return self
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class RunSection:
     """Stochastic-run bookkeeping: how many runs, their seed, and where
     and how the records are emitted.  master_seed may stay None for
     deterministic commands but is required by the sampling ones (it keys
-    a Philox stream, hence the 64-bit bound).  threads is validated but
+    a Philox stream, hence the 64-bit bound).  threads is checked but
     has no effect: the ensembles run on one thread; it stays so that
     config files that set it still load."""
 
@@ -100,7 +98,7 @@ class RunSection:
     output_path: str = rule(".", str)
     emit_format: str = rule("csv", str, choices=EMIT_FORMATS)
 
-    validate = check   # no rule spans fields
+    __post_init__ = check   # no rule spans fields
 
 
 @dataclass(frozen=True)
@@ -109,12 +107,12 @@ class RunConfig:
     cavity, fall geometry and what a run measures), the trap-loss
     parameters, the run bookkeeping and the sweep grids."""
 
-    transit: TransitConfig = rule(kind=TransitConfig)
+    transit: TransitConfig = rule(TransitConfig(), TransitConfig)
     mot: MotParams = rule(MotParams(), MotParams)
     run: RunSection = rule(RunSection(), RunSection)
     grids: Grids = rule(Grids(), Grids)
 
-    validate = check   # each part validates itself
+    __post_init__ = check   # each part checked itself when it was built
 
     @property
     def geometry(self) -> TransitGeometry:
@@ -126,9 +124,8 @@ class RunConfig:
 
 
 def default_run_config() -> RunConfig:
-    """Reference operating point for every section; the transit part is
-    `default_transit_config()`."""
-    return RunConfig(default_transit_config()).validate()
+    """Reference operating point for every section."""
+    return RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +163,8 @@ def _merge(obj, data, where: str = ""):
 
 
 def config_from_dict(document: dict) -> RunConfig:
-    """Build and validate a RunConfig from a parsed JSON document;
-    omitted sections and keys keep their defaults."""
+    """Build a RunConfig from a parsed JSON document; omitted sections and
+    keys keep their defaults."""
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
     bad = set(document) - set(SECTIONS)
@@ -184,7 +181,7 @@ def config_from_dict(document: dict) -> RunConfig:
             (transit if name in _TRANSIT_KEYS else parts)[name] = data
     base = default_run_config()
     base = replace(base, transit=_merge(base.transit, transit))
-    return _merge(base, parts).validate()
+    return _merge(base, parts)
 
 
 def _as_dict(obj) -> dict:
@@ -258,8 +255,8 @@ def apply_env_overrides(document: dict, environ=None) -> dict:
 
 
 def load_config(path=None, environ=None) -> RunConfig:
-    """Read a JSON config file (defaults when path is None), overlay
-    environment overrides, validate."""
+    """Read a JSON config file (defaults when path is None) and overlay
+    environment overrides."""
     if path is None:
         document = {}
     else:

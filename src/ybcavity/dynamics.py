@@ -79,7 +79,7 @@ class CavityParams:
     axial_rms_factor: float = rule(constants.AXIAL_RMS_FACTOR,
                                    ge=constants.AXIAL_RMS_FACTOR, le=1.0)
 
-    validate = check   # no rule spans fields
+    __post_init__ = check   # no rule spans fields
 
     @property
     def dark_rates_per_s(self):
@@ -296,6 +296,14 @@ def build_lindblad(h: np.ndarray, scheme: LevelScheme,
     return LindbladGenerator.from_operators(h, collapse, n_max)
 
 
+# tolerances of a physical density matrix (`SystemState.validate`) and of
+# the steady-state residual relative to the Liouvillian's scale
+_HERM_TOL = 1e-10
+_TRACE_TOL = 1e-10
+_EIG_FLOOR = -1e-8
+_RESIDUAL_TOL = 1e-9
+
+
 @dataclass
 class SystemState:
     """Density matrix plus the dimension metadata needed to interpret it."""
@@ -307,22 +315,25 @@ class SystemState:
     def dim(self):
         return N_ATOM * (self.n_max + 1) ** 2
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
+    def validate(self):
         if self.rho.shape != (self.dim, self.dim):
             raise ModelError("density matrix shape does not match metadata")
         herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > herm_tol:
+        if herm > _HERM_TOL:
             raise NumericalError(f"Hermiticity violation {herm:.2e}")
         tr = np.trace(self.rho).real
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > _TRACE_TOL:
             raise NumericalError(f"trace deviates from 1 by {tr - 1.0:.2e}")
         min_eig = float(np.linalg.eigvalsh(self.rho)[0])
-        if min_eig < eig_floor:
+        if min_eig < _EIG_FLOOR:
             raise NumericalError(f"negative eigenvalue {min_eig:.2e}")
         return self
 
     def photon_number(self, mode: int) -> float:
         """<a^dag a> of mode 0 (sigma+) or 1 (sigma-)."""
+        if mode not in (0, 1):
+            raise ValueError(f"mode must be 0 (sigma+) or 1 (sigma-), "
+                             f"got {mode!r}")
         n_ph = self.n_max + 1
         pops = np.diagonal(self.rho).real.reshape(N_ATOM, n_ph, n_ph)
         per_n = pops.sum(axis=(0, 2) if mode == 0 else (0, 1))
@@ -390,8 +401,7 @@ def _reduction(lio, n_max: int, seeds, vec=None):
 
 
 def steady_state(generator: LindbladGenerator,
-                 initial_state: SystemState | None = None,
-                 residual_tol: float = 1e-9) -> SystemState:
+                 initial_state: SystemState | None = None) -> SystemState:
     """Stationary state of the generator.
 
     Without light there is no process connecting the two ground spin
@@ -445,9 +455,9 @@ def steady_state(generator: LindbladGenerator,
         raise NumericalError("steady-state solve returned an unusable state")
     rho = rho / tr
     residual = np.max(np.abs(lio @ rho.flatten(order="F"))) / scale
-    if not residual < residual_tol:
-        raise NumericalError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if not residual < _RESIDUAL_TOL:
+        raise NumericalError(f"steady-state residual {residual:.3e} "
+                             f"exceeds {_RESIDUAL_TOL:.1e}")
     return SystemState(rho=rho, n_max=n_max)
 
 

@@ -4,12 +4,13 @@ obey.
 The CLI maps these onto distinct exit codes (config problems vs numerical
 failures), so library code should raise the most specific type that applies.
 Each config dataclass field declares its default and its rule in one place
-(`rule`); `check` enforces the rules, and a class's validate() adds only
-the rules that span fields.
+(`rule`).  Every config dataclass runs `check` in its __post_init__, after
+which it adds only the rules that span fields, so no config that breaks a
+rule can be built or `replace`d into existence.
 """
 
 import sys
-from dataclasses import MISSING, field, fields, is_dataclass
+from dataclasses import MISSING, field, fields
 
 
 class YbCavityError(Exception):
@@ -46,18 +47,17 @@ def rule(default=MISSING, kind=float, *, gt=None, ge=None, le=None,
 
 
 def check(obj):
-    """Enforce the rule of every field of a config dataclass; returns obj.
+    """Enforce the rule of every field of a config dataclass.
 
     A float is finite, and an int is accepted as one without conversion; a
     bool is never a number, and a number or a string never a bool.  Any
     other value has exactly the declared type, so a ShiftBeam is no
-    BeamParams; a nested config dataclass is checked by its own validate().
+    BeamParams; a nested config dataclass checked itself when it was built.
     """
     for f in fields(obj):
         if "rule" in f.metadata:
             _check_value(f.name, getattr(obj, f.name), f.default,
                          **f.metadata["rule"])
-    return obj
 
 
 def _check_value(name, value, default, kind, gt, ge, le, choices):
@@ -82,8 +82,6 @@ def _check_value(name, value, default, kind, gt, ge, le, choices):
     elif type(value) is not kind:   # a subclass may carry unread fields
         raise ConfigError(f"{name} must be a {kind.__name__}, "
                           f"got {value!r}")
-    elif is_dataclass(kind) and hasattr(value, "validate"):
-        value.validate()   # a BeamParams checks itself when it is built
     if choices is not None and value not in choices:
         raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
     if (gt is not None and not value > gt) \

@@ -64,17 +64,18 @@ class MotParams:
     Steady-state atom number N = R / (Gamma0 + eta * Gamma1(detuning)),
     with Gamma1 the saturated scattering rate on the 16-kHz line and
     eta = p1_population * branching the probability that one scattering
-    event removes the atom (shelved outside the cooling cycle).
+    event removes the atom (shelved outside the cooling cycle).  The
+    loading rate R cancels from the normalized profile N/N(far detuned)
+    = Gamma0 / (Gamma0 + eta * Gamma1), so it is no parameter.
     """
 
-    R: float = rule(1.0e6, ge=0.0)
     Gamma0: float = rule(0.5, ge=0.0)
     probe_power_density: float = rule(30.0, ge=0.0)
     natural_linewidth_D1: float = rule(16e3, gt=0.0)
     branching: float = rule(constants.BRANCHING_D1_TO_P0, ge=0.0, le=1.0)
     p1_population: float = rule(0.46, ge=0.0, le=1.0)
 
-    validate = check   # no rule spans fields
+    __post_init__ = check   # no rule spans fields
 
     @property
     def eta(self) -> float:
@@ -103,7 +104,6 @@ def _scattering_rate(detuning_mhz, mot: MotParams):
 def mot_dip_profile(detuning_grid, mot: MotParams):
     """Normalized steady-state atom number N(detuning)/N(far detuned) on a
     MHz grid.  eta = 0 gives exactly 1 everywhere."""
-    mot.validate()
     grid = np.asarray(detuning_grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ConfigError("detuning grid must be finite")
@@ -115,7 +115,6 @@ def mot_dip_profile(detuning_grid, mot: MotParams):
 def dip_half_width(mot: MotParams) -> float:
     """Detuning (MHz) where the trap loss reaches half depth, i.e. where
     eta * Gamma1 = Gamma0; NaN when the dip never gets that deep."""
-    mot.validate()
     gamma_ang = constants.TWO_PI * mot.natural_linewidth_D1
     s0 = mot.probe_power_density / mot.saturation_intensity
     if mot.eta == 0.0 or mot.Gamma0 == 0.0:
@@ -290,15 +289,14 @@ def predicted_snr(values, config: TransitConfig, vary: str = "power"):
     value, so power scales as (waist/reference waist)^2.  The probe is
     retuned to the engineered resonance at every grid point, as in the
     measurement.  Detection efficiency cancels exactly in the ratio.
-    The drive's mirror symmetry makes the result spin-independent.
+    The drive's mirror symmetry makes the result spin-independent.  A
+    swept value the beam's rules reject is a ConfigError.
     """
     if vary not in ("power", "waist"):
         raise ConfigError(f"vary must be 'power' or 'waist', got {vary!r}")
     reference = config.shift_beam
     curve = []
     for v in values:
-        if (vary == "power" and v < 0) or (vary == "waist" and not v > 0):
-            raise ConfigError(f"swept {vary} values out of range: {v}")
         if vary == "power":
             beam = replace(reference, power=float(v))
         else:

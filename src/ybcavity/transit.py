@@ -24,13 +24,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import g as FREE_FALL_G
 
 from . import constants
-from .atomic import LevelScheme, build_level_scheme
+from .atomic import LevelScheme
 from .dynamics import (DRIVE_TRANSITIONS, CavityParams, coupling_at,
                        drive_rabi_sq, spin_rates)
 from .errors import ConfigError, check, rule
@@ -72,13 +72,12 @@ class TransitGeometry:
     simulation_halfspan: float = rule(125e-6, gt=0.0)
     time_step: float = rule(1e-6, gt=0.0)
 
-    def validate(self) -> "TransitGeometry":
+    def __post_init__(self):
         check(self)
         if not self.simulation_halfspan < self.drop_height:
             raise ConfigError("simulation_halfspan must be < drop_height")
         if _segment_count(self) > _MAX_SEGMENTS:
             raise ConfigError(f"the fall takes over {_MAX_SEGMENTS} steps")
-        return self
 
 
 _MAX_SEGMENTS = 10_000   # 15x the default; bounds (chunk x segments) arrays
@@ -89,7 +88,7 @@ def _segment_count(geometry: TransitGeometry) -> int:
     v0 = _speed_at(geometry, geometry.simulation_halfspan)
     span = 2.0 * geometry.simulation_halfspan
     total = (math.sqrt(v0 ** 2 + 2.0 * FREE_FALL_G * span) - v0) / FREE_FALL_G
-    # finite even for a subnormal time step, so validate can reject it
+    # finite even for a subnormal time step, so the geometry can reject it
     return max(1, math.ceil(min(total / geometry.time_step, 1e300)))
 
 
@@ -144,27 +143,33 @@ class TransitConfig:
     initial_spin is the per-atom preparation policy: 'up', 'down', or
     'random' (fair coin per atom).  atom_rate x window, the mean number of
     atoms per window, is at most `_MAX_ATOMS_PER_WINDOW`: each atom round
-    of a window batch is a full pass of the sampler.
+    of a window batch is a full pass of the sampler.  The cavity and the
+    geometry name one mode waist: the coupling's and the impact disc's.
     """
 
-    scheme: LevelScheme = rule(kind=LevelScheme)
-    cavity: CavityParams = rule(kind=CavityParams)
-    drive: BeamParams = rule(kind=BeamParams)
-    shift_beam: ShiftBeam = rule(kind=ShiftBeam)
-    geometry: TransitGeometry = rule(kind=TransitGeometry)
+    scheme: LevelScheme = rule(LevelScheme(), LevelScheme)
+    cavity: CavityParams = rule(CavityParams(), CavityParams)
+    drive: BeamParams = rule(BeamParams(constants.DRIVE_POWER,
+                                        constants.DRIVE_WAIST), BeamParams)
+    shift_beam: ShiftBeam = rule(default_shift_beam(), ShiftBeam)
+    geometry: TransitGeometry = rule(TransitGeometry(), TransitGeometry)
     light_shift_on: bool = rule(True, bool)
     excitation_detuning: float = rule(None)
     atom_rate: float = rule(constants.ATOM_RATE, ge=0.0)
     window: float = rule(constants.MEASUREMENT_WINDOW, gt=0.0)
     initial_spin: str = rule("random", str, choices=SPINS + ("random",))
 
-    def validate(self) -> "TransitConfig":
+    def __post_init__(self):
         check(self)
         atoms = self.atom_rate * self.window
         if not atoms <= _MAX_ATOMS_PER_WINDOW:
             raise ConfigError(f"atom_rate x window must be <= "
                               f"{_MAX_ATOMS_PER_WINDOW:g}, got {atoms!r}")
-        return self
+        if self.cavity.mode_waist != self.geometry.mode_waist:
+            raise ConfigError(
+                f"cavity.mode_waist {self.cavity.mode_waist!r} and "
+                f"geometry.mode_waist {self.geometry.mode_waist!r} must be "
+                f"the same mode waist")
 
 
 _MAX_ATOMS_PER_WINDOW = 1e3   # ~900x the default 1.1
@@ -173,16 +178,7 @@ _MAX_ATOMS_PER_WINDOW = 1e3   # ~900x the default 1.1
 def default_transit_config(light_shift_on: bool = True,
                            **overrides) -> TransitConfig:
     """Reference operating point: all defaults at their published values."""
-    base = TransitConfig(
-        scheme=build_level_scheme(),
-        cavity=CavityParams(),
-        drive=BeamParams(power=constants.DRIVE_POWER,
-                         waist=constants.DRIVE_WAIST),
-        shift_beam=default_shift_beam(),
-        geometry=TransitGeometry(),
-        light_shift_on=light_shift_on,
-    )
-    return replace(base, **overrides).validate()
+    return TransitConfig(light_shift_on=light_shift_on, **overrides)
 
 
 def probe_detuning(config: TransitConfig) -> float:
@@ -623,12 +619,12 @@ def simulate_window(rng, config: TransitConfig) -> CountRecord:
     """One measurement window of config.window seconds at config.atom_rate.
     Draw order: atom number, dark counts (sigma+ then sigma-), then per
     atom (spin if random, transit); the runners take many windows' atoms in
-    rounds, with the same result.
+    rounds, with the same result.  The config checked its rules, the
+    bound on atoms per window among them, when it was built.
 
     Each round of atoms walks every segment of the fall, so one window
     costs about 30 times as much as one run of `run_ensemble`, which gives
     stream i the same record: loop over the runner, not this."""
-    config.validate()
     return _windows([rng], config)[0]
 
 
@@ -661,7 +657,6 @@ def run_ensemble(n_runs: int, master_seed: int, config: TransitConfig):
     run-index order.  Record i equals simulate_window on stream i: each
     chunk of windows draws its atom numbers and dark counts, then its atoms
     in rounds (round k: the k-th atom of every window that has one)."""
-    config.validate()
     return _run_chunks(lambda rngs: _windows(rngs, config), n_runs,
                        master_seed)
 
@@ -671,7 +666,6 @@ def run_transit_ensemble(n_runs: int, master_seed: int,
     """n_runs single-atom transits with the same stream-splitting rule as
     run_ensemble; the per-run draw order is spin (if random) then
     transit."""
-    config.validate()
     return _run_chunks(lambda rngs: _transits(
         rngs, [_draw_spin(rng, config) for rng in rngs], config),
         n_runs, master_seed)

@@ -161,14 +161,14 @@ def test_effective_rates_match_full_master_equation():
         h = build_hamiltonian(scheme, cavity, drive, shifts, det, pos, n_max=2)
         state = steady_state(build_lindblad(h, scheme, cavity),
                              ground_vacuum_state(2, p_up=0.5))
-        n_tot = state.photon_number(+1) + state.photon_number(-1)
+        n_tot = state.photon_number(0) + state.photon_number(1)
         assert n_tot < 0.05, f"drive not weak: <n> = {n_tot:.3f}"
         up = adiabatic_rates("up", det, pos, shifts, scheme, cavity, drive)
         dn = adiabatic_rates("down", det, pos, shifts, scheme, cavity, drive)
         pairs = [
-            (2.0 * cavity.kappa * state.photon_number(+1),
+            (2.0 * cavity.kappa * state.photon_number(0),
              0.5 * (up.rate_sigma_plus + dn.rate_sigma_plus)),
-            (2.0 * cavity.kappa * state.photon_number(-1),
+            (2.0 * cavity.kappa * state.photon_number(1),
              0.5 * (up.rate_sigma_minus + dn.rate_sigma_minus)),
         ]
         for flux, rate in pairs:

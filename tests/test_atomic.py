@@ -160,16 +160,13 @@ def test_default_scheme_values():
     scheme = build_level_scheme()
     assert CavityParams().gamma == pytest.approx(
         2 * 3.141592653589793 * 0.091e6)
-    assert scheme.branching_D1_to_P0 == 0.64
     assert scheme.gamma_D1_line == pytest.approx(constants.TWO_PI * 16e3)
     assert scheme.d1_hyperfine_splitting > 0
 
 
 def test_scheme_validation_errors():
     with pytest.raises(ConfigError):
-        CavityParams(gamma=0.0).validate()
-    with pytest.raises(ConfigError):
-        build_level_scheme(branching_D1_to_P0=1.2)
+        CavityParams(gamma=0.0)
     with pytest.raises(ConfigError):
         build_level_scheme(d1_hyperfine_splitting=-1e6)
     with pytest.raises(ConfigError):

@@ -293,6 +293,7 @@ def test_string_for_a_number_is_a_config_error(tmp_path, monkeypatch,
     ("YBCAVITY_DRIVE__DETUNING", "1e9"),   # a key the drive does not have
     ("YBCAVITY_GRIDS__DIP_MHZ__STEP", "1e-300"),   # ~10^303 grid points
     ("YBCAVITY_RUN__WINDOW", "1e300"),   # ~10^303 atoms per window
+    ("YBCAVITY_CAVITY__MODE_WAIST", "3e-5"),   # not the geometry's waist
     (None, "[]"),                        # documents must be JSON objects
     (None, "[1, 2]"),
     (None, '{"run": {"output_path": "caf\u00e9"}}'.encode("latin-1")),
@@ -334,6 +335,14 @@ def test_every_key_can_be_set_from_the_environment(tmp_path, monkeypatch):
     assert dump_config(load_config()) == text
 
 
+def test_one_mode_waist_set_in_both_sections_runs(tmp_path, monkeypatch):
+    # the cavity's waist sets the coupling, the geometry's the impact disc;
+    # one set alone is a config error
+    for section in ("CAVITY", "GEOMETRY"):
+        monkeypatch.setenv(f"YBCAVITY_{section}__MODE_WAIST", "3e-5")
+    assert main(["motdip", "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("variable, value", [
     ("YBCAVITY_GEOMETRY__TIME_STEP", "1e-12"),
     ("YBCAVITY_GEOMETRY__SIMULATION_HALFSPAN", "1.0"),
@@ -341,7 +350,7 @@ def test_every_key_can_be_set_from_the_environment(tmp_path, monkeypatch):
 ])
 def test_geometry_that_cannot_be_simulated_is_a_config_error(
         tmp_path, monkeypatch, capsys, variable, value):
-    # motdip validates the whole config but builds no trajectory
+    # motdip builds the whole config but no trajectory
     monkeypatch.setenv(variable, value)
     assert main(["motdip", "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from ybcavity.lightshift import BeamParams, ShiftResult, stark_shift
 from ybcavity.transit import default_transit_config, probe_detuning
 
 SCHEME = build_level_scheme()
-CAVITY = CavityParams().validate()
+CAVITY = CavityParams()
 DRIVE = BeamParams(power=1.8e-6, waist=25e-6)
 WEAK_DRIVE = BeamParams(power=5e-9, waist=25e-6)
 SHIFTS_ON = ShiftResult(delta_32=6.8e6, delta_12=-12.8e6)
@@ -61,7 +61,7 @@ def test_ground_vacuum_is_eigenstate_without_drive():
 
 
 def test_peak_coupling_matrix_elements():
-    cavity_flat = CavityParams(axial_rms_factor=1.0).validate()
+    cavity_flat = CavityParams(axial_rms_factor=1.0)
     h = build_hamiltonian(SCHEME, cavity_flat, WEAK_DRIVE, SHIFTS_OFF, 0.0,
                           (0, 0, 0), n_max=1)
     up_vac = _basis_index(GROUND_INDEX[+1], 1, 0, 1)   # one sigma+ photon
@@ -102,7 +102,7 @@ def test_drive_splits_into_equal_sigma_components():
 
 def test_drive_rabi_sq_scales_with_the_linewidth():
     # one 3P1 linewidth sets both the decay and the drive's dipole
-    wide = CavityParams(gamma=2.0 * CAVITY.gamma).validate()
+    wide = CavityParams(gamma=2.0 * CAVITY.gamma)
     pos = (1e-6, -2e-6, 3e-6)
     assert drive_rabi_sq(pos, DRIVE, wide) == pytest.approx(
         2.0 * drive_rabi_sq(pos, DRIVE, CAVITY), rel=1e-14)
@@ -322,6 +322,13 @@ def test_system_state_validation():
         SystemState(rho=np.eye(10) / 10, n_max=1).validate()
 
 
+@pytest.mark.parametrize("mode", [-1, 2])
+def test_photon_number_takes_mode_0_or_1(mode):
+    # modes are 0 (sigma+) and 1 (sigma-); a q = -1 label is no mode
+    with pytest.raises(ValueError):
+        ground_vacuum_state(1).photon_number(mode)
+
+
 def test_population_bookkeeping():
     state = ground_vacuum_state(2, p_up=0.25)
     pops = state.atom_populations()
@@ -382,7 +389,7 @@ def test_spin_flip_fraction_decreases_with_splitting():
 def test_bad_cavity_flag():
     strong = CavityParams(g0=constants.TWO_PI * 6.0e6,
                           kappa=constants.TWO_PI * 1.0e6,
-                          axial_rms_factor=1.0).validate()
+                          axial_rms_factor=1.0)
     flagged = adiabatic_rates("up", 0.0, (0, 0, 0), SHIFTS_OFF, SCHEME,
                               strong, WEAK_DRIVE)
     assert not flagged.bad_cavity_ok
@@ -490,11 +497,11 @@ def test_invalid_spin_label():
 
 def test_cavity_params_validation():
     with pytest.raises(ConfigError):
-        CavityParams(g0=0.0).validate()
+        CavityParams(g0=0.0)
     with pytest.raises(ConfigError):
-        CavityParams(detection_efficiency=1.5).validate()
+        CavityParams(detection_efficiency=1.5)
     with pytest.raises(ConfigError):
-        CavityParams(dark_rate_sigma_plus_per_ms=-1.0).validate()
+        CavityParams(dark_rate_sigma_plus_per_ms=-1.0)
 
 
 def test_coupling_profile_tail():

@@ -82,8 +82,6 @@ def test_dip_half_width_nan_when_dip_too_shallow():
 
 def test_mot_params_validation():
     with pytest.raises(ConfigError):
-        mot_dip_profile([0.0], MotParams(R=-1.0))
-    with pytest.raises(ConfigError):
         mot_dip_profile([0.0], MotParams(branching=1.5))
     with pytest.raises(ConfigError):
         mot_dip_profile([math.inf], MotParams())

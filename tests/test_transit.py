@@ -25,7 +25,7 @@ from ybcavity.transit import (
     write_count_records, write_transit_records,
 )
 
-GEO = TransitGeometry().validate()
+GEO = TransitGeometry()
 Z = transit._fall_heights(GEO)
 CFG_ON = default_transit_config(light_shift_on=True)
 CFG_OFF = default_transit_config(light_shift_on=False)
@@ -49,9 +49,9 @@ def test_crossing_duration_matches_uniform_speed_limit():
 
 def test_geometry_validation_errors():
     with pytest.raises(ConfigError):
-        TransitGeometry(drop_height=0.0).validate()
+        TransitGeometry(drop_height=0.0)
     with pytest.raises(ConfigError):
-        TransitGeometry(time_step=-1e-6).validate()
+        TransitGeometry(time_step=-1e-6)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -64,7 +64,7 @@ def test_geometry_validation_errors():
 def test_geometry_that_cannot_be_simulated_is_rejected(field, value):
     # validation is arithmetic only: nothing of the segment grid is built
     with pytest.raises(ConfigError):
-        TransitGeometry(**{field: value}).validate()
+        TransitGeometry(**{field: value})
 
 
 def test_segment_count_bound_is_the_trajectory_length():
@@ -72,7 +72,7 @@ def test_segment_count_bound_is_the_trajectory_length():
     coarse = TransitGeometry(time_step=5e-6)
     assert len(transit._fall_heights(coarse)) == 135
     # a ten times finer grid is still accepted
-    TransitGeometry(time_step=1e-7).validate()
+    TransitGeometry(time_step=1e-7)
 
 
 def test_trajectory_grid_covers_simulation_span():

@@ -7,12 +7,18 @@ grid) but replace sampling with quadrature: Gauss-Legendre in the squared
 radial coordinate (the same u = (r/R)^2 variable the sampler inverts,
 `_RADIAL_NODES` points) and a uniform azimuthal rule (`_AZIMUTHAL_NODES`),
 which together integrate the uniform-disc measure exactly in the
-smooth-integrand limit.  The cavity standing wave
-varies on a sub-micron scale along x, far faster than anything else, so
-at each disc node the coupling is averaged over the standing-wave phase
-with its own Gauss-Legendre rule (`_PHASE_NODES` points on a quarter
-period, which by symmetry covers the whole period).  Along each fall line the
-two-state spin occupation obeys
+smooth-integrand limit.  The rule is summed over its distinct fall lines
+only: y0 enters the rates only through the mode envelope's y0^2, and x0
+only through the beams' (x0 - axis_offset)^2, i.e. through x0^2 when the
+drive and the shift beam (if on) sit on x = 0.  The azimuthal nodes are
+closed under these mirrors, so one line of each mirror set at the set's
+summed weight is the same rule, equal to rounding: 120 of the rule's 480
+fall lines (disc nodes x phases) per point with centred beams, 240
+otherwise.  The cavity standing wave varies on a sub-micron scale along
+x, far faster than anything else, so at each disc node the coupling is
+averaged over the standing-wave phase with its own Gauss-Legendre rule
+(`_PHASE_NODES` points on a quarter period, which by symmetry covers the
+whole period).  Along each fall line the two-state spin occupation obeys
     dP_up/dt = -f_up P_up + f_dn P_dn,
 which for the y-polarized drive is symmetric (f_up = f_dn = f), so the
 polarization imbalance decays as exp(-2 int f dt) and every segment
@@ -32,8 +38,8 @@ from scipy.constants import c, h
 from . import constants
 from .dynamics import axial_profile
 from .errors import ConfigError, check, rule
-from .transit import (TransitConfig, _fall_heights, _write_records,
-                      local_coordinates, rate_table)
+from .transit import (TransitConfig, _fall_heights, _shift_on,
+                      _write_records, local_coordinates, rate_table)
 
 SPECTRUM_FORMAT_TAG = "ybcavity.spectrum.v1"
 SNR_FORMAT_TAG = "ybcavity.snr.v1"
@@ -134,17 +140,29 @@ _AZIMUTHAL_NODES = 8   # uniform azimuthal nodes
 _PHASE_NODES = 6       # Gauss-Legendre nodes over the standing-wave phase
 
 
-def _disc_quadrature(geometry):
+def _disc_quadrature(config: TransitConfig):
     """Node arrays x0, y0 and weights averaging over the uniform impact
-    disc, radius-major."""
+    disc, radius-major, one node per distinct fall line: azimuthal nodes
+    that a mirror maps onto each other (y0 -> -y0 always, x0 -> -x0 with
+    centred beams) are one node with their summed weight."""
+    geometry = config.geometry
     radius = geometry.impact_radius_factor * geometry.mode_waist
     u, w_u = np.polynomial.legendre.leggauss(_RADIAL_NODES)
     r = radius * np.sqrt(0.5 * (u + 1.0))   # u mapped to (0, 1): du uniform
-    theta = [2.0 * math.pi * (k + 0.5) / _AZIMUTHAL_NODES
-             for k in range(_AZIMUTHAL_NODES)]
-    return (np.outer(r, [math.cos(t) for t in theta]).ravel(),
-            np.outer(r, [math.sin(t) for t in theta]).ravel(),
-            np.repeat(0.5 * w_u / _AZIMUTHAL_NODES, _AZIMUTHAL_NODES))
+    # node k sits at angle j pi / n, j = 2k + 1; each node's mirror images
+    # are nodes too, and the least j of its orbit stands for them all
+    n = _AZIMUTHAL_NODES
+    j = 2 * np.arange(n) + 1
+    orbit = [j, 2 * n - j]                        # y0 -> -y0
+    centred = config.drive.axis_offset == 0.0 and (
+        not _shift_on(config) or config.shift_beam.axis_offset == 0.0)
+    if centred and n % 2 == 0:
+        orbit += [(n - j) % (2 * n), (n + j) % (2 * n)]   # x0 -> -x0
+    j, images = np.unique(np.min(orbit, axis=0), return_counts=True)
+    theta = j * (math.pi / n)
+    return (np.outer(r, np.cos(theta)).ravel(),
+            np.outer(r, np.sin(theta)).ravel(),
+            np.outer(0.5 * w_u, images / n).ravel())
 
 
 def _expected_counts(x0, y0, axial, config: TransitConfig,
@@ -176,7 +194,7 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
 
 
 def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float):
-    x0, y0, w = _disc_quadrature(config.geometry)
+    x0, y0, w = _disc_quadrature(config)
     u, w_u = np.polynomial.legendre.leggauss(_PHASE_NODES)
     axial = axial_profile(0.25 * math.pi * (u + 1.0), config.cavity)
     weights = np.outer(w, 0.5 * w_u).ravel()
@@ -193,19 +211,22 @@ def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float):
 def fluorescence_spectrum(detuning_grid, config: TransitConfig,
                           light_shift_on: bool):
     """Per-atom mean detected counts vs probe detuning (MHz grid), for an
-    unpolarized atom ensemble."""
+    unpolarized atom ensemble.  Without the shift beam the rates are even
+    in the detuning, so each |detuning| is computed once."""
     grid = np.asarray(detuning_grid, dtype=float)
     if grid.size and np.any(np.diff(grid) < 0):
         raise ConfigError("detuning grid must be sorted ascending")
     base = replace(config, light_shift_on=light_shift_on)
+    fold = float if _shift_on(base) else abs
     eta = config.cavity.detection_efficiency
-    points = []
-    for det in grid:
-        cfg = replace(base, excitation_detuning=float(det) * 1e6)
-        ep, em = _ensemble_expected_counts(cfg, 0.5)
-        points.append(SpectrumPoint(excitation_detuning=float(det),
-                                    mean_counts=eta * (ep + em)))
-    return points
+    counts = {}
+    for det in map(fold, grid):
+        if det not in counts:
+            cfg = replace(base, excitation_detuning=float(det) * 1e6)
+            ep, em = _ensemble_expected_counts(cfg, 0.5)
+            counts[det] = eta * (ep + em)
+    return [SpectrumPoint(excitation_detuning=float(det),
+                          mean_counts=counts[fold(det)]) for det in grid]
 
 
 def spectrum_peak(points) -> float:

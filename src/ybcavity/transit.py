@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -634,9 +635,14 @@ def simulate_window(rng, config: TransitConfig) -> CountRecord:
 
 def child_rng(master_seed: int, run_index: int):
     """Counter-based stream for one run: Philox keyed on
-    (master_seed, run_index), independent of how runs are grouped."""
-    if master_seed < 0 or run_index < 0:
-        raise ConfigError("seeds and run indices must be >= 0")
+    (master_seed, run_index), independent of how runs are grouped.  Both
+    are integers (Python or numpy, not bool) in [0, 2**64 - 1]."""
+    for name, value in (("master_seed", master_seed),
+                        ("run_index", run_index)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or not 0 <= int(value) < 2 ** 64:
+            raise ConfigError(f"{name} must be an integer in "
+                              f"[0, 2**64 - 1], got {value!r}")
     key = np.array([master_seed, run_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

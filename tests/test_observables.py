@@ -100,12 +100,58 @@ def _line_counts(x0, y0, config, p_up_initial=1.0):
     return float(ep[0]), float(em[0])
 
 
+# the beam layouts of the quadrature: both beams on x = 0, the shift beam
+# off, the shift beam off the drive axis, and the drive off the x = 0 axis
+LAYOUTS = {
+    "centred": CFG,
+    "shift_off": replace(CFG, light_shift_on=False),
+    "shift_offset": replace(CFG, shift_beam=replace(CFG.shift_beam,
+                                                    axis_offset=10e-6)),
+    "drive_offset": replace(CFG, drive=replace(CFG.drive, axis_offset=5e-6)),
+}
+
+
 def test_disc_quadrature_weights_sum_to_one():
-    x0, y0, w = _disc_quadrature(CFG.geometry)
-    assert x0.shape == y0.shape == w.shape == (80,)
-    assert w.sum() == pytest.approx(1.0, rel=1e-12)
+    # the 10 x 8 rule folds to 20 nodes with centred beams, 40 otherwise
+    nodes = {"centred": 20, "shift_off": 20, "shift_offset": 40,
+             "drive_offset": 40}
     radius = CFG.geometry.impact_radius_factor * CFG.geometry.mode_waist
-    assert np.all(x0 ** 2 + y0 ** 2 <= radius ** 2 * (1 + 1e-12))
+    for layout, config in LAYOUTS.items():
+        x0, y0, w = _disc_quadrature(config)
+        assert x0.shape == y0.shape == w.shape == (nodes[layout],)
+        assert w.sum() == pytest.approx(1.0, rel=1e-12)
+        assert np.all(x0 ** 2 + y0 ** 2 <= radius ** 2 * (1 + 1e-12))
+        assert np.all(y0 > 0.0)   # the y0 -> -y0 mirror always folds
+
+
+def _full_disc_counts(config, p_up_initial):
+    """Expected emissions averaged over the explicit 10 x 8 disc rule, every
+    fall line evaluated, each with the 6-node standing-wave phase rule."""
+    radius = config.geometry.impact_radius_factor * config.geometry.mode_waist
+    u, w_u = np.polynomial.legendre.leggauss(10)
+    r = radius * np.sqrt(0.5 * (u + 1.0))
+    theta = 2.0 * math.pi * (np.arange(8) + 0.5) / 8
+    x0 = np.outer(r, np.cos(theta)).ravel()
+    y0 = np.outer(r, np.sin(theta)).ravel()
+    w = np.repeat(0.5 * w_u / 8, 8)
+    v, w_v = np.polynomial.legendre.leggauss(6)
+    axial = axial_profile(0.25 * math.pi * (v + 1.0), config.cavity)
+    ep, em = _expected_counts(np.repeat(x0, 6), np.repeat(y0, 6),
+                              np.tile(axial, len(w)), config, p_up_initial)
+    weights = np.outer(w, 0.5 * w_v).ravel()
+    return weights @ ep, weights @ em
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_folded_disc_quadrature_equals_the_full_rule(layout):
+    # folding mirror lines re-sums the same rule: agreement to rounding
+    config = LAYOUTS[layout]
+    assert (observables._RADIAL_NODES, observables._AZIMUTHAL_NODES,
+            observables._PHASE_NODES) == (10, 8, 6)
+    folded = observables._ensemble_expected_counts(config, 1.0)
+    full = _full_disc_counts(config, 1.0)
+    assert folded[0] > folded[1] > 0.0
+    np.testing.assert_allclose(folded, full, rtol=1e-12, atol=0.0)
 
 
 def test_expected_counts_time_grid_convergence():
@@ -195,6 +241,15 @@ def test_spectrum_with_shift_grows_low_frequency_tail(monkeypatch):
     assert count_weighted_skewness(points) < -0.2
     d32 = stark_shift(+1.5, CFG.shift_beam, CFG.scheme)
     assert spectrum_peak(points) < d32 / 1e6
+
+
+def test_shift_off_spectrum_is_exactly_even(coarse_disc):
+    # without the shift beam each |detuning| is computed once and mirrored
+    grid = np.arange(-1.0, 1.01, 0.5)
+    counts = [p.mean_counts for p in
+              fluorescence_spectrum(grid, CFG, light_shift_on=False)]
+    assert counts == counts[::-1]
+    assert counts[2] > counts[1] > counts[0] > 0.0
 
 
 def test_spectrum_requires_sorted_grid():

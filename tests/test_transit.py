@@ -477,6 +477,20 @@ def test_child_rng_rejects_negative_keys():
         child_rng(0, -2)
 
 
+def test_child_rng_rejects_keys_outside_uint64_integers():
+    # too large for a uint64 key, and a float that would be truncated
+    with pytest.raises(ConfigError):
+        child_rng(2 ** 64, 0)
+    with pytest.raises(ConfigError):
+        child_rng(1.5, 0)
+    with pytest.raises(ConfigError):
+        child_rng(0, 2 ** 64)
+    with pytest.raises(ConfigError):
+        child_rng(True, 0)
+    top = child_rng(2 ** 64 - 1, np.uint64(3)).random()
+    assert top == child_rng(np.uint64(2 ** 64 - 1), 3).random()
+
+
 def test_run_ensemble_requires_at_least_one_run():
     with pytest.raises(ConfigError):
         run_ensemble(0, 1, CFG_ON)

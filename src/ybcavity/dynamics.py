@@ -499,7 +499,10 @@ def evolve(rho0: SystemState, generator: LindbladGenerator,
 # most 1.4% at the operating point (the flip rate at an antinode with the
 # shift beam off; under 0.05% with it on).
 _FOCK_CUTOFF = (2, 1)
-_CHUNK = 128           # points per batched solve; bounds the work arrays
+# Points per batched solve.  A batch's work arrays (tens of MB) set the
+# peak RSS of a process that builds rate tables; 96 takes a whole 2-d
+# table (`transit._TABLE_NODES`) in one batch.
+_CHUNK = 96
 
 
 def _superop(h, jumps=()):

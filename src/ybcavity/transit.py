@@ -218,8 +218,9 @@ def local_coordinates(x0, y0, z, config: TransitConfig, axial=None):
 # ---------------------------------------------------------------------------
 # rate tables
 
-_TABLE_NODES = (8, 16, 16)    # coupling, drive and shift-fraction nodes
+_TABLE_NODES = (8, 12, 14)    # coupling, drive and shift-fraction nodes
 _TABLE_REFINE = (4, 8, 4)     # fine-grid subdivisions between nodes
+_AXIS_SAMPLES = 2001          # dense samples of a node map
 _WEAK_SATURATION = 1e-3       # drive counted as weak (rates linear in Omega^2)
 _RESONANCE_WEIGHT = 0.5       # node budget of one resonance crossing
 _SHIFT_FLOOR = 1e-3           # shift fractions below this are held at it
@@ -248,6 +249,25 @@ def _spline_matrix(n: int, m: int) -> np.ndarray:
             + h ** 2 / 6.0 * ((w ** 3 - w) * k[i] + (u ** 3 - u) * k[i + 1]))
 
 
+def _axis_coord(ratio, samples, unit, step):
+    """The [0, 1] node coordinate of points at t = sqrt(-ln ratio) on a
+    node map (`RateTable._node_map`), t held inside the samples' span;
+    computed in place, so that no temporary outlives the call."""
+    t = np.empty(np.shape(ratio))
+    with np.errstate(divide="ignore"):
+        np.log(ratio, out=t)
+    np.negative(t, out=t)
+    np.clip(t, 0.0, samples[-1] ** 2, out=t)
+    np.sqrt(t, out=t)
+    # the samples are uniform, so locate t without a search
+    t *= (len(samples) - 1) / samples[-1]
+    i = np.minimum(t.astype(np.intp), len(samples) - 2)
+    t -= i
+    t *= step.take(i)
+    t += unit.take(i)
+    return t
+
+
 class RateTable:
     """Per-spin rates of one configuration on a grid of local coordinates.
 
@@ -259,12 +279,15 @@ class RateTable:
                 v_c = kappa gamma / g0^2 (where the cavity doubles the
                 atomic linewidth);
       drive:    tau = sqrt(ln(Omega_0^2 / Omega^2)), proportional to the
-                drive radius, stretched so that nodes also crowd where a
-                driven sublevel passes through resonance (its detuning
-                moves with the shift fraction, its power-broadened width
-                with the drive): `_RESONANCE_WEIGHT` of the axis's node
-                budget per resonance crossing;
-      shift:    sqrt(-ln s), proportional to the shift-beam radius.
+                drive radius;
+      shift:    sigma = sqrt(-ln s), proportional to the shift-beam radius.
+    The drive and shift maps are stretched so that nodes also crowd where
+    a driven sublevel passes through resonance (`_node_map`): its detuning
+    moves with the shift fraction, its power-broadened width with the
+    drive.  Along the drive axis s follows the drive (zero on a 3-d
+    table's drive axis); along the shift axis the width is the drive's at
+    the cavity-mode waist radius.  Each crossing takes `_RESONANCE_WEIGHT`
+    of the axis's node budget.
     The stored quantities are logs of the rates over their weak-coupling,
     weak-drive scaling (v Omega^2 for the cavity rates, Omega^2 for
     flips), which vary slowly.  The not-a-knot cubic spline through the
@@ -283,8 +306,7 @@ class RateTable:
                                           drive, cavity))
         self.v_c = cavity.kappa * cavity.gamma / cavity.g0 ** 2
         saturation = self.om0_sq / (2.0 * cavity.gamma ** 2)
-        self.t_max = max(math.log(max(saturation, 1.0) / _WEAK_SATURATION),
-                         1.0)
+        t_max = max(math.log(max(saturation, 1.0) / _WEAK_SATURATION), 1.0)
         if shift_beam is None:
             centre = ShiftResult(0.0, 0.0)
             self.ratio = None
@@ -297,25 +319,36 @@ class RateTable:
                           if shift_beam.axis_offset == drive.axis_offset
                           else None)
         self.three_d = shift_beam is not None and self.ratio is None
-        self.tau, self.tau_unit = self._drive_axis(
-            centre, excitation_detuning, cavity.gamma)
-        self.tau_step = np.diff(self.tau_unit)
-        n_nodes = _TABLE_NODES if self.three_d else _TABLE_NODES[:2]
-        self.sig_max = math.sqrt(-math.log(_SHIFT_FLOOR))
+        resonances = (centre, excitation_detuning, cavity.gamma)
+        tau = np.linspace(0.0, math.sqrt(t_max), _AXIS_SAMPLES)
+        # (samples, unit, step) of the drive axis and, in 3-d, the shift axis
+        self.maps = [self._node_map(
+            tau, np.exp(-self.ratio * tau ** 2) if self.ratio else 0.0,
+            np.exp(-tau ** 2), *resonances)]
+        if self.three_d:
+            sigma = np.linspace(0.0, math.sqrt(-math.log(_SHIFT_FLOOR)),
+                                _AXIS_SAMPLES)
+            at_waist = math.exp(-2.0 * (cavity.mode_waist / drive.waist) ** 2)
+            self.maps.append(self._node_map(sigma, np.exp(-sigma ** 2),
+                                            at_waist, *resonances))
+        n_nodes = _TABLE_NODES[:1 + len(self.maps)]
         nodes = [np.linspace(0.0, 1.0, n) for n in n_nodes]
         self.fine = [(n - 1) * k + 1 for n, k in zip(n_nodes, _TABLE_REFINE)]
         grid = np.meshgrid(*nodes, indexing="ij")
         v = self._v_of_xi(grid[0])
         v_solve = np.maximum(v, 1e-6 * self.v_c)   # rates / v at v -> 0
-        weak = np.exp(-np.interp(grid[1], self.tau_unit, self.tau) ** 2)
+        # each mapped axis is t = sqrt(-ln(weak or s)) at its nodes
+        weak, *frac = (np.exp(-np.interp(u, unit, t) ** 2)
+                       for u, (t, unit, _) in zip(grid[1:], self.maps))
         if shift_beam is None:
             frac = np.zeros_like(weak)
         elif self.three_d:
-            frac = np.exp(-(self.sig_max * grid[2]) ** 2)
+            frac, = frac
         else:
             frac = weak ** self.ratio
         shifts = ShiftResult(centre.delta_32 * frac, centre.delta_12 * frac)
         self.zero = self.om0_sq == 0.0
+        self.channels = np.empty((3, 0))
         if self.zero:
             return
         rates = spin_rates("up", self.g0 * np.sqrt(v_solve),
@@ -332,27 +365,28 @@ class RateTable:
         # log rates of spin up, one row per channel: sigma+, sigma-, flip
         self.channels = logs.reshape(3, -1)
 
-    def _drive_axis(self, centre, excitation_detuning, gamma):
-        """Dense samples of tau and of its [0, 1] node coordinate, from a
-        node density that is uniform in tau plus, for each driven
+    def _node_map(self, t, frac, weak, centre, excitation_detuning, gamma):
+        """(samples, unit, step) of an axis sampled uniformly at t, along
+        which the shift fraction is frac and the drive Omega^2 over its
+        peak is weak: the [0, 1] node coordinate of each sample, and its
+        steps.  The node density is uniform in t plus, for each driven
         sublevel, the rate at which its detuning over its width sweeps
         through resonance (a full crossing integrates to 1)."""
-        tau = np.linspace(0.0, math.sqrt(self.t_max), 2001)
-        density = np.full(tau.shape, 1.0 / tau[-1])
-        frac = np.exp(-self.ratio * tau ** 2) if self.ratio else 0.0
+        density = np.full(t.shape, 1.0 / t[-1])
         # one entry per |m'| (the spins mirror each other), 1/2 before 3/2
-        driven = sorted({(abs(e2), frac * w)
-                         for _, _, e2, frac, w in DRIVE_TRANSITIONS})
+        driven = sorted({(abs(e2), share * w)
+                         for _, _, e2, share, w in DRIVE_TRANSITIONS})
         for e2, strength in driven:
             shift = centre.delta_32 if e2 == 3 else centre.delta_12
-            om_sq = self.om0_sq * np.exp(-tau ** 2) * strength
+            om_sq = self.om0_sq * weak * strength
             x = (constants.TWO_PI * (shift * frac - excitation_detuning)
                  / np.sqrt(gamma ** 2 + 0.5 * om_sq))
-            density += (_RESONANCE_WEIGHT * np.abs(np.gradient(x, tau))
+            density += (_RESONANCE_WEIGHT * np.abs(np.gradient(x, t))
                         / (math.pi * (1.0 + x ** 2)))
         unit = np.concatenate(([0.0], np.cumsum(
-            0.5 * (density[1:] + density[:-1]) * np.diff(tau))))
-        return tau, unit / unit[-1]
+            0.5 * (density[1:] + density[:-1]) * np.diff(t))))
+        unit /= unit[-1]
+        return t, unit, np.diff(unit)
 
     def _v_of_xi(self, xi):
         return self.v_c * np.expm1(xi * math.log1p(1.0 / self.v_c))
@@ -375,7 +409,9 @@ class RateTable:
             return values
 
         # the corners add up in stencil order, each freed once added
-        stencil = self._stencil(self._unit_coords(v, weak, frac))
+        stencil = self._stencil(
+            [np.log1p(v / self.v_c) / math.log1p(1.0 / self.v_c)]
+            + [_axis_coord(r, *m) for r, m in zip((weak, frac), self.maps)])
         logs = corner(*stencil[0])
         for idx, w in stencil[1:]:
             logs += corner(idx, w)
@@ -383,24 +419,6 @@ class RateTable:
         logs *= weak
         logs[:2] *= v   # the cavity rates were stored over v
         return tuple(logs)
-
-    def _unit_coords(self, v, weak, frac):
-        """The [0, 1] node coordinates of points at (v, Omega^2 over its
-        peak, shift fraction); a method of its own so that its
-        temporaries are freed before the gather."""
-        with np.errstate(divide="ignore"):
-            tau = np.sqrt(np.clip(-np.log(weak), 0.0, self.t_max))
-            # tau is sampled uniformly, so locate it without a search
-            pos = tau * ((len(self.tau) - 1) / self.tau[-1])
-            i = np.minimum(pos.astype(np.intp), len(self.tau) - 2)
-            coords = [np.log1p(v / self.v_c) / math.log1p(1.0 / self.v_c),
-                      self.tau_unit.take(i) + (pos - i)
-                      * self.tau_step.take(i)]
-            if self.three_d:
-                coords.append(np.sqrt(np.clip(-np.log(frac), 0.0,
-                                              self.sig_max ** 2))
-                              / self.sig_max)
-        return coords
 
     def _stencil(self, coords):
         """(flat index, weight) pairs of the multilinear stencil on the
@@ -424,10 +442,9 @@ class RateTable:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the table's arrays."""
-        arrays = [self.tau, self.tau_unit, self.tau_step,
-                  *getattr(self, "channels", ())]   # a zero table has none
-        return sum(a.nbytes for a in arrays)
+        """Bytes held by the table's arrays: its rates and node maps."""
+        return self.channels.nbytes + sum(a.nbytes for axis in self.maps
+                                          for a in axis)
 
 
 _TABLE_BUDGET = 32 << 20   # bytes of tables kept: every 2-d table, few 3-d

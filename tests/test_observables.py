@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ybcavity import constants, observables
+from ybcavity import constants, observables, transit
 from ybcavity.dynamics import axial_profile
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import stark_shift
@@ -250,6 +250,36 @@ def test_shift_off_spectrum_is_exactly_even(coarse_disc):
               fluorescence_spectrum(grid, CFG, light_shift_on=False)]
     assert counts == counts[::-1]
     assert counts[2] > counts[1] > counts[0] > 0.0
+
+
+@pytest.mark.parametrize("shift_offset, detuning", [
+    (0.0, None),      # shift on, at the probe detuning: a 2-d table
+    (None, 0.0),      # shift off: a 2-d table
+    (15e-6, 4.0),     # shift beam off the drive axis: a 3-d table
+    (15e-6, 5.5),
+])
+def test_spectrum_points_converge_in_the_table_nodes(monkeypatch,
+                                                     shift_offset, detuning):
+    # the shipped node map against a dense one: 48 drive nodes for a 2-d
+    # table, and 32 drive by 24 shift-fraction nodes for a 3-d one, which
+    # is within 0.03% of a (8, 32, 48) map
+    if shift_offset is None:
+        cfg = CFG
+    else:
+        cfg = replace(CFG, shift_beam=replace(CFG.shift_beam,
+                                              axis_offset=shift_offset))
+    if detuning is None:
+        detuning = transit.probe_detuning(cfg) / 1e6
+
+    def point(nodes):
+        monkeypatch.setattr(transit, "_TABLE_NODES", nodes)
+        monkeypatch.setattr(transit, "_tables", {})
+        return fluorescence_spectrum([detuning], cfg,
+                                     shift_offset is not None)[0].mean_counts
+
+    shipped = point(transit._TABLE_NODES)
+    dense = point((8, 48) if not shift_offset else (8, 32, 24))
+    assert shipped == pytest.approx(dense, rel=1.5e-3)
 
 
 def test_spectrum_requires_sorted_grid():

@@ -173,10 +173,11 @@ def test_rate_table_shapes_and_spin_symmetry():
     np.testing.assert_allclose(down[:, [1, 0, 2]], up[:, :3], rtol=1e-12)
 
 
-@pytest.mark.parametrize("shift_offset", [None, 0.0, 8e-6])
+@pytest.mark.parametrize("shift_offset", [None, 0.0, 8e-6, 15e-6])
 def test_rate_table_matches_direct_solves(shift_offset):
     # shift off, beams on one axis (2-d table), and a shift beam displaced
-    # along x (3-d table): interpolated rates along a path agree with the
+    # along x (3-d table; up to the 15 um that the benchmark's off-axis
+    # spectra reach): interpolated rates along a path agree with the
     # rate model solved point by point, with the shifts that `stark_shift`
     # gives at the path points themselves
     if shift_offset is None:
@@ -244,6 +245,26 @@ def test_rate_table_passes_through_its_node_log_rates(monkeypatch,
         slice(None, None, k) for k in transit._TABLE_REFINE[:fine.ndim - 1])]
     np.testing.assert_allclose(at_nodes, np.moveaxis(nodes, -1, 0),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shift_offset", [0.0, 8e-6])
+def test_rate_table_nbytes_counts_every_array_it_holds(shift_offset):
+    # the cache's byte budget sees the node maps of every axis, the 3-d
+    # table's shift axis among them
+    cfg = default_transit_config(shift_beam=replace(
+        CFG_ON.shift_beam, axis_offset=shift_offset))
+    table = transit.rate_table(cfg)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+
+    held = list(arrays(list(vars(table).values())))
+    assert len(held) == 1 + 3 * (2 if table.three_d else 1)
+    assert table.nbytes == sum(a.nbytes for a in held)
 
 
 def test_table_builds_leave_scipy_interpolate_unimported():

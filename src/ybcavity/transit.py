@@ -224,6 +224,7 @@ _AXIS_SAMPLES = 2001          # dense samples of a node map
 _WEAK_SATURATION = 1e-3       # drive counted as weak (rates linear in Omega^2)
 _RESONANCE_WEIGHT = 0.5       # node budget of one resonance crossing
 _SHIFT_FLOOR = 1e-3           # shift fractions below this are held at it
+_LOOKUP_BLOCK = 16_384        # points per lookup block: 128 KiB per temporary
 
 
 def _spline_matrix(n: int, m: int) -> np.ndarray:
@@ -394,11 +395,23 @@ class RateTable:
     def __call__(self, g, om_sq, frac):
         """Spin-up (sigma+, sigma-, flip) rate arrays at the given points
         (the shift fraction is read only by a three-dimensional table);
-        spin down has the same flip rate and sigma+ and sigma- swapped."""
+        spin down has the same flip rate and sigma+ and sigma- swapped.
+        The points are broadcast together and looked up in flat blocks of
+        `_LOOKUP_BLOCK`, so that the stencil's temporaries stay in cache;
+        every step is elementwise, so the blocking changes no bit."""
         g, om_sq, frac = np.broadcast_arrays(g, om_sq, frac)
         if self.zero:
             zeros = np.zeros(g.shape)
             return zeros, zeros, zeros
+        flat = [a.reshape(-1) for a in (g, om_sq, frac)]
+        rates = np.empty((3, g.size))
+        for start in range(0, g.size, _LOOKUP_BLOCK):
+            block = slice(start, start + _LOOKUP_BLOCK)
+            rates[:, block] = self._lookup(*(a[block] for a in flat))
+        return tuple(rates.reshape((3,) + g.shape))
+
+    def _lookup(self, g, om_sq, frac):
+        """(3, n) spin-up rates at n flat points."""
         v = np.minimum((g / self.g0) ** 2, 1.0)
         weak = om_sq / self.om0_sq
 
@@ -418,7 +431,7 @@ class RateTable:
         np.exp(logs, out=logs)
         logs *= weak
         logs[:2] *= v   # the cavity rates were stored over v
-        return tuple(logs)
+        return logs
 
     def _stencil(self, coords):
         """(flat index, weight) pairs of the multilinear stencil on the

@@ -34,7 +34,8 @@ from ybcavity.observables import (MotParams, count_weighted_skewness,
                                   dark_count_correct, dip_half_width,
                                   fluorescence_spectrum, mot_dip_profile,
                                   pearson_correlation, predicted_snr,
-                                  snr_from_counts)
+                                  snr_from_counts,
+                                  _ensemble_expected_counts)
 from ybcavity.transit import (default_transit_config, probe_detuning,
                               run_ensemble, run_transit_ensemble,
                               shift_fraction, write_count_records,
@@ -355,6 +356,40 @@ def test_mean_detected_counts_per_atom(transits_on_random):
     assert 3.5 <= mean_counts <= 8.5, (
         f"mean detected counts per atom {mean_counts:.2f} "
         f"outside [3.5, 8.5]")
+
+
+def _sampler_against_quadrature(records, cfg):
+    """(sampled mean, its standard error, the quadrature's value) of the
+    detected counts per atom, both polarizations.  The quadrature's total
+    is the same for either spin (the drive is mirror-symmetric), so an
+    unpolarized atom stands for any mix of spins."""
+    plus, minus = _counts_arrays(records)
+    total = plus + minus
+    expected = cfg.cavity.detection_efficiency \
+        * sum(_ensemble_expected_counts(cfg, 0.5))
+    return total.mean(), total.std(ddof=1) / math.sqrt(total.size), expected
+
+
+def test_sampler_matches_quadrature_shift_off(transits_off_up,
+                                              transits_off_down):
+    """Shift off, both spins pooled: the sampled detected counts per atom
+    lie within 3 standard errors of the quadrature's."""
+    cfg = default_transit_config(light_shift_on=False)
+    mean, se, expected = _sampler_against_quadrature(
+        transits_off_up + transits_off_down, cfg)
+    assert abs(mean - expected) <= 3.0 * se, (
+        f"shift off: sampled {mean:.3f} +/- {se:.3f}, "
+        f"quadrature {expected:.3f}")
+
+
+def test_sampler_matches_quadrature_shift_on(transits_on_random):
+    """Shift on, random spins: the sampled detected counts per atom lie
+    within 3 standard errors of the quadrature's."""
+    cfg = default_transit_config(light_shift_on=True)
+    mean, se, expected = _sampler_against_quadrature(transits_on_random, cfg)
+    assert abs(mean - expected) <= 3.0 * se, (
+        f"shift on: sampled {mean:.3f} +/- {se:.3f}, "
+        f"quadrature {expected:.3f}")
 
 
 def test_correlation_collapse_spin_up(transits_off_up, transits_on_up):

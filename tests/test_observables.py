@@ -27,7 +27,7 @@ CFG = default_transit_config(light_shift_on=True)
 
 @pytest.fixture
 def coarse_disc(monkeypatch):
-    """A 6 x 4 impact-disc rule in place of the default 10 x 8."""
+    """A 6 x 4 impact-disc rule in place of the default 8 x 12."""
     monkeypatch.setattr(observables, "_RADIAL_NODES", 6)
     monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
 
@@ -112,9 +112,13 @@ LAYOUTS = {
 
 
 def test_disc_quadrature_weights_sum_to_one():
-    # the 10 x 8 rule folds to 20 nodes with centred beams, 40 otherwise
-    nodes = {"centred": 20, "shift_off": 20, "shift_offset": 40,
-             "drive_offset": 40}
+    # with 4 | azimuthal nodes, no node is its own mirror image: the y0
+    # fold halves each ring, and the x0 fold with centred beams halves it
+    # again
+    n_r, n_a = observables._RADIAL_NODES, observables._AZIMUTHAL_NODES
+    assert n_a % 4 == 0
+    nodes = {"centred": n_r * n_a // 4, "shift_off": n_r * n_a // 4,
+             "shift_offset": n_r * n_a // 2, "drive_offset": n_r * n_a // 2}
     radius = CFG.geometry.impact_radius_factor * CFG.geometry.mode_waist
     for layout, config in LAYOUTS.items():
         x0, y0, w = _disc_quadrature(config)
@@ -125,18 +129,21 @@ def test_disc_quadrature_weights_sum_to_one():
 
 
 def _full_disc_counts(config, p_up_initial):
-    """Expected emissions averaged over the explicit 10 x 8 disc rule, every
-    fall line evaluated, each with the 6-node standing-wave phase rule."""
+    """Expected emissions averaged over the explicit disc rule of the
+    module's node counts, every fall line evaluated, each with the
+    standing-wave phase rule."""
+    n_r, n_a = observables._RADIAL_NODES, observables._AZIMUTHAL_NODES
+    n_p = observables._PHASE_NODES
     radius = config.geometry.impact_radius_factor * config.geometry.mode_waist
-    u, w_u = np.polynomial.legendre.leggauss(10)
+    u, w_u = np.polynomial.legendre.leggauss(n_r)
     r = radius * np.sqrt(0.5 * (u + 1.0))
-    theta = 2.0 * math.pi * (np.arange(8) + 0.5) / 8
+    theta = 2.0 * math.pi * (np.arange(n_a) + 0.5) / n_a
     x0 = np.outer(r, np.cos(theta)).ravel()
     y0 = np.outer(r, np.sin(theta)).ravel()
-    w = np.repeat(0.5 * w_u / 8, 8)
-    v, w_v = np.polynomial.legendre.leggauss(6)
+    w = np.repeat(0.5 * w_u / n_a, n_a)
+    v, w_v = np.polynomial.legendre.leggauss(n_p)
     axial = axial_profile(0.25 * math.pi * (v + 1.0), config.cavity)
-    ep, em = _expected_counts(np.repeat(x0, 6), np.repeat(y0, 6),
+    ep, em = _expected_counts(np.repeat(x0, n_p), np.repeat(y0, n_p),
                               np.tile(axial, len(w)), config, p_up_initial)
     weights = np.outer(w, 0.5 * w_v).ravel()
     return weights @ ep, weights @ em
@@ -146,8 +153,6 @@ def _full_disc_counts(config, p_up_initial):
 def test_folded_disc_quadrature_equals_the_full_rule(layout):
     # folding mirror lines re-sums the same rule: agreement to rounding
     config = LAYOUTS[layout]
-    assert (observables._RADIAL_NODES, observables._AZIMUTHAL_NODES,
-            observables._PHASE_NODES) == (10, 8, 6)
     folded = observables._ensemble_expected_counts(config, 1.0)
     full = _full_disc_counts(config, 1.0)
     assert folded[0] > folded[1] > 0.0
@@ -280,6 +285,35 @@ def test_spectrum_points_converge_in_the_table_nodes(monkeypatch,
     shipped = point(transit._TABLE_NODES)
     dense = point((8, 48) if not shift_offset else (8, 32, 24))
     assert shipped == pytest.approx(dense, rel=1.5e-3)
+
+
+@pytest.mark.parametrize("shift_offset, detuning, rel", [
+    (None, 0.0, 1e-3),     # shift off, at the peak
+    (0.0, None, 1e-3),     # shift on, at the probe detuning
+    (0.0, 3.0, 1e-2),      # shift on, the flanks
+    (0.0, 7.0, 1e-2),
+    (10e-6, 5.0, 1e-2),    # shift beam off the drive axis: no x0 fold
+])
+def test_spectrum_points_converge_in_the_disc_rule(monkeypatch, shift_offset,
+                                                   detuning, rel):
+    # the shipped disc rule against a polar 10 x 32 one, which is within
+    # 0.03% of a 20 x 64 rule at these points
+    if shift_offset is None:
+        cfg = CFG
+    else:
+        cfg = replace(CFG, shift_beam=replace(CFG.shift_beam,
+                                              axis_offset=shift_offset))
+    if detuning is None:
+        detuning = transit.probe_detuning(cfg) / 1e6
+
+    def point(radial, azimuthal):
+        monkeypatch.setattr(observables, "_RADIAL_NODES", radial)
+        monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", azimuthal)
+        return fluorescence_spectrum([detuning], cfg,
+                                     shift_offset is not None)[0].mean_counts
+
+    shipped = point(observables._RADIAL_NODES, observables._AZIMUTHAL_NODES)
+    assert shipped == pytest.approx(point(10, 32), rel=rel)
 
 
 def test_spectrum_requires_sorted_grid():

@@ -267,6 +267,34 @@ def test_rate_table_nbytes_counts_every_array_it_holds(shift_offset):
     assert table.nbytes == sum(a.nbytes for a in held)
 
 
+@pytest.mark.parametrize("kind", ["2d", "3d", "zero_drive"])
+def test_blocked_lookups_are_exact(monkeypatch, kind):
+    # every step of a lookup is elementwise, so its blocks change no bit:
+    # more than two default blocks of points, flat and in the sampler's
+    # (time slice, run) broadcast, against blocks of 7 points
+    cfg = {"2d": CFG_ON,
+           "3d": replace(CFG_ON, shift_beam=replace(CFG_ON.shift_beam,
+                                                    axis_offset=8e-6)),
+           "zero_drive": replace(CFG_ON, drive=replace(CFG_ON.drive,
+                                                       power=0.0))}[kind]
+    table = transit.rate_table(cfg)
+    assert table.three_d == (kind == "3d")
+    assert table.zero == (kind == "zero_drive")
+    rng = np.random.default_rng(5)
+    n = 2 * transit._LOOKUP_BLOCK + 1001
+    x0, y0 = rng.uniform(-20e-6, 20e-6, size=(2, n))
+    flat = local_coordinates(x0, y0, rng.uniform(-40e-6, 40e-6, n), cfg)
+    runs = n // len(Z) + 1
+    grid = local_coordinates(x0[:runs], y0[:runs], Z[:, None], cfg)
+    assert grid[0].shape == (len(Z), runs)
+    blocked = [table(*flat), table(*grid)]
+    monkeypatch.setattr(transit, "_LOOKUP_BLOCK", 7)
+    for got, points in zip(blocked, (flat, grid)):
+        for a, b in zip(got, table(*points)):
+            assert a.shape == points[0].shape
+            assert np.array_equal(a, b)
+
+
 def test_table_builds_leave_scipy_interpolate_unimported():
     code = ("import sys\n"
             "from ybcavity.transit import default_transit_config, rate_table\n"

@@ -89,8 +89,10 @@ class RunSection:
     and how the records are emitted.  master_seed may stay None for
     deterministic commands but is required by the sampling ones (it keys
     a Philox stream, hence the 64-bit bound).  threads is checked but
-    has no effect: the ensembles run on one thread; it stays so that
-    config files that set it still load."""
+    sets nothing: the ensembles run on one thread, and the spin-model
+    solves of the rate tables on a pool that sizes itself from the CPUs
+    the process may use; it stays so that config files that set it
+    still load."""
 
     n_runs: int = rule(2000, int, ge=1)
     master_seed: int = rule(None, int, ge=0, le=2 ** 64 - 1)

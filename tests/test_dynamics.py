@@ -2,6 +2,8 @@
 time propagation, and the adiabatic rate model against the full model."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -477,6 +479,103 @@ def test_real_grade0_solve_matches_complex_elimination():
     sel = want > 1e-6 * want.max(axis=1, keepdims=True)
     assert sel.sum(axis=0).min() >= 64 and sel[:16].sum() >= 48
     np.testing.assert_allclose(got[sel], want[sel], rtol=1e-9)
+
+
+def _rate_points(n):
+    """n points of the rate model across drives, couplings and detunings."""
+    rng = np.random.default_rng(n)
+    coupling = CAVITY.g0 * rng.uniform(0.0, 1.0, n)
+    omega = np.exp(rng.uniform(math.log(0.1 * CAVITY.gamma),
+                               math.log(3.0 * CAVITY.kappa), n))
+    detunings = constants.TWO_PI * rng.uniform(-5e6, 5e6, (2, n))
+    return coupling, omega, list(detunings)
+
+
+def _force_workers(monkeypatch, n):
+    """Make the rate pool size itself to n CPUs."""
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+# a 2-d table, a short last task, a 3-d table
+@pytest.mark.parametrize("n_points", [96, 97, 1344])
+def test_rate_pool_changes_no_bit(monkeypatch, n_points):
+    model = _spin_model(CAVITY.kappa, CAVITY.gamma)
+    points = _rate_points(n_points)
+    got = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        got[workers] = model.rates(*points)
+    assert np.array_equal(got[1], got[2])
+
+
+@pytest.fixture
+def blas_count():
+    """The getter of numpy's OpenBLAS thread count, held at 2 for the test
+    so that a restore can be told from the rate pool's cap of 1, or None
+    where numpy bundles no OpenBLAS whose count can be set."""
+    blas = dynamics._blas_threads()
+    if blas is None:
+        yield None
+        return
+    get, put = blas
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+def test_rate_pool_failure_raises_and_restores_blas(monkeypatch, blas_count):
+    model = _spin_model(CAVITY.kappa, CAVITY.gamma)
+    solve = dynamics._SpinModel._populations
+    seen = []
+
+    def failing(self, params, omega):
+        seen.append(blas_count() if blas_count else None)
+        if np.any(params[:, 1] == coupling[dynamics._MIN_TASK]):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(self, params, omega)
+
+    coupling, omega, detunings = _rate_points(4 * dynamics._MIN_TASK)
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(dynamics._SpinModel, "_populations", failing)
+    with pytest.raises(NumericalError, match="rate-model solve failed"):
+        model.rates(coupling, omega, detunings)
+    if blas_count is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be "
+                    "set, so there is no count to restore")
+    assert seen and set(seen) == {1}
+    assert blas_count() == 2
+
+
+def test_concurrent_rate_calls_keep_their_bits_and_the_blas_count(
+        blas_count):
+    # callers on several threads share the OpenBLAS thread count; the
+    # lock must keep one caller's restore from undoing another's cap
+    model = _spin_model(CAVITY.kappa, CAVITY.gamma)
+    points = [_rate_points(n) for n in (48, 72, 96)]
+    want = [model.rates(*p) for p in points]
+    got = {}
+
+    def call(k):
+        for _ in range(3):
+            got[k] = model.rates(*points[k])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,))
+                   for k in range(len(points))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in callers)
+    assert all(np.array_equal(got[k], want[k]) for k in range(len(points)))
+    if blas_count:
+        assert blas_count() == 2
 
 
 def test_conditional_model_guards_its_spin_up_sector(monkeypatch):

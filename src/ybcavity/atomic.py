@@ -17,17 +17,25 @@ the sigma-stretch : pi : sigma-cross couplings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
 from .errors import ConfigError, check, rule
 
 
-def _as_m2(m: float, name: str = "m") -> int:
-    m2 = round(2.0 * m)
-    if abs(2.0 * m - m2) > 1e-9:
-        raise ValueError(f"{name} = {m} is not a half-integer")
-    return int(m2)
+def rabi_sq(intensity, decay_rate: float, wavelength: float):
+    """Squared Rabi frequency (rad^2/s^2) of light of `intensity` (W/m^2)
+    on a unit-weight dipole transition of angular decay rate `decay_rate`
+    at `wavelength` (m): 2 I d^2 / (c eps0 hbar^2), with the dipole scale
+    d^2 = 3 pi eps0 hbar c^3 Gamma / omega^3 fixed by the decay rate.
+    Broadcasts over array intensities."""
+    omega = constants.TWO_PI * c / wavelength
+    d_sq = 3.0 * math.pi * epsilon_0 * hbar * c ** 3 \
+        * decay_rate / omega ** 3
+    return 2.0 * intensity * d_sq / (c * epsilon_0 * hbar ** 2)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -186,21 +186,10 @@ def config_from_dict(document: dict) -> RunConfig:
     return _merge(base, parts)
 
 
-def _as_dict(obj) -> dict:
-    """A dataclass as a JSON-ready mapping, the inverse of `_merge`."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = _as_dict(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
-
-
 def config_to_dict(config: RunConfig) -> dict:
-    document = _as_dict(config)
+    """The config document, the inverse of `config_from_dict`; grids keep
+    their tuples, which `json` writes as lists."""
+    document = asdict(config)
     for key, value in document.pop("transit").items():
         (document if key in SECTIONS else document["run"])[key] = value
     return document

@@ -43,10 +43,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
-from .atomic import LevelScheme
+from .atomic import LevelScheme, rabi_sq
 from .errors import ConfigError, ModelError, NumericalError, check, rule
 from .lightshift import BeamParams, ShiftResult
 
@@ -138,16 +137,14 @@ def drive_rabi_sq(position, drive: BeamParams, cavity: CavityParams) -> float:
     point, before polarization decomposition and coupling weights;
     broadcasts over array coordinates.
 
-    The dipole scale comes from the 3P1 natural width (2*cavity.gamma),
-    i.e. the cyclic weight-1 transition; each P1 sublevel decays at that
-    same total rate, so no extra multiplicity factor appears.
+    It is `atomic.rabi_sq` at 556 nm with the 3P1 natural width
+    (2*cavity.gamma) as the decay rate, i.e. the cyclic weight-1
+    transition; each P1 sublevel decays at that same total rate, so no
+    extra multiplicity factor appears.
     """
     x, _, z = position
-    intensity = drive.peak_intensity * drive.profile(x, z)
-    omega = TWO_PI * c / constants.WAVELENGTH_GREEN
-    d_sq = (3.0 * math.pi * epsilon_0 * hbar * c ** 3
-            * 2.0 * cavity.gamma / omega ** 3)
-    return 2.0 * intensity * d_sq / (c * epsilon_0 * hbar ** 2)
+    return rabi_sq(drive.peak_intensity * drive.profile(x, z),
+                   2.0 * cavity.gamma, constants.WAVELENGTH_GREEN)
 
 
 # The transitions the drive excites, as (ground m2, q, excited m2,
@@ -250,29 +247,32 @@ class LindbladGenerator:
 
     @classmethod
     def from_operators(cls, h, collapse_ops, n_max):
-        gen = cls(h=np.asarray(h, dtype=complex),
-                  collapse_ops=tuple(collapse_ops), n_max=n_max)
-        gen._assemble()
-        return gen
-
-    def _assemble(self):
-        dim = self.h.shape[0]
-        if self.h.shape != (dim, dim):
-            raise ModelError("Hamiltonian must be square")
-        ident = sp.identity(dim, format="csr")
-        h_s = sp.csr_matrix(self.h)
-        lio = -1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))
-        for _, op in self.collapse_ops:
-            c_s = sp.csr_matrix(op)
-            cdc = (c_s.conj().T @ c_s).tocsr()
-            lio = lio + sp.kron(c_s.conj(), c_s) \
-                - 0.5 * sp.kron(ident, cdc) \
-                - 0.5 * sp.kron(cdc.T, ident)
-        self.liouvillian = lio.tocsr()
+        h = np.asarray(h, dtype=complex)
+        collapse_ops = tuple(collapse_ops)
+        return cls(h=h, collapse_ops=collapse_ops, n_max=n_max,
+                   liouvillian=_liouvillian(h, [op for _, op in collapse_ops]))
 
     @property
     def dim(self):
         return self.h.shape[0]
+
+
+def _liouvillian(h, ops) -> sp.csr_matrix:
+    """Sparse column-stacked Liouvillian of a Hamiltonian and collapse
+    operators."""
+    dim = h.shape[0]
+    if h.shape != (dim, dim):
+        raise ModelError("Hamiltonian must be square")
+    ident = sp.identity(dim, format="csr")
+    h_s = sp.csr_matrix(h)
+    lio = -1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))
+    for op in ops:
+        c_s = sp.csr_matrix(op)
+        cdc = (c_s.conj().T @ c_s).tocsr()
+        lio = lio + sp.kron(c_s.conj(), c_s) \
+            - 0.5 * sp.kron(ident, cdc) \
+            - 0.5 * sp.kron(cdc.T, ident)
+    return lio.tocsr()
 
 
 def build_lindblad(h: np.ndarray, scheme: LevelScheme,
@@ -505,16 +505,14 @@ def evolve(rho0: SystemState, generator: LindbladGenerator,
 # most 1.4% at the operating point (the flip rate at an antinode with the
 # shift beam off; under 0.05% with it on).
 _FOCK_CUTOFF = (2, 1)
-# Points in flight in `_SpinModel.rates`: its thread pool runs tasks of
-# `_CHUNK // workers` points, so the tasks in flight hold `_CHUNK` points
-# between them, but none is smaller than `_MIN_TASK` points (per point,
-# 24-point solves cost no more than 48- or 96-point ones).  A batch's work
-# arrays set the peak RSS of a process that builds rate tables, and a pool
-# thread's freed arrays stay in its own malloc arena, out of the main
-# thread's reach: with 96 points in flight `scatter`'s peak rose 3 MiB
-# over the serial solve's, with 48 it falls 8 MiB below it.
-_CHUNK = 48
-_MIN_TASK = 24
+# Points per task of `_SpinModel.rates`' thread pool, so one per worker
+# are in flight.  Per point, 24-point solves cost no more than 48- or
+# 96-point ones, serially too.  A batch's work arrays set the peak RSS of
+# a process that builds rate tables, and a pool thread's freed arrays stay
+# in its own malloc arena, out of the main thread's reach: with 96 points
+# in flight `scatter`'s peak rose 3 MiB over the serial solve's, with 48
+# it falls 8 MiB below it.
+_TASK = 24
 _BLAS_LOCK = threading.RLock()
 
 
@@ -567,9 +565,8 @@ def _one_blas_thread():
 def _superop(h, jumps=()):
     """Dense column-stacked Liouvillian of a Hamiltonian and jumps given
     as (rate, operator) pairs."""
-    return LindbladGenerator.from_operators(
-        h, [("", math.sqrt(rate) * op) for rate, op in jumps],
-        n_max=None).liouvillian.toarray()
+    return _liouvillian(np.asarray(h, dtype=complex),
+                        [math.sqrt(rate) * op for rate, op in jumps]).toarray()
 
 
 def _low_rank(mat):
@@ -749,25 +746,24 @@ class _SpinModel:
     def rates(self, coupling, omega, detunings):
         """Rate columns (sigma+, sigma-, flip, free) for 1-d point arrays.
 
-        Tasks of `_CHUNK // workers` points (at least `_MIN_TASK`) run on
-        a pool of `_one_blas_thread`'s workers: numpy's solves and
-        products release the GIL.  Every point is solved on its own, so
-        the rates do not depend on the split.  The pool is joined before
-        OpenBLAS gets its thread count back, a failed task included.
+        Tasks of `_TASK` points run on a pool of `_one_blas_thread`'s
+        workers: numpy's solves and products release the GIL.  Every
+        point is solved on its own, so the rates do not depend on the
+        split.  The pool is joined before OpenBLAS gets its thread count
+        back, a failed task included.
         """
         params = np.column_stack([np.ones_like(coupling), coupling,
                                   *detunings])
         out = np.empty((len(coupling), 4))
 
         def solve(lo):
-            sl = slice(lo, lo + step)
+            sl = slice(lo, lo + _TASK)
             out[sl] = self._populations(params[sl], omega[sl]) @ self.weights
 
         with _one_blas_thread() as workers:
-            step = max(_CHUNK // workers, _MIN_TASK)
             try:
                 with ThreadPoolExecutor(workers) as pool:
-                    list(pool.map(solve, range(0, len(coupling), step)))
+                    list(pool.map(solve, range(0, len(coupling), _TASK)))
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"rate-model solve failed: {exc}") \
                     from exc

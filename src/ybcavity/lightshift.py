@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
-from .atomic import LevelScheme, _as_m2
+from .atomic import LevelScheme, rabi_sq
 from .errors import ResonanceError, check, rule
 
 TWO_PI = constants.TWO_PI
@@ -96,20 +95,11 @@ def default_shift_beam(power: float = constants.SHIFT_POWER,
                      detuning=detuning)
 
 
-def _rabi_sq_unit(intensity: float, scheme: LevelScheme) -> float:
-    """Squared Rabi frequency (rad^2/s^2) for unit coupling weight.
-
-    The dipole scale comes from the partial decay rate of the line: in the
-    weight normalization used here the squared matrix elements from any 3D1
-    sublevel sum to one, so d^2 = 3 pi eps0 hbar c^3 Gamma / omega^3 exactly.
-    A single frozen calibration factor absorbs the remaining convention
-    spread in the published strength of this line.
-    """
-    omega = TWO_PI * c / constants.WAVELENGTH_IR
-    d_sq = 3.0 * math.pi * epsilon_0 * hbar * c ** 3 \
-        * scheme.gamma_D1_line / omega ** 3
-    return (2.0 * intensity * d_sq / (c * epsilon_0 * hbar ** 2)
-            * constants.D1_SHIFT_CALIBRATION)
+def _as_m2(m: float, name: str = "m") -> int:
+    m2 = round(2.0 * m)
+    if abs(2.0 * m - m2) > 1e-9:
+        raise ValueError(f"{name} = {m} is not a half-integer")
+    return int(m2)
 
 
 def _component_detunings(detuning: float, scheme: LevelScheme):
@@ -127,6 +117,13 @@ def stark_shift(sublevel_m: float, beam: ShiftBeam, scheme: LevelScheme,
     triple whose entries may be arrays: the shift broadcasts over them,
     and scalars in give a float out.
 
+    The unit-weight squared Rabi frequency is the drive's dipole formula,
+    `atomic.rabi_sq`, at the 3P1-3D1 partial decay rate: in the weight
+    normalization used here the squared matrix elements from any 3D1
+    sublevel sum to one, so that dipole scale is exact.  The frozen
+    `D1_SHIFT_CALIBRATION` factor absorbs the remaining convention spread
+    in the published strength of this line.
+
     Raises ResonanceError when the beam sits within `_RESONANCE_FLOOR`
     linewidths of any hyperfine component the sublevel actually couples to.
     """
@@ -136,7 +133,9 @@ def stark_shift(sublevel_m: float, beam: ShiftBeam, scheme: LevelScheme,
                          f"got {sublevel_m}")
     detunings = _component_detunings(beam.detuning, scheme)
     x, _, z = position
-    omega_sq = _rabi_sq_unit(beam.peak_intensity * beam.profile(x, z), scheme)
+    omega_sq = rabi_sq(beam.peak_intensity * beam.profile(x, z),
+                       scheme.gamma_D1_line, constants.WAVELENGTH_IR) \
+        * constants.D1_SHIFT_CALIBRATION
     shift_rad = 0.0
     for f2, delta_k in detunings.items():
         weight = constants.D1_PI_WEIGHTS[(abs(m2), f2)]

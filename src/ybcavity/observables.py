@@ -44,8 +44,8 @@ from scipy.constants import c, h
 from . import constants
 from .dynamics import axial_profile
 from .errors import ConfigError, check, rule
-from .transit import (TransitConfig, _fall_heights, _shift_on,
-                      _write_records, local_coordinates, rate_table)
+from .transit import (TransitConfig, fall_heights, local_coordinates,
+                      rate_table, write_records)
 
 SPECTRUM_FORMAT_TAG = "ybcavity.spectrum.v1"
 SNR_FORMAT_TAG = "ybcavity.snr.v1"
@@ -151,17 +151,16 @@ def _disc_quadrature(config: TransitConfig):
     disc, radius-major, one node per distinct fall line: azimuthal nodes
     that a mirror maps onto each other (y0 -> -y0 always, x0 -> -x0 with
     centred beams) are one node with their summed weight."""
-    geometry = config.geometry
-    radius = geometry.impact_radius_factor * geometry.mode_waist
     u, w_u = np.polynomial.legendre.leggauss(_RADIAL_NODES)
-    r = radius * np.sqrt(0.5 * (u + 1.0))   # u mapped to (0, 1): du uniform
+    # u mapped to (0, 1): du uniform
+    r = config.geometry.impact_radius * np.sqrt(0.5 * (u + 1.0))
     # node k sits at angle j pi / n, j = 2k + 1; each node's mirror images
     # are nodes too, and the least j of its orbit stands for them all
     n = _AZIMUTHAL_NODES
     j = 2 * np.arange(n) + 1
     orbit = [j, 2 * n - j]                        # y0 -> -y0
     centred = config.drive.axis_offset == 0.0 and (
-        not _shift_on(config) or config.shift_beam.axis_offset == 0.0)
+        not config.shift_on or config.shift_beam.axis_offset == 0.0)
     if centred and n % 2 == 0:
         orbit += [(n - j) % (2 * n), (n + j) % (2 * n)]   # x0 -> -x0
     j, images = np.unique(np.min(orbit, axis=0), return_counts=True)
@@ -180,7 +179,7 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
     dt = config.geometry.time_step
     col = (lambda a: np.asarray(a, dtype=float)[:, None])
     coords = local_coordinates(col(x0), col(y0),
-                               _fall_heights(config.geometry), config,
+                               fall_heights(config.geometry), config,
                                axial=col(axial))
     # the two spins share one flip rate f, and spin down has sigma+ and
     # sigma- swapped (mirror-symmetric drive)
@@ -223,7 +222,7 @@ def fluorescence_spectrum(detuning_grid, config: TransitConfig,
     if grid.size and np.any(np.diff(grid) < 0):
         raise ConfigError("detuning grid must be sorted ascending")
     base = replace(config, light_shift_on=light_shift_on)
-    fold = float if _shift_on(base) else abs
+    fold = float if base.shift_on else abs
     eta = config.cavity.detection_efficiency
     counts = {}
     for det in map(fold, grid):
@@ -364,22 +363,22 @@ def pearson_correlation(records) -> float:
 
 
 def write_spectrum_csv(path, points):
-    _write_records(path, SPECTRUM_FORMAT_TAG, ("detuning_MHz", "mean_counts"),
-                   ((float(p.excitation_detuning), float(p.mean_counts))
-                    for p in points))
+    write_records(path, SPECTRUM_FORMAT_TAG, ("detuning_MHz", "mean_counts"),
+                  ((float(p.excitation_detuning), float(p.mean_counts))
+                   for p in points))
 
 
 def write_snr_csv(path, curve, x_label: str):
     if x_label not in ("power_mW", "waist_um"):
         raise ConfigError(f"unknown snr sweep label {x_label!r}")
-    _write_records(path, SNR_FORMAT_TAG, (x_label, "snr"),
-                   ((float(x), float(s)) for x, s in curve))
+    write_records(path, SNR_FORMAT_TAG, (x_label, "snr"),
+                  ((float(x), float(s)) for x, s in curve))
 
 
 def write_dip_csv(path, detuning_grid, values):
-    _write_records(path, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
-                   ((float(d), float(v))
-                    for d, v in zip(detuning_grid, values)))
+    write_records(path, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
+                  ((float(d), float(v))
+                   for d, v in zip(detuning_grid, values)))
 
 
 def _json_value(value):

@@ -62,9 +62,10 @@ class TransitGeometry:
     The fall speed at the cavity follows from the drop height, and
     `crossing_duration` gives the time to cross the mode at that speed.
     Impact parameters are drawn uniformly from a transverse disc of
-    radius impact_radius_factor x mode_waist; atoms outside couple
-    negligibly.  The simulated path spans +/- simulation_halfspan in z
-    around the mode center, resolved in time_step slices.
+    radius `impact_radius` (impact_radius_factor x mode_waist); atoms
+    outside couple negligibly.  The simulated path spans
+    +/- simulation_halfspan in z around the mode center, resolved in
+    time_step slices.
     """
 
     drop_height: float = rule(constants.DROP_HEIGHT, gt=0.0)
@@ -80,20 +81,23 @@ class TransitGeometry:
         if _segment_count(self) > _MAX_SEGMENTS:
             raise ConfigError(f"the fall takes over {_MAX_SEGMENTS} steps")
 
+    @property
+    def impact_radius(self) -> float:
+        """Radius (m) of the transverse disc impact points fill."""
+        return self.impact_radius_factor * self.mode_waist
+
 
 _MAX_SEGMENTS = 10_000   # 15x the default; bounds (chunk x segments) arrays
 
 
 def _segment_count(geometry: TransitGeometry) -> int:
     """Time slices of the fall from the top of the span to its bottom."""
-    v0 = _speed_at(geometry, geometry.simulation_halfspan)
-    span = 2.0 * geometry.simulation_halfspan
-    total = (math.sqrt(v0 ** 2 + 2.0 * FREE_FALL_G * span) - v0) / FREE_FALL_G
+    total = _fall_time(geometry, -geometry.simulation_halfspan)
     # finite even for a subnormal time step, so the geometry can reject it
     return max(1, math.ceil(min(total / geometry.time_step, 1e300)))
 
 
-def _fall_heights(geometry: TransitGeometry) -> np.ndarray:
+def fall_heights(geometry: TransitGeometry) -> np.ndarray:
     """Height above the mode center at the start of each time slice of the
     fall; every fall line is vertical, so all share these heights."""
     v0 = _speed_at(geometry, geometry.simulation_halfspan)
@@ -104,8 +108,7 @@ def _fall_heights(geometry: TransitGeometry) -> np.ndarray:
 
 def _impact(rng, geometry: TransitGeometry):
     """Transverse impact point (x0, y0); draws the radius, then azimuth."""
-    radius = geometry.impact_radius_factor * geometry.mode_waist
-    r = radius * math.sqrt(rng.random())
+    r = geometry.impact_radius * math.sqrt(rng.random())
     theta = 2.0 * math.pi * rng.random()
     return r * math.cos(theta), r * math.sin(theta)
 
@@ -115,19 +118,19 @@ def _speed_at(geometry: TransitGeometry, height_above_center: float) -> float:
     return math.sqrt(2.0 * FREE_FALL_G * drop)
 
 
+def _fall_time(geometry: TransitGeometry, z: float) -> float:
+    """Time (s) from the top of the simulated span down to height z above
+    the mode center."""
+    v0 = _speed_at(geometry, geometry.simulation_halfspan)
+    drop = geometry.simulation_halfspan - z
+    return (math.sqrt(v0 ** 2 + 2.0 * FREE_FALL_G * drop) - v0) / FREE_FALL_G
+
+
 def crossing_duration(geometry: TransitGeometry) -> float:
     """Exact time (s) a falling atom spends within one mode waist of the
-    mode center, |z| <= mode_waist."""
+    mode center, |z| <= mode_waist: the fall time to -w less that to +w."""
     w = geometry.mode_waist
-    v0 = _speed_at(geometry, geometry.simulation_halfspan)
-    h = geometry.simulation_halfspan
-
-    def t_at(z):
-        drop = h - z
-        return (math.sqrt(v0 ** 2 + 2.0 * FREE_FALL_G * drop) - v0) \
-            / FREE_FALL_G
-
-    return t_at(-w) - t_at(+w)
+    return _fall_time(geometry, -w) - _fall_time(geometry, w)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,11 @@ class TransitConfig:
                 f"geometry.mode_waist {self.geometry.mode_waist!r} must be "
                 f"the same mode waist")
 
+    @property
+    def shift_on(self) -> bool:
+        """The shift beam is switched on and has power."""
+        return self.light_shift_on and self.shift_beam.power > 0
+
 
 _MAX_ATOMS_PER_WINDOW = 1e3   # ~900x the default 1.1
 
@@ -186,19 +194,15 @@ def probe_detuning(config: TransitConfig) -> float:
     """Excitation detuning (Hz) actually applied in a run."""
     if config.excitation_detuning is not None:
         return config.excitation_detuning
-    if not _shift_on(config):
+    if not config.shift_on:
         return 0.0
     return stark_shift(+1.5, config.shift_beam, config.scheme)
-
-
-def _shift_on(config: TransitConfig) -> bool:
-    return config.light_shift_on and config.shift_beam.power > 0
 
 
 def shift_fraction(x, z, config: TransitConfig):
     """Local shift-beam intensity over its peak at transverse (x, z); zero
     when the shift beam is off."""
-    if not _shift_on(config):
+    if not config.shift_on:
         return np.zeros(np.broadcast(x, z).shape)
     return config.shift_beam.profile(x, z)
 
@@ -471,7 +475,7 @@ def rate_table(config: TransitConfig) -> RateTable:
     least recently used tables are dropped once those held exceed
     `_TABLE_BUDGET` bytes (the newest is always kept)."""
     det = probe_detuning(config)
-    if _shift_on(config):
+    if config.shift_on:
         key = (config.scheme, config.cavity, config.drive,
                config.shift_beam, det)
     else:
@@ -489,7 +493,7 @@ def transit_rate_table(x0, y0, config: TransitConfig):
     the transverse points (x0, y0), one row per time slice and one column
     per line; spin down has the same flip rate and sigma+ and sigma-
     swapped."""
-    z = _fall_heights(config.geometry)[:, None]
+    z = fall_heights(config.geometry)[:, None]
     return rate_table(config)(*local_coordinates(x0, y0, z, config))
 
 
@@ -721,7 +725,7 @@ def _window_row(rec: CountRecord):
             rec.atom_count)
 
 
-def _write_records(path, tag, columns, rows, emit_format="csv"):
+def write_records(path, tag, columns, rows, emit_format="csv"):
     """Write a file of rows under a versioned format tag, as CSV or JSON
     lines; the format name is also the file extension the CLI gives it."""
     if emit_format not in EMIT_FORMATS:
@@ -740,10 +744,10 @@ def _write_records(path, tag, columns, rows, emit_format="csv"):
 
 
 def write_transit_records(path, records, emit_format: str = "csv"):
-    _write_records(path, TRANSIT_FORMAT_TAG, _TRANSIT_COLUMNS,
-                   map(_transit_row, records), emit_format)
+    write_records(path, TRANSIT_FORMAT_TAG, _TRANSIT_COLUMNS,
+                  map(_transit_row, records), emit_format)
 
 
 def write_count_records(path, records, emit_format: str = "csv"):
-    _write_records(path, WINDOW_FORMAT_TAG, _WINDOW_COLUMNS,
-                   map(_window_row, records), emit_format)
+    write_records(path, WINDOW_FORMAT_TAG, _WINDOW_COLUMNS,
+                  map(_window_row, records), emit_format)

@@ -171,3 +171,18 @@ def test_every_export_has_a_reader():
     read.update(attribute.split(".")[0] for _, attribute in _span_targets())
     unread = [name for name in exports if name not in read]
     assert not unread, f"exported, but only unit tests read: {unread}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a name with a leading underscore is read only in its own module:
+    # what two modules share is public in the one that defines it
+    crossings = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [alias.name for alias in node.names
+                           if alias.name.startswith("_")]
+                if private:
+                    crossings.setdefault(path.stem, []).extend(private)
+    assert not crossings, \
+        f"private names imported across modules: {crossings}"

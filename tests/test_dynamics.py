@@ -532,11 +532,11 @@ def test_rate_pool_failure_raises_and_restores_blas(monkeypatch, blas_count):
 
     def failing(self, params, omega):
         seen.append(blas_count() if blas_count else None)
-        if np.any(params[:, 1] == coupling[dynamics._MIN_TASK]):
+        if np.any(params[:, 1] == coupling[dynamics._TASK]):
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(self, params, omega)
 
-    coupling, omega, detunings = _rate_points(4 * dynamics._MIN_TASK)
+    coupling, omega, detunings = _rate_points(4 * dynamics._TASK)
     _force_workers(monkeypatch, 2)
     monkeypatch.setattr(dynamics._SpinModel, "_populations", failing)
     with pytest.raises(NumericalError, match="rate-model solve failed"):

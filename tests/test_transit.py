@@ -26,7 +26,7 @@ from ybcavity.transit import (
 )
 
 GEO = TransitGeometry()
-Z = transit._fall_heights(GEO)
+Z = transit.fall_heights(GEO)
 CFG_ON = default_transit_config(light_shift_on=True)
 CFG_OFF = default_transit_config(light_shift_on=False)
 
@@ -70,7 +70,7 @@ def test_geometry_that_cannot_be_simulated_is_rejected(field, value):
 def test_segment_count_bound_is_the_trajectory_length():
     assert len(Z) == transit._segment_count(GEO) == 675
     coarse = TransitGeometry(time_step=5e-6)
-    assert len(transit._fall_heights(coarse)) == 135
+    assert len(transit.fall_heights(coarse)) == 135
     # a ten times finer grid is still accepted
     TransitGeometry(time_step=1e-7)
 

@@ -49,6 +49,7 @@ SEED_ON_UP = 102
 SEED_ON_DOWN = 103
 SEED_OFF_UP = 104
 SEED_OFF_DOWN = 105
+SEED_OFF_AXIS_RANDOM = 106
 SEED_ZERO_ATOM = 11
 SEED_WORKERS = 17
 
@@ -91,6 +92,19 @@ def transits_off_up():
 def transits_off_down():
     cfg = default_transit_config(light_shift_on=False, initial_spin="down")
     return run_transit_ensemble(ENSEMBLE_SIZE, SEED_OFF_DOWN, cfg)
+
+
+def _off_axis_config():
+    # the shift beam 10 um off the drive axis: a 3-d rate table
+    cfg = default_transit_config(light_shift_on=True, initial_spin="random")
+    return replace(cfg, shift_beam=replace(cfg.shift_beam,
+                                           axis_offset=10e-6))
+
+
+@pytest.fixture(scope="module")
+def transits_off_axis_random():
+    return run_transit_ensemble(ENSEMBLE_SIZE, SEED_OFF_AXIS_RANDOM,
+                                _off_axis_config())
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +403,36 @@ def test_sampler_matches_quadrature_shift_on(transits_on_random):
     mean, se, expected = _sampler_against_quadrature(transits_on_random, cfg)
     assert abs(mean - expected) <= 3.0 * se, (
         f"shift on: sampled {mean:.3f} +/- {se:.3f}, "
+        f"quadrature {expected:.3f}")
+
+
+@pytest.mark.parametrize("shift_on", [True, False])
+def test_sampler_matches_quadrature_spin_up(shift_on, transits_on_up,
+                                            transits_off_up):
+    """Spin up, shift on and off: the sampled detected counts per atom of
+    each polarization lie within 3 standard errors of the quadrature's
+    for a spin-up atom."""
+    cfg = default_transit_config(light_shift_on=shift_on)
+    records = transits_on_up if shift_on else transits_off_up
+    expected = [cfg.cavity.detection_efficiency * e
+                for e in _ensemble_expected_counts(cfg, 1.0)]
+    for name, counts, want in zip(("sigma+", "sigma-"),
+                                  _counts_arrays(records), expected):
+        mean = counts.mean()
+        se = counts.std(ddof=1) / math.sqrt(counts.size)
+        assert abs(mean - want) <= 3.0 * se, (
+            f"spin up, shift {'on' if shift_on else 'off'}, {name}: "
+            f"sampled {mean:.4f} +/- {se:.4f}, quadrature {want:.4f}")
+
+
+def test_sampler_matches_quadrature_off_axis_beam(transits_off_axis_random):
+    """Shift beam 10 um off the drive axis, random spins: the sampled
+    detected counts per atom lie within 3 standard errors of the
+    quadrature's."""
+    mean, se, expected = _sampler_against_quadrature(
+        transits_off_axis_random, _off_axis_config())
+    assert abs(mean - expected) <= 3.0 * se, (
+        f"off-axis beam: sampled {mean:.3f} +/- {se:.3f}, "
         f"quadrature {expected:.3f}")
 
 

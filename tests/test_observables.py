@@ -23,6 +23,7 @@ from ybcavity.transit import (TransitGeometry, TransitRecord,
                               default_transit_config, run_ensemble)
 
 CFG = default_transit_config(light_shift_on=True)
+CFG_1US = replace(CFG, geometry=replace(CFG.geometry, time_step=1e-6))
 
 
 @pytest.fixture
@@ -314,6 +315,34 @@ def test_spectrum_points_converge_in_the_disc_rule(monkeypatch, shift_offset,
 
     shipped = point(observables._RADIAL_NODES, observables._AZIMUTHAL_NODES)
     assert shipped == pytest.approx(point(10, 32), rel=rel)
+
+
+@pytest.mark.parametrize("shift_on, detuning", [
+    (True, None),     # shift on, at the probe detuning
+    (True, 3.0),
+    (True, -4.25),    # the red tail, where sublevels cross resonance
+    (True, -5.25),
+    (True, -6.75),
+    (True, -7.25),
+    (False, 0.0),     # shift off, at the peak
+])
+def test_spectrum_points_converge_in_the_time_step(shift_on, detuning):
+    # the default time step against 1 us slices; the step is not part of
+    # the rate-table key, so the fine pass reads the same tables
+    if detuning is None:
+        detuning = transit.probe_detuning(CFG) / 1e6
+
+    def point(cfg):
+        return fluorescence_spectrum([detuning], cfg,
+                                     shift_on)[0].mean_counts
+
+    assert point(CFG) == pytest.approx(point(CFG_1US), rel=1e-3)
+
+
+def test_predicted_snr_converges_in_the_time_step():
+    (_, snr), = predicted_snr([9e-3], CFG)
+    (_, snr_fine), = predicted_snr([9e-3], CFG_1US)
+    assert snr == pytest.approx(snr_fine, rel=1e-3)
 
 
 def test_spectrum_requires_sorted_grid():

@@ -68,10 +68,12 @@ def test_geometry_that_cannot_be_simulated_is_rejected(field, value):
 
 
 def test_segment_count_bound_is_the_trajectory_length():
-    assert len(Z) == transit._segment_count(GEO) == 675
+    assert len(Z) == transit._segment_count(GEO) == 169
+    fine = TransitGeometry(time_step=1e-6)
+    assert len(transit.fall_heights(fine)) == 675
     coarse = TransitGeometry(time_step=5e-6)
     assert len(transit.fall_heights(coarse)) == 135
-    # a ten times finer grid is still accepted
+    # a forty times finer grid is still accepted
     TransitGeometry(time_step=1e-7)
 
 
@@ -470,6 +472,27 @@ def test_batched_runners_match_the_scalar_reference(shift_on, initial_spin,
     if time_step == 5e-6 and not shift_on:
         # the coarse grid puts several flips into one segment
         assert most >= 2
+
+
+def test_default_time_step_matches_1us_on_paired_streams():
+    # spin up, shift off, where flips are frequent: run i draws from the
+    # same stream at both steps, so the paired differences isolate the
+    # step; the hazard inversion is exact for piecewise-constant rates,
+    # so only the rates' slicing differs
+    cfg = default_transit_config(light_shift_on=False, initial_spin="up")
+    fine = replace(cfg, geometry=replace(cfg.geometry, time_step=1e-6))
+    n, seed = 3000, 61
+
+    def columns(config):
+        records = run_transit_ensemble(n, seed, config)
+        return np.array([(r.counts_sigma_plus, r.counts_sigma_minus,
+                          r.final_spin != r.initial_spin)
+                         for r in records], dtype=float)
+
+    diff = columns(cfg) - columns(fine)
+    se = diff.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(diff.mean(axis=0)) <= 3.0 * se)
+    assert np.mean(np.any(diff != 0.0, axis=1)) < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .dynamics import (
 from .transit import (
     TransitGeometry, TransitConfig, TransitRecord, CountRecord,
     default_transit_config, crossing_duration, probe_detuning,
-    simulate_transit, simulate_window, child_rng,
+    simulate_transit, simulate_window,
     run_ensemble, run_transit_ensemble,
     write_transit_records, write_count_records,
 )

@@ -258,21 +258,34 @@ class LindbladGenerator:
 
 
 def _liouvillian(h, ops) -> sp.csr_matrix:
-    """Sparse column-stacked Liouvillian of a Hamiltonian and collapse
-    operators."""
+    """Sparse Liouvillian of a Hamiltonian and dense collapse operators C
+    on column-stacked rho, vec(A X B) = (B^T kron A) vec(X):
+    L = I kron M + conj(M) kron I + sum_C conj(C) kron C, M = -iH - 1/2
+    sum_C C^dag C, with conj(M) taken as (iH - 1/2 sum_C C^dag C)^T (the
+    same for a Hermitian H).  The entries of all the Kronecker products
+    are summed into CSR in one pass; exact cancellations are dropped."""
     dim = h.shape[0]
     if h.shape != (dim, dim):
         raise ModelError("Hamiltonian must be square")
-    ident = sp.identity(dim, format="csr")
-    h_s = sp.csr_matrix(h)
-    lio = -1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))
-    for op in ops:
-        c_s = sp.csr_matrix(op)
-        cdc = (c_s.conj().T @ c_s).tocsr()
-        lio = lio + sp.kron(c_s.conj(), c_s) \
-            - 0.5 * sp.kron(ident, cdc) \
-            - 0.5 * sp.kron(cdc.T, ident)
-    return lio.tocsr()
+    ops = [np.asarray(op) for op in ops]
+    loss = sum((c.conj().T @ c for c in ops), np.zeros((dim, dim)))
+    eye = np.eye(dim)
+    pairs = [(eye, -1j * h - 0.5 * loss), ((1j * h - 0.5 * loss).T, eye)]
+    terms = [(a, np.nonzero(a), b, np.nonzero(b))
+             for a, b in pairs + [(c.conj(), c) for c in ops]]
+    size = sum(ia[0].size * ib[0].size for _, ia, _, ib in terms)
+    index = np.int32 if dim ** 2 < 2 ** 31 else np.int64
+    rows, cols = np.empty(size, index), np.empty(size, index)
+    vals, end = np.empty(size, complex), 0
+    for a, (ra, ca), b, (rb, cb) in terms:
+        part = slice(end, end + ra.size * rb.size)
+        rows[part] = np.add.outer(ra * dim, rb).ravel()
+        cols[part] = np.add.outer(ca * dim, cb).ravel()
+        vals[part] = np.outer(a[ra, ca], b[rb, cb]).ravel()
+        end = part.stop
+    lio = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
+    lio.eliminate_zeros()
+    return lio
 
 
 def build_lindblad(h: np.ndarray, scheme: LevelScheme,
@@ -562,13 +575,6 @@ def _one_blas_thread():
             put(saved)
 
 
-def _superop(h, jumps=()):
-    """Dense column-stacked Liouvillian of a Hamiltonian and jumps given
-    as (rate, operator) pairs."""
-    return _liouvillian(np.asarray(h, dtype=complex),
-                        [math.sqrt(rate) * op for rate, op in jumps]).toarray()
-
-
 def _low_rank(mat):
     """mat = left @ right with the inner dimension cut to the numerical
     rank (the drive couples each block to only a few of its neighbours)."""
@@ -613,9 +619,9 @@ def _conditional_liouvillian(kappa: float, gamma: float):
     def cut(op):
         return op[np.ix_(keep, keep)]
 
-    jumps = [(2 * kappa, cut(a)) for a in modes]
-    jumps += [(2 * gamma, cut(embed(_atom_proj(up, EXCITED_INDEX[e2]))))
-              for e2 in excited_m2]
+    jumps = [math.sqrt(2 * kappa) * cut(a) for a in modes]
+    jumps += [math.sqrt(2 * gamma) * cut(embed(_atom_proj(
+        up, EXCITED_INDEX[e2]))) for e2 in excited_m2]
     flip_frac = np.zeros(N_ATOM)
     for e2 in excited_m2:
         flip_frac[EXCITED_INDEX[e2]] = sum(
@@ -628,9 +634,10 @@ def _conditional_liouvillian(kappa: float, gamma: float):
                                2 * gamma * is_exc])
 
     d = len(keep)
-    comps = [_superop(np.zeros((d, d)), jumps), _superop(cut(h_g))] \
-        + [_superop(cut(excited[e2])) for e2 in excited_m2]
-    drive = _superop(cut(h_om))
+    comps = [_liouvillian(np.zeros((d, d)), jumps).toarray()] + [
+        _liouvillian(cut(h), ()).toarray()
+        for h in [h_g] + [excited[e2] for e2 in excited_m2]]
+    drive = _liouvillian(cut(h_om), ()).toarray()
     quanta = n_p + n_m + is_exc
     return excited_m2, weights, comps, drive, quanta
 

@@ -676,23 +676,31 @@ def child_rng(master_seed: int, run_index: int):
     """Counter-based stream for one run: Philox keyed on
     (master_seed, run_index), independent of how runs are grouped.  Both
     are integers (Python or numpy, not bool) in [0, 2**64 - 1]."""
-    for name, value in (("master_seed", master_seed),
-                        ("run_index", run_index)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                or not 0 <= int(value) < 2 ** 64:
-            raise ConfigError(f"{name} must be an integer in "
-                              f"[0, 2**64 - 1], got {value!r}")
-    key = np.array([master_seed, run_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    _check_key("master_seed", master_seed)
+    _check_key("run_index", run_index)
+    return _stream(master_seed, run_index)
+
+
+def _check_key(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or not 0 <= int(value) < 2 ** 64:
+        raise ConfigError(f"{name} must be an integer in "
+                          f"[0, 2**64 - 1], got {value!r}")
+
+
+def _stream(master_seed, run_index):
+    return np.random.Generator(np.random.Philox(
+        key=np.array([master_seed, run_index], dtype=np.uint64)))
 
 
 def _run_chunks(batch, n_runs: int, master_seed: int) -> list:
     """batch(streams) on runs 0..n_runs-1, `_CHUNK` streams at a time."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
+    _check_key("master_seed", master_seed)   # once: range gives valid runs
     records = []
     for start in range(0, n_runs, _CHUNK):
-        records += batch([child_rng(master_seed, i)
+        records += batch([_stream(master_seed, i)
                           for i in range(start, min(start + _CHUNK, n_runs))])
     return records
 

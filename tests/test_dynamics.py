@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from ybcavity import constants, dynamics
@@ -156,6 +157,66 @@ def test_cavity_decay_rate_is_2_kappa():
 def test_lindblad_dimension_guard():
     with pytest.raises(ModelError):
         build_lindblad(np.zeros((7, 7)), SCHEME, CAVITY)
+
+
+def _kron_liouvillian(h, ops):
+    """Reference assembly, one Kronecker product and one sparse sum per
+    term: -i (I x H - H^T x I) and, per collapse operator C,
+    conj(C) x C - (I x C^dag C + (C^dag C)^T x I) / 2."""
+    ident = sp.identity(h.shape[0], format="csr")
+    h_s = sp.csr_matrix(h)
+    lio = -1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))
+    for op in ops:
+        c_s = sp.csr_matrix(op)
+        cdc = (c_s.conj().T @ c_s).tocsr()
+        lio = lio + sp.kron(c_s.conj(), c_s) \
+            - 0.5 * sp.kron(ident, cdc) - 0.5 * sp.kron(cdc.T, ident)
+    return lio.tocsr()
+
+
+def _assert_same_generator(lio, ref):
+    """lio against the reference: the same structural pattern with no
+    explicit zeros (`_reduction` takes the components of |L|, and
+    `_SpinModel` checks its grading on the nonzeros), entries within
+    1e-13 of the largest, and each column's diagonal-row entries (its
+    contribution to d tr(rho)/dt) summing to zero to the same scale."""
+    lio, ref = sp.csr_matrix(lio), sp.csr_matrix(ref)
+    for mat in (lio, ref):
+        assert mat.has_canonical_format and np.all(mat.data != 0)
+    assert np.array_equal(lio.indptr, ref.indptr)
+    assert np.array_equal(lio.indices, ref.indices)
+    scale = abs(ref).max()
+    assert abs(lio - ref).max() <= 1e-13 * scale
+    dim = math.isqrt(lio.shape[0])
+    trace_rows = np.arange(dim) * (dim + 1)
+    assert np.abs(lio[trace_rows].sum(axis=0)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_liouvillian_matches_term_by_term_kron(n_max):
+    rng = np.random.default_rng(22 + n_max)
+    dim = N_ATOM * (n_max + 1) ** 2
+    # a sparse random Hermitian H at the model's frequency scale, with a
+    # real diagonal, so -i[H, rho] cancels exactly on rho's diagonal
+    mask = rng.random((dim, dim)) < 0.05
+    b = np.where(mask, rng.normal(size=(dim, dim))
+                 + 1j * rng.normal(size=(dim, dim)), 0.0)
+    h = 1e8 * (b + b.conj().T + np.diag(rng.normal(size=dim)))
+    ops = [op for _, op in build_lindblad(h, SCHEME, CAVITY).collapse_ops]
+    lio = LindbladGenerator.from_operators(
+        h, [("c", op) for op in ops], n_max).liouvillian
+    _assert_same_generator(lio, _kron_liouvillian(h, ops))
+
+
+def test_conditional_superoperators_match_term_by_term_kron(monkeypatch):
+    _, _, comps, drive, _ = _conditional_liouvillian(CAVITY.kappa,
+                                                     CAVITY.gamma)
+    monkeypatch.setattr(dynamics, "_liouvillian", _kron_liouvillian)
+    _, _, ref_comps, ref_drive, _ = _conditional_liouvillian(CAVITY.kappa,
+                                                             CAVITY.gamma)
+    for sup, ref in zip(comps + [drive], ref_comps + [ref_drive]):
+        assert np.array_equal(np.nonzero(sup), np.nonzero(ref))
+        _assert_same_generator(sup, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -178,14 +178,15 @@ def _atom_proj(i, j):
     return op
 
 
+@lru_cache(maxsize=8)
 def _model_terms(n_plus: int, n_minus: int):
     """Unit terms of the six-level model on atom x Fock x Fock, the sigma+
     and sigma- modes cut at n_plus and n_minus photons, as (excited,
     coupling, drive, modes, embed): the projector of each excited sublevel
-    keyed by its m2, the cavity coupling at g = 1 and the drive at
-    Omega = 1 (both Hermitian), the two mode annihilators, and
-    embed(atom_op, plus, minus), which lifts atom and mode operators onto
-    the space (identities by default)."""
+    keyed by its m2, the cavity coupling at g = 1 and the drive at Omega = 1
+    (both Hermitian), the two mode annihilators, and embed(atom_op, plus,
+    minus), which lifts atom and mode operators onto the space (identities
+    by default).  Built once per cutoff pair, read-only."""
     a_plus = np.diag(np.sqrt(np.arange(1.0, n_plus + 1)), k=1)
     a_minus = np.diag(np.sqrt(np.arange(1.0, n_minus + 1)), k=1)
     i_plus, i_minus = np.eye(n_plus + 1), np.eye(n_minus + 1)
@@ -208,6 +209,8 @@ def _model_terms(n_plus: int, n_minus: int):
     excited = {e2: embed(_atom_proj(i, i)) for e2, i in EXCITED_INDEX.items()}
     modes = (embed(np.eye(N_ATOM), plus=a_plus),
              embed(np.eye(N_ATOM), minus=a_minus))
+    for op in (coupling, drive, *excited.values(), *modes):
+        op.setflags(write=False)
     return excited, coupling, drive, modes, embed
 
 

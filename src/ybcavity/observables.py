@@ -2,7 +2,7 @@
 bookkeeping, and the trap-loss dip used to locate the 1539-nm line.
 
 The deterministic ensemble averages here use the same fall lines and
-rate table as the Monte Carlo sampler (uniform impact disc, 1-us rate
+rate lookup as the Monte Carlo sampler (uniform impact disc, `time_step`
 grid) but replace sampling with quadrature: Gauss-Legendre in the squared
 radial coordinate (the same u = (r/R)^2 variable the sampler inverts,
 `_RADIAL_NODES` points) and a uniform azimuthal rule (`_AZIMUTHAL_NODES`),
@@ -44,8 +44,7 @@ from scipy.constants import c, h
 from . import constants
 from .dynamics import axial_profile
 from .errors import ConfigError, check, rule
-from .transit import (TransitConfig, fall_heights, local_coordinates,
-                      rate_table, write_records)
+from .transit import TransitConfig, transit_rate_table, write_records
 
 SPECTRUM_FORMAT_TAG = "ybcavity.spectrum.v1"
 SNR_FORMAT_TAG = "ybcavity.snr.v1"
@@ -177,13 +176,10 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
     thinning, with the spin occupation evolved through the flip rate:
     exact per-segment integrals for the symmetric flip problem."""
     dt = config.geometry.time_step
-    col = (lambda a: np.asarray(a, dtype=float)[:, None])
-    coords = local_coordinates(col(x0), col(y0),
-                               fall_heights(config.geometry), config,
-                               axial=col(axial))
-    # the two spins share one flip rate f, and spin down has sigma+ and
-    # sigma- swapped (mirror-symmetric drive)
-    up_plus, up_minus, flip = rate_table(config)(*coords)
+    # one row per line; the two spins share one flip rate f, and spin
+    # down has sigma+ and sigma- swapped (mirror-symmetric drive)
+    up_plus, up_minus, flip = (np.ascontiguousarray(r.T) for r in
+                               transit_rate_table(x0, y0, config, axial=axial))
     dn_plus, dn_minus = up_minus, up_plus
 
     x = 2.0 * flip * dt

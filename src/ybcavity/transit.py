@@ -212,18 +212,6 @@ def shift_fraction(x, z, config: TransitConfig):
     return config.shift_beam.profile(x, z)
 
 
-def local_coordinates(x0, y0, z, config: TransitConfig, axial=None):
-    """Coupling g (rad/s), drive Omega^2 and shift fraction along fall
-    lines; x0 and y0 broadcast against the heights z.  `axial` replaces
-    the standing-wave factor at x0 (the quadrature averages over it)."""
-    if axial is None:
-        g = coupling_at((x0, y0, z), config.cavity)
-    else:
-        g = np.asarray(axial) * coupling_at((0.0, y0, z), config.cavity)
-    om_sq = drive_rabi_sq((x0, y0, z), config.drive, config.cavity)
-    return g, om_sq, shift_fraction(x0, z, config)
-
-
 # ---------------------------------------------------------------------------
 # rate tables
 
@@ -401,25 +389,28 @@ class RateTable:
     def _v_of_xi(self, xi):
         return self.v_c * np.expm1(xi * math.log1p(1.0 / self.v_c))
 
-    def __call__(self, g, om_sq, frac):
+    def __call__(self, g, om_sq, frac=None):
         """Spin-up (sigma+, sigma-, flip) rate arrays at the given points
-        (the shift fraction is read only by a three-dimensional table);
+        (only a 3-d table reads the shift fraction, and it needs one);
         spin down has the same flip rate and sigma+ and sigma- swapped.
         The points are broadcast together and looked up in flat blocks of
         `_LOOKUP_BLOCK`, so that the stencil's temporaries stay in cache;
         every step is elementwise, so the blocking changes no bit."""
-        g, om_sq, frac = np.broadcast_arrays(g, om_sq, frac)
+        if self.three_d and frac is None:
+            raise ValueError("a 3-d rate table needs the shift fraction")
+        g, om_sq, *frac = np.broadcast_arrays(
+            g, om_sq, *((frac,) if self.three_d else ()))
         if self.zero:
             zeros = np.zeros(g.shape)
             return zeros, zeros, zeros
-        flat = [a.reshape(-1) for a in (g, om_sq, frac)]
+        flat = [a.reshape(-1) for a in (g, om_sq, *frac)]
         rates = np.empty((3, g.size))
         for start in range(0, g.size, _LOOKUP_BLOCK):
             block = slice(start, start + _LOOKUP_BLOCK)
             rates[:, block] = self._lookup(*(a[block] for a in flat))
         return tuple(rates.reshape((3,) + g.shape))
 
-    def _lookup(self, g, om_sq, frac):
+    def _lookup(self, g, om_sq, frac=None):
         """(3, n) spin-up rates at n flat points."""
         v = np.minimum((g / self.g0) ** 2, 1.0)
         weak = om_sq / self.om0_sq
@@ -493,13 +484,22 @@ def rate_table(config: TransitConfig) -> RateTable:
     return table
 
 
-def transit_rate_table(x0, y0, config: TransitConfig):
+def transit_rate_table(x0, y0, config: TransitConfig, axial=None):
     """Spin-up (sigma+, sigma-, flip) rates along the fall lines through
     the transverse points (x0, y0), one row per time slice and one column
     per line; spin down has the same flip rate and sigma+ and sigma-
-    swapped."""
+    swapped.  `axial`, one per line, replaces the standing-wave factor at
+    x0 (the quadrature averages over it).  Only a 3-d table's lookups
+    evaluate the shift fraction."""
+    table = rate_table(config)   # any build peaks before the grids exist
     z = fall_heights(config.geometry)[:, None]
-    return rate_table(config)(*local_coordinates(x0, y0, z, config))
+    if axial is None:
+        g = coupling_at((x0, y0, z), config.cavity)
+    else:
+        g = np.asarray(axial) * coupling_at((0.0, y0, z), config.cavity)
+    om_sq = drive_rabi_sq((x0, y0, z), config.drive, config.cavity)
+    frac = (shift_fraction(x0, z, config),) if table.three_d else ()
+    return table(g, om_sq, *frac)
 
 
 # ---------------------------------------------------------------------------

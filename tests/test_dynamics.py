@@ -54,6 +54,21 @@ def test_hamiltonian_is_hermitian():
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
+def test_model_terms_are_built_once_per_cutoff_and_read_only():
+    # build_hamiltonian and build_lindblad share one set of unit terms per
+    # Fock cutoff, which no caller can write into
+    h = build_hamiltonian(SCHEME, CAVITY, DRIVE, SHIFTS_ON, 3.3e6, n_max=2)
+    build_lindblad(h, SCHEME, CAVITY)
+    excited, coupling, drive, modes, _ = dynamics._model_terms(2, 2)
+    assert dynamics._model_terms(2, 2)[1] is coupling
+    for op in (coupling, drive, *excited.values(), *modes):
+        with pytest.raises(ValueError):
+            op[0, 0] += 1.0
+    np.testing.assert_array_equal(
+        build_hamiltonian(SCHEME, CAVITY, DRIVE, SHIFTS_ON, 3.3e6, n_max=2),
+        h)
+
+
 def test_ground_vacuum_is_eigenstate_without_drive():
     dark = BeamParams(power=0.0, waist=25e-6)
     h = build_hamiltonian(SCHEME, CAVITY, dark, SHIFTS_OFF, 0.0, n_max=1)

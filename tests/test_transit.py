@@ -13,13 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ybcavity import constants, transit
-from ybcavity.dynamics import CavityParams, coupling_at, spin_rates
+from ybcavity import constants, observables, transit
+from ybcavity.dynamics import (CavityParams, axial_profile, coupling_at,
+                               drive_rabi_sq, spin_rates)
 from ybcavity.errors import ConfigError
-from ybcavity.lightshift import ShiftResult, default_shift_beam, stark_shift
+from ybcavity.lightshift import (ShiftBeam, ShiftResult, default_shift_beam,
+                                 stark_shift)
 from ybcavity.transit import (
     CountRecord, TransitGeometry, TransitRecord,
-    child_rng, crossing_duration, default_transit_config, local_coordinates,
+    child_rng, crossing_duration, default_transit_config,
     probe_detuning, run_ensemble, run_transit_ensemble, shift_fraction,
     simulate_transit, simulate_window, transit_rate_table,
     write_count_records, write_transit_records,
@@ -29,6 +31,10 @@ GEO = TransitGeometry()
 Z = transit.fall_heights(GEO)
 CFG_ON = default_transit_config(light_shift_on=True)
 CFG_OFF = default_transit_config(light_shift_on=False)
+CFG_3D = replace(CFG_ON, shift_beam=replace(CFG_ON.shift_beam,
+                                            axis_offset=8e-6))
+# fall-line points through the mode, |z| <= 33 um, every third slice
+PATH = np.flatnonzero(np.abs(Z) <= 33e-6)[::3]
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +169,13 @@ def test_rate_table_shapes_and_spin_symmetry():
             np.testing.assert_array_equal(rates[:, k], one[:, 0])
     # the table holds spin up only: by the mirror symmetry of the level
     # scheme under the linear drive, spin down swaps sigma+ and sigma-
-    sel = slice(250, 430, 12)
-    g, om_sq, _ = local_coordinates(x0[0], y0[0], Z[sel], CFG_ON)
+    path = (x0[0], y0[0], Z[PATH])
+    assert len(PATH) >= 15
+    g = coupling_at(path, CFG_ON.cavity)
+    om_sq = drive_rabi_sq(path, CFG_ON.drive, CFG_ON.cavity)
     shifts = ShiftResult(
-        stark_shift(+1.5, CFG_ON.shift_beam, CFG_ON.scheme,
-                    (x0[0], y0[0], Z[sel])),
-        stark_shift(+0.5, CFG_ON.shift_beam, CFG_ON.scheme,
-                    (x0[0], y0[0], Z[sel])))
+        stark_shift(+1.5, CFG_ON.shift_beam, CFG_ON.scheme, path),
+        stark_shift(+0.5, CFG_ON.shift_beam, CFG_ON.scheme, path))
     up, down = (spin_rates(spin, g, om_sq, probe_detuning(CFG_ON), shifts,
                            CFG_ON.cavity) for spin in ("up", "down"))
     np.testing.assert_allclose(down[:, [1, 0, 2]], up[:, :3], rtol=1e-12)
@@ -188,11 +194,12 @@ def test_rate_table_matches_direct_solves(shift_offset):
         cfg = default_transit_config(shift_beam=replace(
             CFG_ON.shift_beam, axis_offset=shift_offset))
     x0, y0 = 6e-6, 4e-6
-    sel = slice(250, 430, 12)
-    plus, minus, flip = (rates[:, 0] for rates in
+    assert len(PATH) >= 15
+    plus, minus, flip = (rates[PATH, 0] for rates in
                          transit_rate_table([x0], [y0], cfg))
-    g, om_sq, _ = local_coordinates(x0, y0, Z[sel], cfg)
-    path = (x0, y0, Z[sel])
+    path = (x0, y0, Z[PATH])
+    g = coupling_at(path, cfg.cavity)
+    om_sq = drive_rabi_sq(path, cfg.drive, cfg.cavity)
     on = 0.0 if shift_offset is None else 1.0
     shifts = ShiftResult(
         delta_32=on * stark_shift(+1.5, cfg.shift_beam, cfg.scheme, path),
@@ -203,7 +210,7 @@ def test_rate_table_matches_direct_solves(shift_offset):
         direct = spin_rates(spin, g, om_sq, probe_detuning(cfg), shifts,
                             cfg.cavity)
         for k, got in enumerate(looked_up):
-            np.testing.assert_allclose(got[sel], direct[:, k], rtol=5e-3)
+            np.testing.assert_allclose(got, direct[:, k], rtol=5e-3)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 16])
@@ -274,20 +281,27 @@ def test_blocked_lookups_are_exact(monkeypatch, kind):
     # every step of a lookup is elementwise, so its blocks change no bit:
     # more than two default blocks of points, flat and in the sampler's
     # (time slice, run) broadcast, against blocks of 7 points
-    cfg = {"2d": CFG_ON,
-           "3d": replace(CFG_ON, shift_beam=replace(CFG_ON.shift_beam,
-                                                    axis_offset=8e-6)),
+    cfg = {"2d": CFG_ON, "3d": CFG_3D,
            "zero_drive": replace(CFG_ON, drive=replace(CFG_ON.drive,
                                                        power=0.0))}[kind]
     table = transit.rate_table(cfg)
     assert table.three_d == (kind == "3d")
     assert table.zero == (kind == "zero_drive")
+
+    def coordinates(x0, y0, z):
+        pos = (x0, y0, z)
+        coords = (coupling_at(pos, cfg.cavity),
+                  drive_rabi_sq(pos, cfg.drive, cfg.cavity))
+        if table.three_d:
+            coords += (shift_fraction(x0, z, cfg),)
+        return coords
+
     rng = np.random.default_rng(5)
     n = 2 * transit._LOOKUP_BLOCK + 1001
     x0, y0 = rng.uniform(-20e-6, 20e-6, size=(2, n))
-    flat = local_coordinates(x0, y0, rng.uniform(-40e-6, 40e-6, n), cfg)
+    flat = coordinates(x0, y0, rng.uniform(-40e-6, 40e-6, n))
     runs = n // len(Z) + 1
-    grid = local_coordinates(x0[:runs], y0[:runs], Z[:, None], cfg)
+    grid = coordinates(x0[:runs], y0[:runs], Z[:, None])
     assert grid[0].shape == (len(Z), runs)
     blocked = [table(*flat), table(*grid)]
     monkeypatch.setattr(transit, "_LOOKUP_BLOCK", 7)
@@ -295,6 +309,54 @@ def test_blocked_lookups_are_exact(monkeypatch, kind):
         for a, b in zip(got, table(*points)):
             assert a.shape == points[0].shape
             assert np.array_equal(a, b)
+
+
+def test_two_d_tables_never_evaluate_the_shift_fraction(monkeypatch):
+    # beams on one axis: the table reads the coupling and the drive only,
+    # so neither consumer's lookup evaluates the shift beam's profile (an
+    # explicit detuning keys the table cache without a Stark shift)
+    cfg = replace(CFG_ON, excitation_detuning=probe_detuning(CFG_ON))
+    assert cfg.shift_on and not transit.rate_table(cfg).three_d
+    x0, y0 = np.array([2e-6, -5e-6]), np.array([1e-6, 3e-6])
+    rates = transit_rate_table(x0, y0, cfg)
+    counts = observables._ensemble_expected_counts(cfg, 0.5)
+
+    def refuse(*args):
+        raise AssertionError("shift fraction evaluated")
+
+    monkeypatch.setattr(transit, "shift_fraction", refuse)
+    monkeypatch.setattr(ShiftBeam, "profile", refuse)
+    for got, want in zip(transit_rate_table(x0, y0, cfg), rates):
+        np.testing.assert_array_equal(got, want)
+    assert observables._ensemble_expected_counts(cfg, 0.5) == counts
+
+
+def test_three_d_tables_read_the_shift_fraction(monkeypatch):
+    calls = []
+
+    def spy(x, z, config):
+        calls.append(np.broadcast(x, z).shape)
+        return shift_fraction(x, z, config)
+
+    monkeypatch.setattr(transit, "shift_fraction", spy)
+    transit_rate_table([2e-6, -5e-6], [1e-6, 3e-6], CFG_3D)
+    assert calls == [(len(Z), 2)]
+    table = transit.rate_table(CFG_3D)
+    with pytest.raises(ValueError, match="shift fraction"):
+        table(np.full(3, 1e6), np.full(3, 1e12))
+
+
+@pytest.mark.parametrize("cfg", [CFG_OFF, CFG_ON, CFG_3D],
+                         ids=["off", "2d", "3d"])
+def test_axial_factors_give_the_samplers_rates(cfg):
+    # the quadrature passes the standing-wave factor at x0 itself; the
+    # sampler's lookup resolves it from x0, and both read the same rates
+    x0, y0 = np.array([2e-6, -5e-6, 0.13e-6]), np.array([1e-6, 3e-6, 9e-6])
+    axial = axial_profile(2.0 * math.pi * x0 / constants.WAVELENGTH_GREEN,
+                          cfg.cavity)
+    for got, want in zip(transit_rate_table(x0, y0, cfg, axial=axial),
+                         transit_rate_table(x0, y0, cfg)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_table_builds_leave_scipy_interpolate_unimported():

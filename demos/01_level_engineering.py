@@ -12,14 +12,14 @@ states.  This script walks through the numbers.
 
 import numpy as np
 
-from ybcavity import (ShiftBeam, build_level_scheme, default_shift_beam,
-                      stark_shift, sublevel_splitting)
+from ybcavity import (LevelScheme, ShiftBeam, stark_shift,
+                      sublevel_splitting)
 
-scheme = build_level_scheme()
+scheme = LevelScheme()
 
 # ---------------------------------------------------------------------------
 # The reference beam: 9 mW focused to a 50 um waist, -300 MHz detuned.
-beam = default_shift_beam()
+beam = ShiftBeam()
 print("reference beam: %.1f mW, w = %.0f um, detuning %+.0f MHz"
       % (beam.power * 1e3, beam.waist * 1e6, beam.detuning / (2e6 * np.pi)))
 

@@ -15,13 +15,13 @@ power.
 
 import numpy as np
 
-from ybcavity import (BeamParams, CavityParams, ShiftResult,
-                      adiabatic_rates, build_hamiltonian, build_level_scheme,
-                      build_lindblad, default_transit_config,
-                      ground_vacuum_state, stark_shift, steady_state)
+from ybcavity import (BeamParams, CavityParams, LevelScheme, ShiftResult,
+                      adiabatic_rates, build_hamiltonian, build_lindblad,
+                      default_transit_config, ground_vacuum_state,
+                      stark_shift, steady_state)
 from ybcavity.transit import probe_detuning
 
-scheme = build_level_scheme()
+scheme = LevelScheme()
 cavity = CavityParams()
 print("cavity: g0/2pi = %.1f MHz, kappa/2pi = %.1f MHz, gamma/2pi = %.3f MHz"
       % tuple(x / (2e6 * np.pi) for x in (cavity.g0, cavity.kappa,

@@ -13,10 +13,9 @@ Monte Carlo transit/photon statistics, and the derived observables
 from .errors import (
     YbCavityError, ConfigError, ResonanceError, ModelError, NumericalError,
 )
-from .atomic import LevelScheme, build_level_scheme
+from .atomic import LevelScheme
 from .lightshift import (
-    BeamParams, ShiftBeam, ShiftResult,
-    default_shift_beam, stark_shift, sublevel_splitting,
+    BeamParams, ShiftBeam, ShiftResult, stark_shift, sublevel_splitting,
 )
 from .dynamics import (
     CavityParams, SystemState, LindbladGenerator, EmissionRates,
@@ -39,8 +38,7 @@ from .observables import (
     pearson_correlation,
 )
 from .config import (
-    RunConfig, default_run_config, config_from_dict, config_to_dict,
-    load_config, dump_config,
+    RunConfig, config_from_dict, config_to_dict, load_config, dump_config,
 )
 
 __version__ = "0.1.0"

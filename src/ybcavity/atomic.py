@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from scipy.constants import c, epsilon_0, hbar
 
 from . import constants
-from .errors import ConfigError, check, rule
+from .errors import check, rule
 
 
 def rabi_sq(intensity, decay_rate: float, wavelength: float):
@@ -52,11 +52,3 @@ class LevelScheme:
                                          gt=0.0)
 
     __post_init__ = check   # no rule spans fields
-
-
-def build_level_scheme(**overrides) -> LevelScheme:
-    """A LevelScheme; kwargs override the defaults."""
-    try:
-        return LevelScheme(**overrides)
-    except TypeError as exc:   # a keyword that names no field
-        raise ConfigError(f"unknown level-scheme parameter: {exc}") from exc

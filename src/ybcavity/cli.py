@@ -12,8 +12,9 @@ transit    single-atom transit records with per-atom statistics
 motdip     trap-loss spectroscopy profile of the 1539-nm line
 
 Every command is reproducible: the same config file and seed produce
-byte-identical outputs.  Exit codes: 0 success, 2 configuration errors,
-3 numerical failures.
+byte-identical outputs, and each computes all it emits before it writes
+a file.  Exit codes: 0 success, 2 configuration errors, 3 numerical
+failures (an overflow or a division by zero among them).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import RunConfig, default_run_config, dump_config, load_config
+from .config import RunConfig, dump_config, load_config
 from .errors import ConfigError, NumericalError
 from .observables import (count_weighted_skewness, fluorescence_spectrum,
                           mot_dip_profile, pearson_correlation, predicted_snr,
@@ -89,14 +90,14 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_snr(config: RunConfig) -> int:
     transit_cfg = config.to_transit_config()
     powers_mw = config.grids.snr_power_mw
+    waists_um = config.grids.snr_waist_um
     power_curve = predicted_snr([p / 1e3 for p in powers_mw], transit_cfg,
                                 vary="power")
+    waist_curve = predicted_snr([w / 1e6 for w in waists_um], transit_cfg,
+                                vary="waist")
     write_snr_csv(_outfile(config, "snr_vs_power.csv"),
                   [(p, s) for p, (_, s) in zip(powers_mw, power_curve)],
                   x_label="power_mW")
-    waists_um = config.grids.snr_waist_um
-    waist_curve = predicted_snr([w / 1e6 for w in waists_um], transit_cfg,
-                                vary="waist")
     write_snr_csv(_outfile(config, "snr_vs_waist.csv"),
                   [(w, s) for w, (_, s) in zip(waists_um, waist_curve)],
                   x_label="waist_um")
@@ -109,17 +110,19 @@ def cmd_scatter(config: RunConfig) -> int:
     transit_cfg = config.to_transit_config()
     summary = {"format": SUMMARY_FORMAT_TAG, "n_runs": run.n_runs,
                "initial_spin": transit_cfg.initial_spin}
+    halves = {}
     for label, shift_on in (("off", False), ("on", True)):
         cfg = replace(transit_cfg, light_shift_on=shift_on)
-        records = run_ensemble(run.n_runs, seed, cfg)
-        name = f"scatter_shift_{label}.{run.emit_format}"
-        write_count_records(_outfile(config, name), records,
-                            emit_format=run.emit_format)
+        records = halves[label] = run_ensemble(run.n_runs, seed, cfg)
         summary[f"pearson_shift_{label}"] = pearson_correlation(records)
         summary[f"mean_counts_sigma_plus_shift_{label}"] = \
             sum(x.counts_sigma_plus for x in records) / len(records)
         summary[f"mean_counts_sigma_minus_shift_{label}"] = \
             sum(x.counts_sigma_minus for x in records) / len(records)
+    for label, records in halves.items():
+        name = f"scatter_shift_{label}.{run.emit_format}"
+        write_count_records(_outfile(config, name), records,
+                            emit_format=run.emit_format)
     write_stats_json(_outfile(config, "scatter_summary.json"), summary)
     return EXIT_OK
 
@@ -206,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.print_defaults:
-        sys.stdout.write(dump_config(default_run_config()))
+        sys.stdout.write(dump_config(RunConfig()))
         return EXIT_OK
     if args.command is None:
         parser.print_usage(sys.stderr)
@@ -220,7 +223,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

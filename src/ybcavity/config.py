@@ -125,11 +125,6 @@ class RunConfig:
         return self.transit
 
 
-def default_run_config() -> RunConfig:
-    """Reference operating point for every section."""
-    return RunConfig()
-
-
 # ---------------------------------------------------------------------------
 # dict <-> dataclass plumbing
 
@@ -181,7 +176,7 @@ def config_from_dict(document: dict) -> RunConfig:
                            if k in _TRANSIT_KEYS)
         else:
             (transit if name in _TRANSIT_KEYS else parts)[name] = data
-    base = default_run_config()
+    base = RunConfig()
     base = replace(base, transit=_merge(base.transit, transit))
     return _merge(base, parts)
 
@@ -226,7 +221,7 @@ def apply_env_overrides(document: dict, environ=None) -> dict:
     environ = os.environ if environ is None else environ
     names = sorted(name for name in environ if name.startswith(ENV_PREFIX))
     out = dict(document)
-    canonical = config_to_dict(default_run_config()) if names else {}
+    canonical = config_to_dict(RunConfig()) if names else {}
     for name in names:
         path = name[len(ENV_PREFIX):].split("__")
         if len(path) < 2:

@@ -241,19 +241,20 @@ def build_hamiltonian(scheme: LevelScheme, cavity: CavityParams,
 
 @dataclass
 class LindbladGenerator:
-    """Sparse Liouvillian acting on column-stacked density matrices."""
+    """Sparse Liouvillian acting on column-stacked density matrices, built
+    from the Hamiltonian and the (name, operator) collapse channels when
+    the generator is made, so `replace` rebuilds it too."""
 
     h: np.ndarray
     collapse_ops: tuple
     n_max: int
-    liouvillian: sp.csr_matrix = field(repr=False, default=None)
+    liouvillian: sp.csr_matrix = field(init=False, repr=False)
 
-    @classmethod
-    def from_operators(cls, h, collapse_ops, n_max):
-        h = np.asarray(h, dtype=complex)
-        collapse_ops = tuple(collapse_ops)
-        return cls(h=h, collapse_ops=collapse_ops, n_max=n_max,
-                   liouvillian=_liouvillian(h, [op for _, op in collapse_ops]))
+    def __post_init__(self):
+        self.h = np.asarray(self.h, dtype=complex)
+        self.collapse_ops = tuple(self.collapse_ops)
+        self.liouvillian = _liouvillian(
+            self.h, [op for _, op in self.collapse_ops])
 
     @property
     def dim(self):
@@ -315,7 +316,7 @@ def build_lindblad(h: np.ndarray, scheme: LevelScheme,
             op = embed(_atom_proj(GROUND_INDEX[g2], e_idx))
             rate = 2.0 * cavity.gamma * float(frac)
             collapse.append((f"decay_m{e2:+d}_q{q:+d}", math.sqrt(rate) * op))
-    return LindbladGenerator.from_operators(h, collapse, n_max)
+    return LindbladGenerator(h, collapse, n_max)
 
 
 # tolerances of a physical density matrix (`SystemState.validate`) and of

@@ -68,8 +68,11 @@ class BeamParams:
 @dataclass(frozen=True)
 class ShiftBeam(BeamParams):
     """The pi-polarized 1539-nm beam: a Gaussian beam plus its detuning
-    (rad/s) from the D1 F''=1/2 component."""
+    (rad/s) from the D1 F''=1/2 component.  `ShiftBeam()` is the
+    reference beam (9 mW, 50 um, -300 MHz, on axis)."""
 
+    power: float = rule(constants.SHIFT_POWER, ge=0.0)
+    waist: float = rule(constants.SHIFT_WAIST, gt=0.0)
     detuning: float = rule(constants.SHIFT_DETUNING)
 
 
@@ -84,15 +87,6 @@ class ShiftResult:
     @property
     def splitting(self):
         return self.delta_32 - self.delta_12
-
-
-def default_shift_beam(power: float = constants.SHIFT_POWER,
-                       waist: float = constants.SHIFT_WAIST,
-                       detuning: float = constants.SHIFT_DETUNING,
-                       axis_offset: float = 0.0) -> ShiftBeam:
-    """Shift beam at the reference operating point (9 mW, 50 um, -300 MHz)."""
-    return ShiftBeam(power=power, waist=waist, axis_offset=axis_offset,
-                     detuning=detuning)
 
 
 def _as_m2(m: float, name: str = "m") -> int:

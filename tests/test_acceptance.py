@@ -22,7 +22,7 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from ybcavity import constants, transit
-from ybcavity.atomic import build_level_scheme
+from ybcavity.atomic import LevelScheme
 from ybcavity.dynamics import (GROUND_INDEX, N_ATOM, CavityParams,
                                LindbladGenerator, adiabatic_rates,
                                build_hamiltonian, build_lindblad, evolve,
@@ -130,7 +130,7 @@ def test_engineered_shift_at_reference_beam():
 def test_splitting_inferred_from_measured_shift():
     """A measured +8.5 MHz stretch-sublevel shift implies a 24 +/- 2 MHz
     splitting between the m'=+/-3/2 and m'=+/-1/2 pairs."""
-    result = sublevel_splitting(8.5e6, build_level_scheme())
+    result = sublevel_splitting(8.5e6, LevelScheme())
     assert abs(result.splitting - 24e6) <= 2e6, (
         f"inferred splitting {result.splitting / 1e6:.2f} MHz "
         f"outside 24 +/- 2 MHz")
@@ -163,7 +163,7 @@ def test_effective_rates_match_full_master_equation():
     """At 10 seeded weak-drive operating points the polarization-resolved
     cavity flux 2*kappa*<n> of the full steady state agrees with the
     spin-averaged closed-form rates within 5% per mode."""
-    scheme = build_level_scheme()
+    scheme = LevelScheme()
     cavity = CavityParams()
     rng = np.random.default_rng(2)
     worst = 0.0
@@ -212,7 +212,7 @@ def _conditional_generator(spin, det, pos, shifts, scheme, cavity, drive):
             flips.append(op)
             op = send_back @ op
         collapse.append((name, op))
-    return LindbladGenerator.from_operators(h, collapse, n_max), flips
+    return LindbladGenerator(h, collapse, n_max), flips
 
 
 def _conditional_full_rates(spin, det, pos, shifts, scheme, cavity, drive):
@@ -508,7 +508,7 @@ def test_branching_tables_sum_to_one_exactly():
 def test_random_evolutions_stay_physical():
     """100 randomized evolutions keep the density matrix Hermitian,
     trace-one, and positive within solver tolerance."""
-    scheme = build_level_scheme()
+    scheme = LevelScheme()
     cavity = CavityParams()
     rng = np.random.default_rng(7)
     for _ in range(100):

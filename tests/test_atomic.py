@@ -13,7 +13,7 @@ from sympy import S, simplify
 from sympy.physics.quantum.cg import CG
 
 from ybcavity import constants
-from ybcavity.atomic import build_level_scheme
+from ybcavity.atomic import LevelScheme
 from ybcavity.dynamics import CavityParams
 from ybcavity.errors import ConfigError
 
@@ -157,7 +157,7 @@ def test_oracle_emission_sum_rule_justifies_dipole_normalization():
 
 
 def test_default_scheme_values():
-    scheme = build_level_scheme()
+    scheme = LevelScheme()
     assert CavityParams().gamma == pytest.approx(
         2 * 3.141592653589793 * 0.091e6)
     assert scheme.gamma_D1_line == pytest.approx(constants.TWO_PI * 16e3)
@@ -168,12 +168,10 @@ def test_scheme_validation_errors():
     with pytest.raises(ConfigError):
         CavityParams(gamma=0.0)
     with pytest.raises(ConfigError):
-        build_level_scheme(d1_hyperfine_splitting=-1e6)
-    with pytest.raises(ConfigError):
-        build_level_scheme(not_a_parameter=3)
+        LevelScheme(d1_hyperfine_splitting=-1e6)
 
 
 def test_scheme_is_immutable():
-    scheme = build_level_scheme()
+    scheme = LevelScheme()
     with pytest.raises(Exception):
         scheme.gamma_D1_line = 1.0

@@ -8,8 +8,8 @@ import os
 import pytest
 
 from ybcavity.cli import main
-from ybcavity.config import (config_from_dict, default_run_config,
-                             dump_config, load_config)
+from ybcavity.config import (RunConfig, config_from_dict, dump_config,
+                             load_config)
 from ybcavity.observables import write_stats_json
 
 
@@ -317,9 +317,38 @@ def test_bad_value_exits_2_and_writes_no_data(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, variable, value", [
+    ("scatter", "YBCAVITY_SHIFT_BEAM__DETUNING", "0"),   # shift-on half
+    ("scatter", "YBCAVITY_RUN__N_RUNS", "1"),   # no correlation of one
+    ("snr", "YBCAVITY_GRIDS__SNR_WAIST_UM", "[1e160]"),   # the waist sweep
+])
+def test_a_failing_command_writes_no_data(tmp_path, monkeypatch, command,
+                                          variable, value):
+    # the failure comes after the first half of the data is computed
+    cfg = _small_stochastic(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setenv(variable, value)
+    assert main([command, "--config", cfg, "--seed", "1",
+                 "--out", str(out)]) != 0
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("YBCAVITY_CAVITY__G0", "1e300"),   # overflows g0 ** 2
+    ("YBCAVITY_DRIVE__WAIST", "1e-300"),   # peak intensity divides by 0
+    ("YBCAVITY_GRIDS__SNR_WAIST_UM", "[1e160]"),   # overflows (v / w) ** 2
+])
+def test_arithmetic_failure_exits_3(tmp_path, monkeypatch, capsys,
+                                    variable, value):
+    # values every config rule accepts, that no float can carry through
+    monkeypatch.setenv(variable, value)
+    assert main(["snr", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_every_key_can_be_set_from_the_environment(tmp_path, monkeypatch):
     # every key of every section, named in upper case as shells do
-    text = dump_config(default_run_config())
+    text = dump_config(RunConfig())
 
     def leaves(doc, path):
         for key, value in doc.items():

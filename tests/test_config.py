@@ -8,7 +8,7 @@ every config key has a reader in the package."""
 import ast
 import json
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 import ybcavity
 from ybcavity import observables, transit
-from ybcavity.config import (SECTIONS, config_from_dict, default_run_config,
-                             dump_config)
+from ybcavity.config import (SECTIONS, RunConfig, config_from_dict,
+                             config_to_dict, dump_config)
 from ybcavity.errors import ConfigError
+from ybcavity.lightshift import BeamParams
 from ybcavity.observables import fluorescence_spectrum
 from ybcavity.transit import (TransitConfig, child_rng,
                               default_transit_config, simulate_transit)
 
-DEFAULTS = json.loads(dump_config(default_run_config()))
+DEFAULTS = json.loads(dump_config(RunConfig()))
 
 
 def _keys(section: str):
@@ -108,6 +109,18 @@ def test_valid_documents_survive_a_dump_and_reload(document):
                 else {**dumped[section][key], **value}
             assert dumped[section][key] == want
             assert type(dumped[section][key]) is type(want)
+
+
+def test_every_section_but_the_drive_builds_the_configs_defaults():
+    # one source of truth: a section made with no arguments is its part
+    # of the default config; a bare BeamParams has no power or waist, as
+    # the drive's defaults live on TransitConfig.drive
+    document = config_to_dict(RunConfig())
+    for name, cls in SECTIONS.items():
+        if cls is BeamParams:
+            continue
+        part = asdict(cls())
+        assert {key: document[name][key] for key in part} == part, name
 
 
 def _numeric_paths():

@@ -4,6 +4,7 @@ time propagation, and the adiabatic rate model against the full model."""
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from ybcavity import constants, dynamics
-from ybcavity.atomic import build_level_scheme
+from ybcavity.atomic import LevelScheme
 from ybcavity.dynamics import (
     CavityParams, EmissionRates, LindbladGenerator, SystemState,
     adiabatic_rates, build_hamiltonian, build_lindblad, coupling_at,
@@ -23,7 +24,7 @@ from ybcavity.errors import ConfigError, ModelError, NumericalError
 from ybcavity.lightshift import BeamParams, ShiftResult, stark_shift
 from ybcavity.transit import default_transit_config, probe_detuning
 
-SCHEME = build_level_scheme()
+SCHEME = LevelScheme()
 CAVITY = CavityParams()
 DRIVE = BeamParams(power=1.8e-6, waist=25e-6)
 WEAK_DRIVE = BeamParams(power=5e-9, waist=25e-6)
@@ -174,6 +175,18 @@ def test_lindblad_dimension_guard():
         build_lindblad(np.zeros((7, 7)), SCHEME, CAVITY)
 
 
+def test_generator_builds_the_liouvillian_of_its_parts():
+    # made from its parts, or with `replace` given a new Hamiltonian, a
+    # generator holds the Liouvillian that build_lindblad gives the parts
+    h, h2 = (build_hamiltonian(SCHEME, CAVITY, DRIVE, SHIFTS_ON, det, n_max=1)
+             for det in (6.8e6, 2e6))
+    gen = build_lindblad(h, SCHEME, CAVITY)
+    for made, ref in (
+            (LindbladGenerator(h, gen.collapse_ops, 1), gen),
+            (replace(gen, h=h2), build_lindblad(h2, SCHEME, CAVITY))):
+        assert (made.liouvillian != ref.liouvillian).nnz == 0
+
+
 def _kron_liouvillian(h, ops):
     """Reference assembly, one Kronecker product and one sparse sum per
     term: -i (I x H - H^T x I) and, per collapse operator C,
@@ -218,8 +231,7 @@ def test_liouvillian_matches_term_by_term_kron(n_max):
                  + 1j * rng.normal(size=(dim, dim)), 0.0)
     h = 1e8 * (b + b.conj().T + np.diag(rng.normal(size=dim)))
     ops = [op for _, op in build_lindblad(h, SCHEME, CAVITY).collapse_ops]
-    lio = LindbladGenerator.from_operators(
-        h, [("c", op) for op in ops], n_max).liouvillian
+    lio = LindbladGenerator(h, [("c", op) for op in ops], n_max).liouvillian
     _assert_same_generator(lio, _kron_liouvillian(h, ops))
 
 
@@ -245,8 +257,7 @@ def test_evolve_identity_cases():
     same = evolve(rho0, gen, 0.0)
     assert np.array_equal(same.rho, rho0.rho)
 
-    null_gen = LindbladGenerator.from_operators(
-        np.zeros((24, 24)), (), n_max=1)
+    null_gen = LindbladGenerator(np.zeros((24, 24)), (), n_max=1)
     rng = np.random.default_rng(11)
     rho = SystemState(rho=_random_density(rng, 24), n_max=1)
     out = evolve(rho, null_gen, 3e-6)
@@ -318,7 +329,7 @@ def test_steady_state_flux_matches_adiabatic_rates():
 def test_steady_state_failure_raises_numerical_error():
     h = np.zeros((24, 24))
     h[0, 0] = np.nan
-    gen = LindbladGenerator.from_operators(h, (), n_max=1)
+    gen = LindbladGenerator(h, (), n_max=1)
     with pytest.raises(NumericalError):
         steady_state(gen)
 

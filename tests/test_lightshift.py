@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from ybcavity import constants
-from ybcavity.atomic import build_level_scheme
+from ybcavity.atomic import LevelScheme
 from ybcavity.errors import ConfigError, ResonanceError
 from ybcavity.lightshift import (
-    BeamParams, ShiftBeam, ShiftResult, default_shift_beam, stark_shift,
-    sublevel_splitting,
+    BeamParams, ShiftBeam, ShiftResult, stark_shift, sublevel_splitting,
 )
 
-SCHEME = build_level_scheme()
+SCHEME = LevelScheme()
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +25,7 @@ SCHEME = build_level_scheme()
 
 
 def test_peak_intensity_closed_form():
-    beam = default_shift_beam()
+    beam = ShiftBeam()
     expected = 2 * 9e-3 / (math.pi * (50e-6) ** 2)
     assert beam.peak_intensity == pytest.approx(expected, rel=1e-12)
     assert beam.profile(0.0, 0.0) == 1.0
@@ -34,7 +33,7 @@ def test_peak_intensity_closed_form():
 
 
 def test_intensity_gaussian_falloff_and_zero_power():
-    beam = default_shift_beam()
+    beam = ShiftBeam()
     assert beam.profile(beam.waist, 0.0) == pytest.approx(
         math.exp(-2.0), rel=1e-12)
     # the shift follows the intensity: e^-2 of its peak one waist out
@@ -66,14 +65,14 @@ def test_beam_validation():
 
 
 def test_calibrated_shift_hits_benchmark():
-    shift = stark_shift(+1.5, default_shift_beam(), SCHEME)
+    shift = stark_shift(+1.5, ShiftBeam(), SCHEME)
     assert shift == pytest.approx(6.8e6, rel=1e-9)
     # within 10% is the acceptance statement; the calibration makes it exact
     assert abs(shift - 6.8e6) / 6.8e6 < 0.10
 
 
 def test_shift_signs_are_opposite_at_operating_detuning():
-    beam = default_shift_beam()
+    beam = ShiftBeam()
     assert stark_shift(+1.5, beam, SCHEME) > 0
     assert stark_shift(+0.5, beam, SCHEME) < 0
     # mirror sublevels see identical shifts (pi light, |m| symmetry)
@@ -98,7 +97,7 @@ def test_splitting_is_linear_in_anchor():
 
 def test_direct_shift_matches_ratio_inference():
     """stark_shift on m'=1/2 agrees with the ratio applied to the m'=3/2 value."""
-    beam = default_shift_beam()
+    beam = ShiftBeam()
     d32 = stark_shift(+1.5, beam, SCHEME)
     d12 = stark_shift(+0.5, beam, SCHEME)
     inferred = sublevel_splitting(d32, SCHEME, detuning=beam.detuning)
@@ -111,10 +110,10 @@ def test_direct_shift_matches_ratio_inference():
 
 def test_linearity_in_power_over_a_decade():
     rng = np.random.default_rng(20260825)
-    base = stark_shift(+1.5, default_shift_beam(power=9e-3), SCHEME) / 9e-3
+    base = stark_shift(+1.5, ShiftBeam(power=9e-3), SCHEME) / 9e-3
     for _ in range(10):
         p = float(rng.uniform(0.9e-3, 9e-3))
-        s = stark_shift(+1.5, default_shift_beam(power=p), SCHEME)
+        s = stark_shift(+1.5, ShiftBeam(power=p), SCHEME)
         assert s / p == pytest.approx(base, rel=1e-9)
 
 
@@ -122,12 +121,12 @@ def test_contribution_sign_flips_with_detuning_sign():
     scheme = SCHEME
     # park the beam red of the F''=3/2 component instead of blue
     red_of_32 = -constants.TWO_PI * (scheme.d1_hyperfine_splitting + 300e6)
-    beam = default_shift_beam(detuning=red_of_32)
+    beam = ShiftBeam(detuning=red_of_32)
     assert stark_shift(+1.5, beam, scheme) < 0
 
 
 def test_far_detuned_limit_vanishes():
-    beam = default_shift_beam(detuning=-constants.TWO_PI * 1e18)
+    beam = ShiftBeam(detuning=-constants.TWO_PI * 1e18)
     for m in (+1.5, +0.5):
         # a 3e9-fold increase in detuning shrinks the MHz-scale shift to
         # the few-mHz level
@@ -140,15 +139,15 @@ def test_far_detuned_limit_vanishes():
 
 def test_resonance_floor_raises():
     with pytest.raises(ResonanceError):
-        stark_shift(+0.5, default_shift_beam(detuning=0.0), SCHEME)
+        stark_shift(+0.5, ShiftBeam(detuning=0.0), SCHEME)
     near_32 = constants.TWO_PI * (-SCHEME.d1_hyperfine_splitting + 1e3)
     with pytest.raises(ResonanceError):
-        stark_shift(+1.5, default_shift_beam(detuning=near_32), SCHEME)
+        stark_shift(+1.5, ShiftBeam(detuning=near_32), SCHEME)
 
 
 def test_uncoupled_component_does_not_trigger_resonance_guard():
     # m'=3/2 has zero weight on F''=1/2, so sitting on that component is fine
-    beam = default_shift_beam(detuning=0.0)
+    beam = ShiftBeam(detuning=0.0)
     value = stark_shift(+1.5, beam, SCHEME)
     assert math.isfinite(value) and value > 0
 
@@ -157,7 +156,7 @@ def test_non_pi_beam_rejected():
     # the beam has no polarization to get wrong; a sublevel outside
     # F' = 3/2 is still an error
     with pytest.raises(ValueError):
-        stark_shift(+2.5, default_shift_beam(), SCHEME)
+        stark_shift(+2.5, ShiftBeam(), SCHEME)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,7 @@ def _shifts_at(beam, x, y, z):
 
 
 def test_shift_field_single_point_consistency():
-    beam = default_shift_beam()
+    beam = ShiftBeam()
     # scalars in, float out; a one-point array gives the same value
     scalar = stark_shift(+1.5, beam, SCHEME, position=(0.0, 0.0, 0.0))
     assert type(scalar) is float
@@ -185,7 +184,7 @@ def test_shift_field_single_point_consistency():
 
 
 def test_shift_field_gaussian_scaling_and_peak_location():
-    beam = default_shift_beam()
+    beam = ShiftBeam()
     w = beam.waist
     (c32, w32), (c12, w12) = _shifts_at(beam, [0, w], [0, 0], [0, 0])
     assert w32 == pytest.approx(c32 * math.exp(-2.0), rel=1e-12)
@@ -208,12 +207,12 @@ def test_shift_field_gaussian_scaling_and_peak_location():
 
 
 def test_axis_offset_moves_the_peak():
-    beam = default_shift_beam(axis_offset=30e-6)
+    beam = ShiftBeam(axis_offset=30e-6)
     on_old_axis = stark_shift(+1.5, beam, SCHEME, position=(0, 0, 0))
     on_new_axis = stark_shift(+1.5, beam, SCHEME, position=(30e-6, 0, 0))
     assert on_new_axis > on_old_axis
     assert on_new_axis == pytest.approx(
-        stark_shift(+1.5, default_shift_beam(), SCHEME), rel=1e-12)
+        stark_shift(+1.5, ShiftBeam(), SCHEME), rel=1e-12)
 
 
 def test_shift_result_invariant():

@@ -17,8 +17,7 @@ from ybcavity import constants, observables, transit
 from ybcavity.dynamics import (CavityParams, axial_profile, coupling_at,
                                drive_rabi_sq, spin_rates)
 from ybcavity.errors import ConfigError
-from ybcavity.lightshift import (ShiftBeam, ShiftResult, default_shift_beam,
-                                 stark_shift)
+from ybcavity.lightshift import ShiftBeam, ShiftResult, stark_shift
 from ybcavity.transit import (
     CountRecord, TransitGeometry, TransitRecord,
     child_rng, crossing_duration, default_transit_config,
@@ -399,6 +398,17 @@ def test_zero_drive_power_gives_zero_counts():
         assert rec.final_spin == "up"
 
 
+def test_rates_that_all_underflow_give_a_finite_table_and_no_photons():
+    # a probe 1e300 Hz off resonance: the sigma+/- rates are exactly 0,
+    # and the table's log floor must stay above 0
+    cfg = default_transit_config(excitation_detuning=1e300)
+    table = transit.RateTable(cfg.scheme, cfg.cavity, cfg.drive,
+                              cfg.shift_beam, probe_detuning(cfg))
+    assert np.all(np.isfinite(table.channels))
+    for rec in run_transit_ensemble(20, 7, cfg):
+        assert rec.counts_sigma_plus == rec.counts_sigma_minus == 0
+
+
 def test_peak_coupling_is_g0_on_axis_without_axial_averaging():
     cavity = CavityParams(axial_rms_factor=1.0)
     cfg = default_transit_config(
@@ -765,4 +775,4 @@ def test_config_validation_errors():
     # a ShiftBeam is a BeamParams subclass whose detuning the drive never
     # reads, so it is no drive
     with pytest.raises(ConfigError, match="drive must be a BeamParams"):
-        default_transit_config(drive=default_shift_beam())
+        default_transit_config(drive=ShiftBeam())

@@ -16,9 +16,9 @@ power.
 import numpy as np
 
 from ybcavity import (BeamParams, CavityParams, LevelScheme, ShiftResult,
-                      adiabatic_rates, build_hamiltonian, build_lindblad,
-                      default_transit_config, ground_vacuum_state,
-                      stark_shift, steady_state)
+                      TransitConfig, adiabatic_rates, build_hamiltonian,
+                      build_lindblad, ground_vacuum_state, stark_shift,
+                      steady_state)
 from ybcavity.transit import probe_detuning
 
 scheme = LevelScheme()
@@ -60,7 +60,7 @@ for y_um in (0.0, 5.0, 9.0):
 # for an atom at the mode center (an antinode of the standing wave): with
 # the shift on, a spin-up atom pumps the sigma+ mode ~800x harder than
 # sigma-, and flips are slow on the ~100 us transit timescale.
-cfg = default_transit_config(light_shift_on=True)
+cfg = TransitConfig(light_shift_on=True)
 d32, d12 = (stark_shift(m, cfg.shift_beam, scheme) for m in (+1.5, +0.5))
 det = probe_detuning(cfg)
 print("\noperating point: probe %.1f uW at %+.1f MHz, shift beam on"
@@ -77,7 +77,7 @@ for spin in ("up", "down"):
 # Turn the shift beam off and the selectivity is gone: all four excited
 # sublevels sit at zero detuning, both spins scatter symmetrically, and
 # the flip rate rises by orders of magnitude.
-cfg_off = default_transit_config(light_shift_on=False)
+cfg_off = TransitConfig(light_shift_on=False)
 print("\nshift beam off (probe at 0 MHz):")
 print("  %-10s %12s %12s %12s" % ("spin", "sigma+ /s", "sigma- /s", "flip /s"))
 for spin in ("up", "down"):

@@ -16,15 +16,14 @@ import math
 import numpy as np
 from scipy.constants import g
 
-from ybcavity import (crossing_duration, default_transit_config,
-                      pearson_correlation, run_ensemble,
-                      run_transit_ensemble, snr_from_counts)
+from ybcavity import (TransitConfig, crossing_duration, pearson_correlation,
+                      run_ensemble, run_transit_ensemble, snr_from_counts)
 
 N_TRANSITS = 2000
 N_WINDOWS = 1500
 SEED = 20260825
 
-cfg = default_transit_config(light_shift_on=True)
+cfg = TransitConfig(light_shift_on=True)
 fall_speed = math.sqrt(2.0 * g * cfg.geometry.drop_height)
 print("fall time through the mode: %.0f us (2w/v estimate %.0f us)"
       % (crossing_duration(cfg.geometry) * 1e6,
@@ -35,7 +34,7 @@ print("fall time through the mode: %.0f us (2w/v estimate %.0f us)"
 # split between the two polarization channels is the readout signal.
 for spin in ("up", "down"):
     recs = run_transit_ensemble(
-        N_TRANSITS, SEED, default_transit_config(initial_spin=spin))
+        N_TRANSITS, SEED, TransitConfig(initial_spin=spin))
     plus = np.array([r.counts_sigma_plus for r in recs])
     minus = np.array([r.counts_sigma_minus for r in recs])
     flips = np.mean([r.final_spin != r.initial_spin for r in recs])
@@ -49,8 +48,8 @@ for spin in ("up", "down"):
 # The same ensemble without the shift beam: both channels fire equally
 # and the spin is randomized in flight -- no readout.
 recs_off = run_transit_ensemble(
-    N_TRANSITS, SEED, default_transit_config(light_shift_on=False,
-                                             initial_spin="up"))
+    N_TRANSITS, SEED, TransitConfig(light_shift_on=False,
+                                    initial_spin="up"))
 plus = np.array([r.counts_sigma_plus for r in recs_off])
 minus = np.array([r.counts_sigma_minus for r in recs_off])
 flips = np.mean([r.final_spin != r.initial_spin for r in recs_off])
@@ -67,7 +66,7 @@ print("\n%d windows of %.0f ms, atom rate %.0f /s:"
       % (N_WINDOWS, cfg.window * 1e3, cfg.atom_rate))
 for label, on in (("shift off", False), ("shift on ", True)):
     wrecs = run_ensemble(N_WINDOWS, SEED + 1,
-                         default_transit_config(light_shift_on=on))
+                         TransitConfig(light_shift_on=on))
     r = pearson_correlation(wrecs)
     n_atoms = np.mean([w.atom_count for w in wrecs])
     print("  %s: sigma+/sigma- Pearson r = %+5.2f   (mean atoms %.2f)"

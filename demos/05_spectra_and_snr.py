@@ -16,10 +16,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ybcavity import (count_weighted_skewness, default_transit_config,
+from ybcavity import (TransitConfig, count_weighted_skewness,
                       fluorescence_spectrum, predicted_snr, spectrum_peak)
 
-cfg = default_transit_config()
+cfg = TransitConfig()
 grid = np.arange(-10.0, 10.0 + 1e-9, 0.5)
 
 

@@ -30,9 +30,8 @@ from .observables import (count_weighted_skewness, fluorescence_spectrum,
                           mot_dip_profile, pearson_correlation, predicted_snr,
                           snr_from_counts, spectrum_peak, write_dip_csv,
                           write_snr_csv, write_spectrum_csv, write_stats_json)
-from .transit import (EMIT_FORMATS, probe_detuning, run_ensemble,
-                      run_transit_ensemble, write_count_records,
-                      write_transit_records)
+from .transit import (probe_detuning, run_ensemble, run_transit_ensemble,
+                      write_count_records, write_transit_records)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,9 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed (overrides run.master_seed)")
     parser.add_argument("--out", metavar="DIR",
                         help="output directory (overrides run.output_path)")
-    parser.add_argument("--format", choices=EMIT_FORMATS,
-                        help="record file format (overrides "
-                             "run.emit_format)")
     parser.add_argument("command", nargs="?", choices=sorted(_COMMANDS),
                         help="what to simulate and emit")
     return parser
@@ -197,8 +193,6 @@ def _assemble_config(args) -> RunConfig:
         overrides["master_seed"] = args.seed
     if args.out is not None:
         overrides["output_path"] = args.out
-    if args.format is not None:
-        overrides["emit_format"] = args.format
     if overrides:
         config = replace(config, run=replace(config.run, **overrides))
     return config

@@ -56,11 +56,6 @@ D1_SHIFT_CALIBRATION = 2.863108624528967
 G0 = TWO_PI * 2.8e6             # peak atom-cavity coupling (rad/s)
 KAPPA = TWO_PI * 4.8e6          # cavity HWHM (rad/s)
 MODE_WAIST = 19e-6              # TEM00 transverse waist (m)
-# RMS over one period of the axial coupling profile |cos(2 pi x / lambda)|
-# of the standing wave.  `coupling_at` resolves the wave itself (the rates
-# are not linear in g^2 at the operating drive); this value marks the pure
-# standing wave in CavityParams.axial_rms_factor.
-AXIAL_RMS_FACTOR = 1.0 / math.sqrt(2.0)
 DETECTION_EFFICIENCY = 0.20
 DARK_RATE_SIGMA_PLUS_PER_MS = 1.0
 DARK_RATE_SIGMA_MINUS_PER_MS = 0.5

@@ -9,8 +9,8 @@ as equal sigma+ and sigma- components on the four transitions of
 polarization).  kappa and gamma are HWHM-convention rates, so Lindblad
 collapse channels carry 2*kappa and 2*gamma.
 
-The sampler needs rates for one ground spin at a time.  `adiabatic_rates`
-gets them from the conditional steady state of the full model's spin-up
+The sampler needs rates for one ground spin at a time.  `spin_rates` gets
+them from the conditional steady state of the full model's spin-up
 sector: the spin and the excited sublevels the drive reaches from it, with
 the mode of its cyclic transition up to two photons and the other mode up
 to one, every decay that would leave the spin sent back to it and counted
@@ -66,9 +66,6 @@ class CavityParams:
     the free-space decay and the drive's dipole (`drive_rabi_sq`).  Dark
     rates are counts per millisecond per detector, matching how such
     detectors are usually quoted.
-    axial_rms_factor is the RMS of the axial coupling profile over one
-    standing-wave period (see `coupling_at`): the default 1/sqrt(2) is the
-    pure standing wave of a two-mirror cavity, 1 a flat profile.
     """
 
     g0: float = rule(constants.G0, gt=0.0)
@@ -81,8 +78,6 @@ class CavityParams:
         constants.DARK_RATE_SIGMA_PLUS_PER_MS, ge=0.0)
     dark_rate_sigma_minus_per_ms: float = rule(
         constants.DARK_RATE_SIGMA_MINUS_PER_MS, ge=0.0)
-    axial_rms_factor: float = rule(constants.AXIAL_RMS_FACTOR,
-                                   ge=constants.AXIAL_RMS_FACTOR, le=1.0)
 
     __post_init__ = check   # no rule spans fields
 
@@ -109,15 +104,11 @@ class EmissionRates:
     bad_cavity_ok: bool = True
 
 
-def axial_profile(phase, cavity: CavityParams):
-    """Axial factor of the coupling at standing-wave phase 2*pi*x/lambda.
-
-    Its square is cos^2 + (2 r^2 - 1) sin^2 with r = axial_rms_factor, so
-    the mean square over a period is r^2: |cos(phase)| for the pure
-    standing wave (nodes and antinodes), 1 for a flat profile.
-    """
-    excess = max(2.0 * cavity.axial_rms_factor ** 2 - 1.0, 0.0)
-    return np.sqrt(np.cos(phase) ** 2 + excess * np.sin(phase) ** 2)
+def axial_profile(phase):
+    """Axial factor |cos(phase)| of the coupling at standing-wave phase
+    2*pi*x/lambda: the two-mirror cavity's standing wave, with antinodes
+    (1) and nodes (0)."""
+    return np.abs(np.cos(phase))
 
 
 def coupling_at(position, cavity: CavityParams) -> float:
@@ -127,7 +118,7 @@ def coupling_at(position, cavity: CavityParams) -> float:
     the standing wave is resolved rather than replaced by its RMS."""
     x, y, z = position
     phase = TWO_PI * np.asarray(x) / constants.WAVELENGTH_GREEN
-    return (cavity.g0 * axial_profile(phase, cavity)
+    return (cavity.g0 * axial_profile(phase)
             * np.exp(-(np.asarray(y) ** 2 + np.asarray(z) ** 2)
                      / cavity.mode_waist ** 2))
 
@@ -838,15 +829,10 @@ def adiabatic_rates(spin: str, excitation_detuning: float, position,
     beam on and off, across the mode; at weak drive they reduce to the
     Purcell-broadened linear Lorentzian.
 
-    Accepts numpy arrays in `position` and in the ShiftResult fields, in
-    which case the returned rate fields are arrays; scalars in, scalars
-    out.
+    One position and scalar shifts in, floats out; `spin_rates` is the
+    vectorized entry point.
     """
     g = coupling_at(position, cavity)
     rates = spin_rates(spin, g, drive_rabi_sq(position, drive, cavity),
                        excitation_detuning, shifts, cavity)
-    ok = bool(np.all(g < cavity.kappa))
-    cols = [rates[..., k] for k in range(4)]
-    if rates.ndim == 1:
-        return EmissionRates(*(float(c) for c in cols), ok)
-    return EmissionRates(*cols, ok)
+    return EmissionRates(*rates.tolist(), bool(g < cavity.kappa))

@@ -197,7 +197,7 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
 def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float):
     x0, y0, w = _disc_quadrature(config)
     u, w_u = np.polynomial.legendre.leggauss(_PHASE_NODES)
-    axial = axial_profile(0.25 * math.pi * (u + 1.0), config.cavity)
+    axial = axial_profile(0.25 * math.pi * (u + 1.0))
     weights = np.outer(w, 0.5 * w_u).ravel()
     ep, em = _expected_counts(np.repeat(x0, _PHASE_NODES),
                               np.repeat(y0, _PHASE_NODES),

@@ -189,9 +189,7 @@ class TransitConfig:
 _MAX_ATOMS_PER_WINDOW = 1e3   # ~900x the default 1.1
 
 
-def default_transit_config(**overrides) -> TransitConfig:
-    """`TransitConfig(**overrides)`, under the name perfbench imports."""
-    return TransitConfig(**overrides)
+default_transit_config = TransitConfig   # the name perfbench imports
 
 
 def probe_detuning(config: TransitConfig) -> float:
@@ -304,9 +302,8 @@ class RateTable:
         self.v_c = cavity.kappa * cavity.gamma / cavity.g0 ** 2
         saturation = self.om0_sq / (2.0 * cavity.gamma ** 2)
         t_max = max(math.log(max(saturation, 1.0) / _WEAK_SATURATION), 1.0)
-        if shift_beam is None:
-            centre = ShiftResult(0.0, 0.0)
-            self.ratio = None
+        if shift_beam is None:   # the coaxial table with no centre shift
+            centre, self.ratio = ShiftResult(0.0, 0.0), 0.0
         else:
             # on the shift beam's own axis, where shift_fraction is 1
             axis = (shift_beam.axis_offset, 0.0, 0.0)
@@ -315,7 +312,7 @@ class RateTable:
             self.ratio = ((drive.waist / shift_beam.waist) ** 2
                           if shift_beam.axis_offset == drive.axis_offset
                           else None)
-        self.three_d = shift_beam is not None and self.ratio is None
+        self.three_d = self.ratio is None
         resonances = (centre, excitation_detuning, cavity.gamma)
         tau = np.linspace(0.0, math.sqrt(t_max), _AXIS_SAMPLES)
         # (samples, unit, step) of the drive axis and, in 3-d, the shift axis
@@ -337,12 +334,7 @@ class RateTable:
         # each mapped axis is t = sqrt(-ln(weak or s)) at its nodes
         weak, *frac = (np.exp(-np.interp(u, unit, t) ** 2)
                        for u, (t, unit, _) in zip(grid[1:], self.maps))
-        if shift_beam is None:
-            frac = np.zeros_like(weak)
-        elif self.three_d:
-            frac, = frac
-        else:
-            frac = weak ** self.ratio
+        frac = frac[0] if self.three_d else weak ** self.ratio
         shifts = ShiftResult(centre.delta_32 * frac, centre.delta_12 * frac)
         self.zero = self.om0_sq == 0.0
         self.channels = np.empty((3, 0))
@@ -379,8 +371,9 @@ class RateTable:
             om_sq = self.om0_sq * weak * strength
             x = (constants.TWO_PI * (shift * frac - excitation_detuning)
                  / np.sqrt(gamma ** 2 + 0.5 * om_sq))
-            density += (_RESONANCE_WEIGHT * np.abs(np.gradient(x, t))
-                        / (math.pi * (1.0 + x ** 2)))
+            with np.errstate(over="ignore"):   # far off resonance: adds 0
+                density += (_RESONANCE_WEIGHT * np.abs(np.gradient(x, t))
+                            / (math.pi * (1.0 + x ** 2)))
         unit = np.concatenate(([0.0], np.cumsum(
             0.5 * (density[1:] + density[:-1]) * np.diff(t))))
         unit /= unit[-1]

@@ -36,7 +36,7 @@ from ybcavity.observables import (MotParams, count_weighted_skewness,
                                   pearson_correlation, predicted_snr,
                                   snr_from_counts,
                                   _ensemble_expected_counts)
-from ybcavity.transit import (default_transit_config, probe_detuning,
+from ybcavity.transit import (TransitConfig, probe_detuning,
                               run_ensemble, run_transit_ensemble,
                               shift_fraction, write_count_records,
                               write_transit_records)
@@ -66,37 +66,37 @@ def _counts_arrays(records):
 
 @pytest.fixture(scope="module")
 def transits_on_random():
-    cfg = default_transit_config(light_shift_on=True, initial_spin="random")
+    cfg = TransitConfig(light_shift_on=True, initial_spin="random")
     return run_transit_ensemble(ENSEMBLE_SIZE, SEED_ON_RANDOM, cfg)
 
 
 @pytest.fixture(scope="module")
 def transits_on_up():
-    cfg = default_transit_config(light_shift_on=True, initial_spin="up")
+    cfg = TransitConfig(light_shift_on=True, initial_spin="up")
     return run_transit_ensemble(ENSEMBLE_SIZE, SEED_ON_UP, cfg)
 
 
 @pytest.fixture(scope="module")
 def transits_on_down():
-    cfg = default_transit_config(light_shift_on=True, initial_spin="down")
+    cfg = TransitConfig(light_shift_on=True, initial_spin="down")
     return run_transit_ensemble(ENSEMBLE_SIZE, SEED_ON_DOWN, cfg)
 
 
 @pytest.fixture(scope="module")
 def transits_off_up():
-    cfg = default_transit_config(light_shift_on=False, initial_spin="up")
+    cfg = TransitConfig(light_shift_on=False, initial_spin="up")
     return run_transit_ensemble(ENSEMBLE_SIZE, SEED_OFF_UP, cfg)
 
 
 @pytest.fixture(scope="module")
 def transits_off_down():
-    cfg = default_transit_config(light_shift_on=False, initial_spin="down")
+    cfg = TransitConfig(light_shift_on=False, initial_spin="down")
     return run_transit_ensemble(ENSEMBLE_SIZE, SEED_OFF_DOWN, cfg)
 
 
 def _off_axis_config():
     # the shift beam 10 um off the drive axis: a 3-d rate table
-    cfg = default_transit_config(light_shift_on=True, initial_spin="random")
+    cfg = TransitConfig(light_shift_on=True, initial_spin="random")
     return replace(cfg, shift_beam=replace(cfg.shift_beam,
                                            axis_offset=10e-6))
 
@@ -109,7 +109,7 @@ def transits_off_axis_random():
 
 @pytest.fixture(scope="module")
 def snr_power_curve():
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     powers = [0.0, 0.5e-3, 1e-3, 2e-3, 4e-3, 6e-3, 9e-3]
     return predicted_snr(powers, cfg, vary="power")
 
@@ -121,7 +121,7 @@ def snr_power_curve():
 def test_engineered_shift_at_reference_beam():
     """The pi-polarized 9 mW / 50 um / -300 MHz beam shifts the m'=+/-3/2
     sublevels by +6.8 MHz within 10% (one-time dipole calibration)."""
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     shift = stark_shift(+1.5, cfg.shift_beam, cfg.scheme)
     assert abs(shift - 6.8e6) <= 0.10 * 6.8e6, (
         f"engineered shift {shift / 1e6:.3f} MHz outside 6.8 MHz +/- 10%")
@@ -259,7 +259,7 @@ def test_rates_match_conditional_master_equation_at_operating_point():
                  (0.0, 0.0, half_drive), (12e-6 + lam / 3, 7e-6, -5e-6)]
     worst, worst_total = 0.0, 0.0
     for shift_on in (True, False):
-        cfg = default_transit_config(light_shift_on=shift_on)
+        cfg = TransitConfig(light_shift_on=shift_on)
         det = probe_detuning(cfg)
         for pos in positions:
             shifts = _local_shifts(pos, cfg)
@@ -294,7 +294,7 @@ def test_rates_match_conditional_master_equation_across_the_spectrum(
     positions = [(0.0, 0.0, 0.0), (12e-6 + lam / 3, 7e-6, -5e-6)]
     worst = 0.0
     for shift_on in (True, False):
-        cfg = default_transit_config(light_shift_on=shift_on)
+        cfg = TransitConfig(light_shift_on=shift_on)
         for pos in positions:
             gap, _ = _rate_model_gap("up", detuning, pos,
                                      _local_shifts(pos, cfg), cfg)
@@ -307,7 +307,7 @@ def test_reduced_steady_state_of_the_conditional_generator():
     """The conditional generator is not mirror-symmetric, so the reduced
     steady-state solve keeps every entry of the population block; it
     still matches a plain solve of the full Liouvillian."""
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     shifts = ShiftResult(stark_shift(+1.5, cfg.shift_beam, cfg.scheme),
                          stark_shift(+0.5, cfg.shift_beam, cfg.scheme))
     gen, _ = _conditional_generator("up", probe_detuning(cfg), (0.0, 0.0, 0.0),
@@ -351,7 +351,7 @@ def test_predicted_snr_nondecreasing_in_power(snr_power_curve):
 def test_predicted_snr_narrow_beam_penalty():
     """At equal peak intensity a 20 um shift beam gives strictly lower SNR
     than the 50 um reference beam."""
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     curve = dict(predicted_snr([20e-6, 50e-6], cfg, vary="waist"))
     assert curve[20e-6] < curve[50e-6], (
         f"SNR at w = 20 um ({curve[20e-6]:.3f}) not below "
@@ -388,7 +388,7 @@ def test_sampler_matches_quadrature_shift_off(transits_off_up,
                                               transits_off_down):
     """Shift off, both spins pooled: the sampled detected counts per atom
     lie within 3 standard errors of the quadrature's."""
-    cfg = default_transit_config(light_shift_on=False)
+    cfg = TransitConfig(light_shift_on=False)
     mean, se, expected = _sampler_against_quadrature(
         transits_off_up + transits_off_down, cfg)
     assert abs(mean - expected) <= 3.0 * se, (
@@ -399,7 +399,7 @@ def test_sampler_matches_quadrature_shift_off(transits_off_up,
 def test_sampler_matches_quadrature_shift_on(transits_on_random):
     """Shift on, random spins: the sampled detected counts per atom lie
     within 3 standard errors of the quadrature's."""
-    cfg = default_transit_config(light_shift_on=True)
+    cfg = TransitConfig(light_shift_on=True)
     mean, se, expected = _sampler_against_quadrature(transits_on_random, cfg)
     assert abs(mean - expected) <= 3.0 * se, (
         f"shift on: sampled {mean:.3f} +/- {se:.3f}, "
@@ -412,7 +412,7 @@ def test_sampler_matches_quadrature_spin_up(shift_on, transits_on_up,
     """Spin up, shift on and off: the sampled detected counts per atom of
     each polarization lie within 3 standard errors of the quadrature's
     for a spin-up atom."""
-    cfg = default_transit_config(light_shift_on=shift_on)
+    cfg = TransitConfig(light_shift_on=shift_on)
     records = transits_on_up if shift_on else transits_off_up
     expected = [cfg.cavity.detection_efficiency * e
                 for e in _ensemble_expected_counts(cfg, 1.0)]
@@ -472,7 +472,7 @@ def test_monte_carlo_snr_both_spins(transits_on_up, transits_on_down):
 def test_zero_atom_window_dark_means():
     """10^4 atom-free 2 ms windows reproduce the detector dark means
     (2.0, 1.0) within three standard errors."""
-    cfg = default_transit_config(light_shift_on=False, atom_rate=0.0)
+    cfg = TransitConfig(light_shift_on=False, atom_rate=0.0)
     records = run_ensemble(ENSEMBLE_SIZE, SEED_ZERO_ATOM, cfg)
     assert all(r.atom_count == 0 for r in records)
     plus, minus = _counts_arrays(records)
@@ -526,7 +526,7 @@ def test_random_evolutions_stay_physical():
 
 def test_spectrum_symmetric_without_shift():
     """The shift-off excitation spectrum is symmetric: |skewness| < 0.1."""
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     grid = np.arange(-10.0, 10.0 + 1e-9, 0.25)
     skew = count_weighted_skewness(
         fluorescence_spectrum(grid, cfg, light_shift_on=False))
@@ -536,7 +536,7 @@ def test_spectrum_symmetric_without_shift():
 def test_spectrum_low_frequency_tail_narrow_beam():
     """A 20 um shift beam at the reference peak intensity skews the
     spectrum below -0.2 (tail toward lower frequency)."""
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     narrow = replace(cfg.shift_beam, waist=20e-6,
                      power=cfg.shift_beam.power * (20.0 / 50.0) ** 2)
     grid = np.arange(-10.0, 10.0 + 1e-9, 0.25)
@@ -551,7 +551,7 @@ def test_ensembles_byte_exact_across_chunk_sizes(tmp_path, monkeypatch):
     """Window and transit ensembles under a fixed seed serialize to
     byte-identical files whether their runs are stepped together in
     chunks of 1, 7 or all of them."""
-    cfg = default_transit_config(light_shift_on=True, initial_spin="random")
+    cfg = TransitConfig(light_shift_on=True, initial_spin="random")
     for name, runner, n_runs in (("windows", run_ensemble, 400),
                                  ("transits", run_transit_ensemble, 300)):
         writer = write_count_records if name == "windows" \

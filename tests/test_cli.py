@@ -163,9 +163,10 @@ def test_scatter_reruns_are_byte_identical(tmp_path, monkeypatch):
 
 
 def test_transit_jsonl_and_summary(tmp_path):
-    cfg = _small_stochastic(tmp_path, n_runs=100, initial_spin="up")
+    cfg = _small_stochastic(tmp_path, n_runs=100, initial_spin="up",
+                            emit_format="jsonl")
     assert main(["transit", "--config", cfg, "--seed", "5",
-                 "--out", str(tmp_path), "--format", "jsonl"]) == 0
+                 "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "transit_records.jsonl").read_text().splitlines()
     assert json.loads(lines[0]) == {"format": "ybcavity.transit.v1"}
     assert len(lines) == 101
@@ -193,6 +194,27 @@ def test_threads_is_no_flag(capsys):
         main(["motdip", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_format_is_no_flag(tmp_path, capsys):
+    # run.emit_format is set in the config file or the environment
+    cfg = _small_stochastic(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["transit", "--config", cfg, "--seed", "1", "--out", str(out),
+              "--format", "jsonl"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_axial_rms_factor_is_no_config_key(tmp_path, capsys):
+    # the coupling is the two-mirror standing wave, with no flat profile
+    cfg = _write_config(tmp_path, {"cavity": {"axial_rms_factor": 1.0}})
+    out = tmp_path / "out"
+    assert main(["motdip", "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
@@ -229,9 +251,8 @@ def test_flag_overrides_reach_the_config(tmp_path):
     cfg = _write_config(tmp_path, {"run": {"n_runs": 40,
                                            "emit_format": "csv"}})
     assert main(["transit", "--config", cfg, "--seed", "2",
-                 "--out", str(tmp_path), "--format", "jsonl"]) == 0
-    assert (tmp_path / "transit_records.jsonl").exists()
-    assert not (tmp_path / "transit_records.csv").exists()
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "transit_records.csv").exists()
 
 
 @pytest.mark.parametrize("variable", ["YBCAVITY_DRIVE__POWER",

@@ -22,8 +22,7 @@ from ybcavity.config import (SECTIONS, RunConfig, config_from_dict,
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import BeamParams
 from ybcavity.observables import fluorescence_spectrum
-from ybcavity.transit import (TransitConfig, child_rng,
-                              default_transit_config, simulate_transit)
+from ybcavity.transit import TransitConfig, child_rng, simulate_transit
 
 DEFAULTS = json.loads(dump_config(RunConfig()))
 
@@ -159,7 +158,7 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(observables, "_ensemble_expected_counts", reached)
 
 
-_CFG = default_transit_config()
+_CFG = TransitConfig()
 
 
 @pytest.mark.parametrize("run", [

@@ -16,13 +16,13 @@ from ybcavity.atomic import LevelScheme
 from ybcavity.dynamics import (
     CavityParams, EmissionRates, LindbladGenerator, SystemState,
     adiabatic_rates, build_hamiltonian, build_lindblad, coupling_at,
-    drive_rabi_sq, evolve, ground_vacuum_state, steady_state,
+    drive_rabi_sq, evolve, ground_vacuum_state, spin_rates, steady_state,
     GROUND_INDEX, EXCITED_INDEX, N_ATOM, _conditional_liouvillian,
     _reduction, _spin_model,
 )
 from ybcavity.errors import ConfigError, ModelError, NumericalError
 from ybcavity.lightshift import BeamParams, ShiftResult, stark_shift
-from ybcavity.transit import default_transit_config, probe_detuning
+from ybcavity.transit import TransitConfig, probe_detuning
 
 SCHEME = LevelScheme()
 CAVITY = CavityParams()
@@ -80,16 +80,16 @@ def test_ground_vacuum_is_eigenstate_without_drive():
 
 
 def test_peak_coupling_matrix_elements():
-    cavity_flat = CavityParams(axial_rms_factor=1.0)
-    h = build_hamiltonian(SCHEME, cavity_flat, WEAK_DRIVE, SHIFTS_OFF, 0.0,
+    # (0, 0, 0) is an antinode of the standing wave on the mode axis
+    h = build_hamiltonian(SCHEME, CAVITY, WEAK_DRIVE, SHIFTS_OFF, 0.0,
                           (0, 0, 0), n_max=1)
     up_vac = _basis_index(GROUND_INDEX[+1], 1, 0, 1)   # one sigma+ photon
     e32_vac = _basis_index(EXCITED_INDEX[+3], 0, 0, 1)
-    assert h[e32_vac, up_vac] == pytest.approx(cavity_flat.g0, rel=1e-12)
+    assert h[e32_vac, up_vac] == pytest.approx(CAVITY.g0, rel=1e-12)
     dn_ph = _basis_index(GROUND_INDEX[-1], 1, 0, 1)
     e12_vac = _basis_index(EXCITED_INDEX[+1], 0, 0, 1)
     assert h[e12_vac, dn_ph] == pytest.approx(
-        cavity_flat.g0 * math.sqrt(1 / 3), rel=1e-12)
+        CAVITY.g0 * math.sqrt(1 / 3), rel=1e-12)
     # default config resolves the axial standing wave: full g0 at the
     # antinode x = 0, g0/sqrt(2) (its RMS) an eighth wave away, zero at
     # the node a quarter wave away
@@ -336,7 +336,7 @@ def test_steady_state_failure_raises_numerical_error():
 
 def _operating_generator(shift_on, n_max=2, position=(0.0, 0.0, 0.0)):
     """Full model at the reference drive, shift beam on or off."""
-    cfg = default_transit_config(light_shift_on=shift_on)
+    cfg = TransitConfig(light_shift_on=shift_on)
     shifts = SHIFTS_OFF
     if shift_on:
         shifts = ShiftResult(stark_shift(+1.5, cfg.shift_beam, cfg.scheme),
@@ -477,8 +477,7 @@ def test_spin_flip_fraction_decreases_with_splitting():
 
 def test_bad_cavity_flag():
     strong = CavityParams(g0=constants.TWO_PI * 6.0e6,
-                          kappa=constants.TWO_PI * 1.0e6,
-                          axial_rms_factor=1.0)
+                          kappa=constants.TWO_PI * 1.0e6)
     flagged = adiabatic_rates("up", 0.0, (0, 0, 0), SHIFTS_OFF, SCHEME,
                               strong, WEAK_DRIVE)
     assert not flagged.bad_cavity_ok
@@ -489,21 +488,19 @@ def test_bad_cavity_flag():
 
 def test_vectorized_rates_match_scalar_calls():
     z = np.array([-20e-6, -5e-6, 0.0, 3e-6, 15e-6])
-    shifts_arr = ShiftResult(delta_32=6.8e6 * np.exp(-z ** 2 / (50e-6) ** 2),
-                             delta_12=-12.8e6 * np.exp(-z ** 2 / (50e-6) ** 2))
-    vec = adiabatic_rates("up", 6.8e6, (np.zeros_like(z), np.zeros_like(z), z),
-                          shifts_arr, SCHEME, CAVITY, DRIVE)
-    for i, zi in enumerate(z):
-        shifts_i = ShiftResult(delta_32=float(shifts_arr.delta_32[i]),
-                               delta_12=float(shifts_arr.delta_12[i]))
-        scal = adiabatic_rates("up", 6.8e6, (0.0, 0.0, float(zi)), shifts_i,
-                               SCHEME, CAVITY, DRIVE)
-        assert vec.rate_sigma_plus[i] == pytest.approx(
-            scal.rate_sigma_plus, rel=1e-12)
-        assert vec.rate_sigma_minus[i] == pytest.approx(
-            scal.rate_sigma_minus, rel=1e-12)
-        assert vec.spin_flip_rate[i] == pytest.approx(
-            scal.spin_flip_rate, rel=1e-12)
+    pos = (np.zeros_like(z), np.zeros_like(z), z)
+    g, om_sq = coupling_at(pos, CAVITY), drive_rabi_sq(pos, DRIVE, CAVITY)
+    frac = np.exp(-z ** 2 / (50e-6) ** 2)
+    shifts = ShiftResult(delta_32=6.8e6 * frac, delta_12=-12.8e6 * frac)
+    vec = spin_rates("up", g, om_sq, 6.8e6, shifts, CAVITY)
+    for i in range(len(z)):
+        one = ShiftResult(delta_32=float(shifts.delta_32[i]),
+                          delta_12=float(shifts.delta_12[i]))
+        scal = spin_rates("up", float(g[i]), float(om_sq[i]), 6.8e6, one,
+                          CAVITY)
+        assert scal.shape == (4,)
+        for k in range(3):   # sigma+, sigma-, flip
+            assert vec[i, k] == pytest.approx(scal[k], rel=1e-12)
 
 
 def _complex_elimination_rates(coupling, omega, detunings):

@@ -8,19 +8,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ybcavity import constants, observables, transit
-from ybcavity.dynamics import (CavityParams, axial_profile, coupling_at,
-                               drive_rabi_sq, spin_rates)
+from ybcavity.dynamics import (axial_profile, coupling_at, drive_rabi_sq,
+                               spin_rates)
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import ShiftBeam, ShiftResult, stark_shift
 from ybcavity.transit import (
-    CountRecord, TransitGeometry, TransitRecord,
-    child_rng, crossing_duration, default_transit_config,
+    CountRecord, TransitConfig, TransitGeometry, TransitRecord,
+    child_rng, crossing_duration,
     probe_detuning, run_ensemble, run_transit_ensemble, shift_fraction,
     simulate_transit, simulate_window, transit_rate_table,
     write_count_records, write_transit_records,
@@ -28,8 +29,8 @@ from ybcavity.transit import (
 
 GEO = TransitGeometry()
 Z = transit.fall_heights(GEO)
-CFG_ON = default_transit_config(light_shift_on=True)
-CFG_OFF = default_transit_config(light_shift_on=False)
+CFG_ON = TransitConfig(light_shift_on=True)
+CFG_OFF = TransitConfig(light_shift_on=False)
 CFG_3D = replace(CFG_ON, shift_beam=replace(CFG_ON.shift_beam,
                                             axis_offset=8e-6))
 # fall-line points through the mode, |z| <= 33 um, every third slice
@@ -150,7 +151,7 @@ def test_probe_detuning_tracks_engineered_resonance():
     assert probe_detuning(CFG_OFF) == 0.0
     assert probe_detuning(CFG_ON) == pytest.approx(
         stark_shift(+1.5, CFG_ON.shift_beam, CFG_ON.scheme), rel=1e-12)
-    explicit = default_transit_config(excitation_detuning=1.25e6)
+    explicit = TransitConfig(excitation_detuning=1.25e6)
     assert probe_detuning(explicit) == 1.25e6
 
 
@@ -190,7 +191,7 @@ def test_rate_table_matches_direct_solves(shift_offset):
     if shift_offset is None:
         cfg = CFG_OFF
     else:
-        cfg = default_transit_config(shift_beam=replace(
+        cfg = TransitConfig(shift_beam=replace(
             CFG_ON.shift_beam, axis_offset=shift_offset))
     x0, y0 = 6e-6, 4e-6
     assert len(PATH) >= 15
@@ -238,7 +239,7 @@ def test_rate_table_passes_through_its_node_log_rates(monkeypatch,
         return out
 
     monkeypatch.setattr(transit, "spin_rates", spy)
-    cfg = default_transit_config(shift_beam=replace(
+    cfg = TransitConfig(shift_beam=replace(
         CFG_ON.shift_beam, axis_offset=shift_offset))
     table = transit.RateTable(cfg.scheme, cfg.cavity, cfg.drive,
                               cfg.shift_beam, probe_detuning(cfg))
@@ -255,11 +256,26 @@ def test_rate_table_passes_through_its_node_log_rates(monkeypatch,
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("det", [0.0, 3e6, -7e6])
+def test_shift_off_table_is_the_coaxial_table_of_a_dark_beam(det):
+    # a shift-off table is the 2-d coaxial table with no centre shift:
+    # the same node maps and log rates, to the bit, as a beam of no power
+    cfg = CFG_OFF
+    off, dark = (transit.RateTable(cfg.scheme, cfg.cavity, cfg.drive, beam,
+                                   det)
+                 for beam in (None, ShiftBeam(power=0.0)))
+    assert not off.three_d and not dark.three_d
+    assert off.channels.tobytes() == dark.channels.tobytes()
+    assert len(off.maps) == len(dark.maps) == 1
+    for a, b in zip(off.maps[0], dark.maps[0]):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("shift_offset", [0.0, 8e-6])
 def test_rate_table_nbytes_counts_every_array_it_holds(shift_offset):
     # the cache's byte budget sees the node maps of every axis, the 3-d
     # table's shift axis among them
-    cfg = default_transit_config(shift_beam=replace(
+    cfg = TransitConfig(shift_beam=replace(
         CFG_ON.shift_beam, axis_offset=shift_offset))
     table = transit.rate_table(cfg)
 
@@ -351,8 +367,7 @@ def test_axial_factors_give_the_samplers_rates(cfg):
     # the quadrature passes the standing-wave factor at x0 itself; the
     # sampler's lookup resolves it from x0, and both read the same rates
     x0, y0 = np.array([2e-6, -5e-6, 0.13e-6]), np.array([1e-6, 3e-6, 9e-6])
-    axial = axial_profile(2.0 * math.pi * x0 / constants.WAVELENGTH_GREEN,
-                          cfg.cavity)
+    axial = axial_profile(2.0 * math.pi * x0 / constants.WAVELENGTH_GREEN)
     for got, want in zip(transit_rate_table(x0, y0, cfg, axial=axial),
                          transit_rate_table(x0, y0, cfg)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -360,8 +375,8 @@ def test_axial_factors_give_the_samplers_rates(cfg):
 
 def test_table_builds_leave_scipy_interpolate_unimported():
     code = ("import sys\n"
-            "from ybcavity.transit import default_transit_config, rate_table\n"
-            "rate_table(default_transit_config())\n"
+            "from ybcavity.transit import TransitConfig, rate_table\n"
+            "rate_table(TransitConfig())\n"
             "print('scipy.interpolate' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -389,7 +404,7 @@ def test_transit_rejects_unknown_spin():
 
 def test_zero_drive_power_gives_zero_counts():
     from dataclasses import replace
-    cfg = default_transit_config(
+    cfg = TransitConfig(
         drive=replace(CFG_ON.drive, power=0.0))
     for i in range(20):
         rec = simulate_transit(child_rng(7, i), "up", cfg)
@@ -400,29 +415,30 @@ def test_zero_drive_power_gives_zero_counts():
 
 def test_rates_that_all_underflow_give_a_finite_table_and_no_photons():
     # a probe 1e300 Hz off resonance: the sigma+/- rates are exactly 0,
-    # and the table's log floor must stay above 0
-    cfg = default_transit_config(excitation_detuning=1e300)
-    table = transit.RateTable(cfg.scheme, cfg.cavity, cfg.drive,
-                              cfg.shift_beam, probe_detuning(cfg))
+    # the table's log floor must stay above 0, and the build warns of no
+    # overflow on the way
+    cfg = TransitConfig(excitation_detuning=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = transit.RateTable(cfg.scheme, cfg.cavity, cfg.drive,
+                                  cfg.shift_beam, probe_detuning(cfg))
     assert np.all(np.isfinite(table.channels))
     for rec in run_transit_ensemble(20, 7, cfg):
         assert rec.counts_sigma_plus == rec.counts_sigma_minus == 0
 
 
 def test_peak_coupling_is_g0_on_axis_without_axial_averaging():
-    cavity = CavityParams(axial_rms_factor=1.0)
-    cfg = default_transit_config(
-        cavity=cavity,
-        geometry=TransitGeometry(impact_radius_factor=1e-9))
+    # the impact disc shrinks onto x = 0, an antinode of the standing wave
+    cfg = TransitConfig(geometry=TransitGeometry(impact_radius_factor=1e-9))
     rec = simulate_transit(child_rng(1, 0), "up", cfg)
-    assert rec.peak_coupling == pytest.approx(cavity.g0, rel=1e-6)
+    assert rec.peak_coupling == pytest.approx(cfg.cavity.g0, rel=1e-6)
     assert rec.peak_coupling == pytest.approx(
-        coupling_at((0.0, 0.0, 0.0), cavity), rel=1e-9)
+        coupling_at((0.0, 0.0, 0.0), cfg.cavity), rel=1e-9)
 
 
 def test_shift_on_up_transits_are_sigma_plus_dominated():
     records = run_transit_ensemble(
-        300, 21, default_transit_config(initial_spin="up"))
+        300, 21, TransitConfig(initial_spin="up"))
     plus = sum(r.counts_sigma_plus for r in records)
     minus = sum(r.counts_sigma_minus for r in records)
     assert plus > 10 * minus
@@ -432,8 +448,8 @@ def test_shift_on_up_transits_are_sigma_plus_dominated():
 
 def test_shift_off_is_polarization_symmetric():
     records = run_transit_ensemble(
-        600, 22, default_transit_config(light_shift_on=False,
-                                        initial_spin="up"))
+        600, 22, TransitConfig(light_shift_on=False,
+                               initial_spin="up"))
     plus = np.array([r.counts_sigma_plus for r in records], dtype=float)
     minus = np.array([r.counts_sigma_minus for r in records], dtype=float)
     diff = plus - minus
@@ -447,7 +463,7 @@ def test_shift_off_is_polarization_symmetric():
 def test_far_impact_parameter_yields_almost_nothing():
     from dataclasses import replace
     geo = TransitGeometry(impact_radius_factor=3.0)
-    cfg = default_transit_config(geometry=geo, initial_spin="up")
+    cfg = TransitConfig(geometry=geo, initial_spin="up")
     # a fall line on the disc rim (radius factor 3) against one through
     # the mode center
     plus = transit_rate_table([3.0 * geo.mode_waist, 0.0], [0.0, 0.0],
@@ -529,7 +545,7 @@ def _reference_window(rng, config):
 @pytest.mark.parametrize("shift_on", [True, False])
 def test_batched_runners_match_the_scalar_reference(shift_on, initial_spin,
                                                     time_step):
-    cfg = default_transit_config(
+    cfg = TransitConfig(
         light_shift_on=shift_on, initial_spin=initial_spin,
         geometry=TransitGeometry(time_step=time_step))
     n = 60
@@ -551,7 +567,7 @@ def test_default_time_step_matches_1us_on_paired_streams():
     # same stream at both steps, so the paired differences isolate the
     # step; the hazard inversion is exact for piecewise-constant rates,
     # so only the rates' slicing differs
-    cfg = default_transit_config(light_shift_on=False, initial_spin="up")
+    cfg = TransitConfig(light_shift_on=False, initial_spin="up")
     fine = replace(cfg, geometry=replace(cfg.geometry, time_step=1e-6))
     n, seed = 3000, 61
 
@@ -572,7 +588,7 @@ def test_default_time_step_matches_1us_on_paired_streams():
 
 
 def test_zero_atom_windows_reproduce_dark_rates():
-    cfg = default_transit_config(atom_rate=0.0)
+    cfg = TransitConfig(atom_rate=0.0)
     n = 2000
     counts = [simulate_window(child_rng(31, i), replace(cfg, window=2e-3))
               for i in range(n)]
@@ -585,7 +601,7 @@ def test_zero_atom_windows_reproduce_dark_rates():
 
 
 def test_dark_counts_scale_linearly_with_window():
-    cfg = default_transit_config(atom_rate=0.0)
+    cfg = TransitConfig(atom_rate=0.0)
     n = 1500
     for window, mean in ((1e-3, 1.0), (4e-3, 4.0)):
         vals = [simulate_window(child_rng(37, i), replace(cfg, window=window))
@@ -594,7 +610,7 @@ def test_dark_counts_scale_linearly_with_window():
 
 
 def test_window_atom_number_is_poisson_with_rate_times_window():
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     n = 1200
     # the records of simulate_window on streams 0..n-1
     atoms = [rec.atom_count for rec in run_ensemble(n, 41, cfg)]
@@ -603,7 +619,7 @@ def test_window_atom_number_is_poisson_with_rate_times_window():
 
 
 def test_window_argument_validation():
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     with pytest.raises(ConfigError):
         simulate_window(child_rng(0, 0), replace(cfg, atom_rate=-1.0))
     with pytest.raises(ConfigError):
@@ -641,14 +657,14 @@ def test_run_ensemble_requires_at_least_one_run():
 
 
 def test_single_run_matches_child_stream_zero():
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     ensemble = run_ensemble(1, 123, cfg)
     direct = simulate_window(child_rng(123, 0), cfg)
     assert ensemble == [direct]
 
 
 def test_window_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     monkeypatch.setattr(transit, "_CHUNK", 16)
     whole = run_ensemble(16, 99, cfg)
     for chunk in (1, 7):
@@ -657,7 +673,7 @@ def test_window_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
 
 
 def test_transit_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
-    cfg = default_transit_config(initial_spin="random")
+    cfg = TransitConfig(initial_spin="random")
     monkeypatch.setattr(transit, "_CHUNK", 24)
     whole = run_transit_ensemble(24, 77, cfg)
     for chunk in (1, 7):
@@ -670,12 +686,12 @@ def test_transit_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
 def test_first_windows_do_not_depend_on_the_ensemble_size():
     # perfbench's scatter check compares the first 64 windows of an
     # 800-window run with a 64-window run
-    cfg = default_transit_config(light_shift_on=False)
+    cfg = TransitConfig(light_shift_on=False)
     assert run_ensemble(800, 3, cfg)[:64] == run_ensemble(64, 3, cfg)
 
 
 def test_same_seed_same_dataset_different_seed_differs():
-    cfg = default_transit_config()
+    cfg = TransitConfig()
     a = run_ensemble(6, 5, cfg)
     b = run_ensemble(6, 5, cfg)
     c = run_ensemble(6, 6, cfg)
@@ -685,8 +701,8 @@ def test_same_seed_same_dataset_different_seed_differs():
 
 def test_rate_table_cache_is_bounded_by_bytes(monkeypatch):
     monkeypatch.setattr(transit, "_tables", {})
-    configs = [default_transit_config(light_shift_on=False,
-                                      excitation_detuning=d)
+    configs = [TransitConfig(light_shift_on=False,
+                             excitation_detuning=d)
                for d in (1e6, 2e6, 3e6)]
     first = transit.rate_table(configs[0])
     monkeypatch.setattr(transit, "_TABLE_BUDGET", int(2.5 * first.nbytes))
@@ -722,7 +738,7 @@ def test_record_invariants():
 
 
 def test_transit_records_csv_round_trip(tmp_path):
-    records = run_transit_ensemble(10, 13, default_transit_config())
+    records = run_transit_ensemble(10, 13, TransitConfig())
     path = tmp_path / "transits.csv"
     write_transit_records(path, records, emit_format="csv")
     with open(path, newline="") as fh:
@@ -738,7 +754,7 @@ def test_transit_records_csv_round_trip(tmp_path):
 
 
 def test_window_records_jsonl_round_trip(tmp_path):
-    records = run_ensemble(8, 17, default_transit_config())
+    records = run_ensemble(8, 17, TransitConfig())
     path = tmp_path / "windows.jsonl"
     write_count_records(path, records, emit_format="jsonl")
     header, *rows = map(json.loads, path.read_text().splitlines())
@@ -753,7 +769,7 @@ def test_window_records_jsonl_round_trip(tmp_path):
 
 
 def test_writers_reject_unknown_format(tmp_path):
-    records = run_transit_ensemble(3, 2, default_transit_config())
+    records = run_transit_ensemble(3, 2, TransitConfig())
     with pytest.raises(ConfigError):
         write_transit_records(tmp_path / "x.bin", records,
                               emit_format="parquet")
@@ -762,17 +778,17 @@ def test_writers_reject_unknown_format(tmp_path):
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        default_transit_config(initial_spin="left")
+        TransitConfig(initial_spin="left")
     with pytest.raises(ConfigError):
-        default_transit_config(atom_rate=-5.0)
+        TransitConfig(atom_rate=-5.0)
     with pytest.raises(ConfigError):
-        default_transit_config(window=0.0)
+        TransitConfig(window=0.0)
     with pytest.raises(ConfigError):
-        default_transit_config(excitation_detuning=math.nan)
+        TransitConfig(excitation_detuning=math.nan)
     # more than 10^3 atoms expected per window (here 2 x 10^3)
     with pytest.raises(ConfigError):
-        default_transit_config(atom_rate=1e6, window=2e-3)
+        TransitConfig(atom_rate=1e6, window=2e-3)
     # a ShiftBeam is a BeamParams subclass whose detuning the drive never
     # reads, so it is no drive
     with pytest.raises(ConfigError, match="drive must be a BeamParams"):
-        default_transit_config(drive=ShiftBeam())
+        TransitConfig(drive=ShiftBeam())

@@ -30,14 +30,14 @@ print("fall time through the mode: %.0f us (2w/v estimate %.0f us)"
          2.0 * cfg.geometry.mode_waist / fall_speed * 1e6))
 
 # ---------------------------------------------------------------------------
-# Single-atom transits with a known initial spin.  The detected-count
-# split between the two polarization channels is the readout signal.
+# Single-atom transits with a known initial spin.  The records come back
+# as one array with a column per field; the detected-count split between
+# the two polarization channels is the readout signal.
 for spin in ("up", "down"):
     recs = run_transit_ensemble(
         N_TRANSITS, SEED, TransitConfig(initial_spin=spin))
-    plus = np.array([r.counts_sigma_plus for r in recs])
-    minus = np.array([r.counts_sigma_minus for r in recs])
-    flips = np.mean([r.final_spin != r.initial_spin for r in recs])
+    plus, minus = recs["counts_sigma_plus"], recs["counts_sigma_minus"]
+    flips = np.mean(recs["final_spin"] != recs["initial_spin"])
     print("\nspin %s, shift on, %d transits:" % (spin, N_TRANSITS))
     print("  mean detected counts: sigma+ %.2f, sigma- %.2f"
           % (plus.mean(), minus.mean()))
@@ -50,9 +50,8 @@ for spin in ("up", "down"):
 recs_off = run_transit_ensemble(
     N_TRANSITS, SEED, TransitConfig(light_shift_on=False,
                                     initial_spin="up"))
-plus = np.array([r.counts_sigma_plus for r in recs_off])
-minus = np.array([r.counts_sigma_minus for r in recs_off])
-flips = np.mean([r.final_spin != r.initial_spin for r in recs_off])
+plus, minus = recs_off["counts_sigma_plus"], recs_off["counts_sigma_minus"]
+flips = np.mean(recs_off["final_spin"] != recs_off["initial_spin"])
 print("\nspin up, shift OFF: sigma+ %.1f, sigma- %.1f per atom, "
       "flip fraction %.2f" % (plus.mean(), minus.mean(), flips))
 
@@ -68,6 +67,6 @@ for label, on in (("shift off", False), ("shift on ", True)):
     wrecs = run_ensemble(N_WINDOWS, SEED + 1,
                          TransitConfig(light_shift_on=on))
     r = pearson_correlation(wrecs)
-    n_atoms = np.mean([w.atom_count for w in wrecs])
+    n_atoms = np.mean(wrecs["atom_count"])
     print("  %s: sigma+/sigma- Pearson r = %+5.2f   (mean atoms %.2f)"
           % (label, r, n_atoms))

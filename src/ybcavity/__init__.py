@@ -23,7 +23,7 @@ from .dynamics import (
     steady_state, evolve, adiabatic_rates,
 )
 from .transit import (
-    TransitGeometry, TransitConfig, TransitRecord, CountRecord,
+    TransitGeometry, TransitConfig,
     crossing_duration, probe_detuning,
     simulate_transit, simulate_window,
     run_ensemble, run_transit_ensemble,

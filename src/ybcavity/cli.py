@@ -114,10 +114,9 @@ def cmd_scatter(config: RunConfig) -> int:
         cfg = replace(transit_cfg, light_shift_on=shift_on)
         records = halves[label] = run_ensemble(run.n_runs, seed, cfg)
         summary[f"pearson_shift_{label}"] = pearson_correlation(records)
-        summary[f"mean_counts_sigma_plus_shift_{label}"] = \
-            sum(x.counts_sigma_plus for x in records) / len(records)
-        summary[f"mean_counts_sigma_minus_shift_{label}"] = \
-            sum(x.counts_sigma_minus for x in records) / len(records)
+        for col in ("counts_sigma_plus", "counts_sigma_minus"):
+            summary[f"mean_{col}_shift_{label}"] = \
+                int(records[col].sum()) / len(records)
     for label, records in halves.items():
         name = f"scatter_shift_{label}.{run.emit_format}"
         write_count_records(_outfile(config, name), records,
@@ -134,14 +133,14 @@ def cmd_transit(config: RunConfig) -> int:
     write_transit_records(_outfile(config, name), records,
                           emit_format=run.emit_format)
     n = len(records)
-    mean_counts = sum(r.counts_sigma_plus + r.counts_sigma_minus
-                      for r in records) / n
+    counts = int(records["counts_sigma_plus"].sum()
+                 + records["counts_sigma_minus"].sum())
+    flips = int((records["final_spin"] != records["initial_spin"]).sum())
     summary = {"format": SUMMARY_FORMAT_TAG, "n_runs": n,
                "initial_spin": transit_cfg.initial_spin,
                "light_shift_on": transit_cfg.light_shift_on,
-               "mean_counts_per_atom": mean_counts,
-               "flip_fraction":
-                   sum(r.final_spin != r.initial_spin for r in records) / n}
+               "mean_counts_per_atom": counts / n,
+               "flip_fraction": flips / n}
     if transit_cfg.initial_spin in ("up", "down"):
         summary["monte_carlo_snr"] = snr_from_counts(
             records, transit_cfg.initial_spin)

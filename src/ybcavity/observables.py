@@ -261,16 +261,15 @@ def count_weighted_skewness(points) -> float:
 
 def snr_from_counts(records, initial_spin: str) -> float:
     """Total desired-polarization counts over total undesired counts
-    (sigma+/sigma- for spin up, swapped for down).  Returns math.inf when
-    the undesired channel recorded nothing."""
-    records = list(records)
-    if not records:
+    (sigma+/sigma- for spin up, swapped for down) of a record array.
+    Returns math.inf when the undesired channel recorded nothing."""
+    if not len(records):
         raise ConfigError("records must be nonempty")
     if initial_spin not in ("up", "down"):
         raise ConfigError(f"initial_spin must be 'up' or 'down', "
                           f"got {initial_spin!r}")
-    plus = sum(r.counts_sigma_plus for r in records)
-    minus = sum(r.counts_sigma_minus for r in records)
+    plus = int(records["counts_sigma_plus"].sum())
+    minus = int(records["counts_sigma_minus"].sum())
     desired, undesired = (plus, minus) if initial_spin == "up" \
         else (minus, plus)
     if undesired == 0:
@@ -338,13 +337,12 @@ def predicted_snr(values, config: TransitConfig, vary: str = "power"):
 
 
 def pearson_correlation(records) -> float:
-    """Pearson r between the sigma+ and sigma- counts of a record set;
+    """Pearson r between the sigma+ and sigma- counts of a record array;
     NaN when either channel has zero variance."""
-    records = list(records)
     if len(records) < 2:
         raise ConfigError("need at least two records for a correlation")
-    plus = np.array([r.counts_sigma_plus for r in records], dtype=float)
-    minus = np.array([r.counts_sigma_minus for r in records], dtype=float)
+    plus = records["counts_sigma_plus"].astype(float)
+    minus = records["counts_sigma_minus"].astype(float)
     dp = plus - plus.mean()
     dm = minus - minus.mean()
     var_p = np.sum(dp ** 2)

@@ -16,7 +16,9 @@ Reproducibility: every run owns a counter-based Philox stream keyed on
 `simulate_transit` and `simulate_window`.  The runners step chunks of runs
 through the segment grid together, a window's atoms in rounds (round k
 takes the k-th atom of every window that has one), so each stream keeps
-its draw order and ensembles are bit-identical for any chunk size.
+its draw order and ensembles are bit-identical for any chunk size.  They
+return one structured array of records, `TRANSIT_RECORD` or `WINDOW_RECORD`
+rows, whose field names, in order, are the columns of the record files.
 """
 
 from __future__ import annotations
@@ -44,11 +46,14 @@ EMIT_FORMATS = ("csv", "jsonl")   # record file formats, also their extensions
 TRANSIT_FORMAT_TAG = "ybcavity.transit.v1"
 WINDOW_FORMAT_TAG = "ybcavity.window.v1"
 
-_TRANSIT_COLUMNS = ("initial_spin", "final_spin", "counts_sigma_plus",
-                    "counts_sigma_minus", "transit_duration_s",
-                    "peak_coupling_rad_s")
-_WINDOW_COLUMNS = ("window_s", "counts_sigma_plus", "counts_sigma_minus",
-                   "atom_count")
+# a row per run; the field names, in order, are the record file's columns
+TRANSIT_RECORD = np.dtype([
+    ("initial_spin", "U4"), ("final_spin", "U4"),
+    ("counts_sigma_plus", np.int64), ("counts_sigma_minus", np.int64),
+    ("transit_duration_s", np.float64), ("peak_coupling_rad_s", np.float64)])
+WINDOW_RECORD = np.dtype([   # counts: every atom's plus the dark counts
+    ("window_s", np.float64), ("counts_sigma_plus", np.int64),
+    ("counts_sigma_minus", np.int64), ("atom_count", np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +75,9 @@ class TransitGeometry:
     quadrature's default spectrum and SNR points move by at most 0.012%,
     and on paired streams the sampler changes about 0.6% of its records
     (spin up, shift off: frequent flips), every mean within 3 standard
-    errors.
+    errors.  A fall that cannot be simulated is rejected: a crossing that
+    rounds to no time, a time step longer than the fall through the span
+    (0.675 ms at the defaults), or more than `_MAX_SEGMENTS` slices.
     """
 
     drop_height: float = rule(constants.DROP_HEIGHT, gt=0.0)
@@ -83,6 +90,12 @@ class TransitGeometry:
         check(self)
         if not self.simulation_halfspan < self.drop_height:
             raise ConfigError("simulation_halfspan must be < drop_height")
+        if not crossing_duration(self) > 0:   # rounds to 0 for a huge drop
+            raise ConfigError("the fall must cross the mode waist in > 0 s")
+        fall = _fall_time(self, -self.simulation_halfspan)
+        if not self.time_step <= fall:
+            raise ConfigError(f"time_step must be <= the fall through the "
+                              f"simulated span, {fall!r} s")
         if _segment_count(self) > _MAX_SEGMENTS:
             raise ConfigError(f"the fall takes over {_MAX_SEGMENTS} steps")
 
@@ -99,7 +112,7 @@ def _segment_count(geometry: TransitGeometry) -> int:
     """Time slices of the fall from the top of the span to its bottom."""
     total = _fall_time(geometry, -geometry.simulation_halfspan)
     # finite even for a subnormal time step, so the geometry can reject it
-    return max(1, math.ceil(min(total / geometry.time_step, 1e300)))
+    return math.ceil(min(total / geometry.time_step, 1e300))
 
 
 def fall_heights(geometry: TransitGeometry) -> np.ndarray:
@@ -152,8 +165,10 @@ class TransitConfig:
     initial_spin is the per-atom preparation policy: 'up', 'down', or
     'random' (fair coin per atom).  atom_rate x window, the mean number of
     atoms per window, is at most `_MAX_ATOMS_PER_WINDOW`: each atom round
-    of a window batch is a full pass of the sampler.  The cavity and the
-    geometry name one mode waist: the coupling's and the impact disc's.
+    of a window batch is a full pass of the sampler.  The mean dark counts
+    per window, both channels together, are at most `_MAX_DARKS_PER_WINDOW`.
+    The cavity and the geometry name one mode waist: the coupling's and the
+    impact disc's.
     """
 
     scheme: LevelScheme = rule(LevelScheme(), LevelScheme)
@@ -174,6 +189,10 @@ class TransitConfig:
         if not atoms <= _MAX_ATOMS_PER_WINDOW:
             raise ConfigError(f"atom_rate x window must be <= "
                               f"{_MAX_ATOMS_PER_WINDOW:g}, got {atoms!r}")
+        darks = sum(self.cavity.dark_rates_per_s) * self.window
+        if not darks <= _MAX_DARKS_PER_WINDOW:
+            raise ConfigError(f"dark rates x window must be <= "
+                              f"{_MAX_DARKS_PER_WINDOW:g}, got {darks!r}")
         if self.cavity.mode_waist != self.geometry.mode_waist:
             raise ConfigError(
                 f"cavity.mode_waist {self.cavity.mode_waist!r} and "
@@ -187,6 +206,7 @@ class TransitConfig:
 
 
 _MAX_ATOMS_PER_WINDOW = 1e3   # ~900x the default 1.1
+_MAX_DARKS_PER_WINDOW = 1e6   # ~3e5x the default 3; far past saturation
 
 
 default_transit_config = TransitConfig   # the name perfbench imports
@@ -496,53 +516,14 @@ def transit_rate_table(x0, y0, config: TransitConfig, axial=None):
 
 
 # ---------------------------------------------------------------------------
-# records
-
-
-@dataclass(frozen=True)
-class TransitRecord:
-    """One atom through the cavity: detected counts per polarization,
-    spin before and after, crossing time of the mode waist, and the
-    coupling (rad/s) at closest approach."""
-
-    counts_sigma_plus: int
-    counts_sigma_minus: int
-    initial_spin: str
-    final_spin: str
-    transit_duration: float
-    peak_coupling: float
-
-    def __post_init__(self):
-        if self.counts_sigma_plus < 0 or self.counts_sigma_minus < 0:
-            raise ValueError("photon counts must be >= 0")
-        if not self.transit_duration > 0:
-            raise ValueError("transit duration must be > 0")
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One measurement window: summed detected counts over every atom
-    that arrived, plus detector dark counts."""
-
-    window: float
-    counts_sigma_plus: int
-    counts_sigma_minus: int
-    atom_count: int
-
-    def __post_init__(self):
-        if self.counts_sigma_plus < 0 or self.counts_sigma_minus < 0:
-            raise ValueError("photon counts must be >= 0")
-
-
-# ---------------------------------------------------------------------------
 # jump process
 
 _CHUNK = 512   # runs stepped together; peak RSS is flat up to here
 
 
-def _transits(rngs, spins, config: TransitConfig) -> list:
+def _transits(rngs, spins, config: TransitConfig) -> np.ndarray:
     """One atom per stream, all stepped through the shared segment grid
-    together; each stream draws in the order of `simulate_transit`."""
+    together, into a `TRANSIT_RECORD` each, drawing as `simulate_transit`."""
     geo = config.geometry
     x0, y0 = np.array([_impact(rng, geo) for rng in rngs]).T
     plus, minus, flip = transit_rate_table(x0, y0, config)
@@ -572,16 +553,15 @@ def _transits(rngs, spins, config: TransitConfig) -> list:
                 zip(*done)
 
     eta = config.cavity.detection_efficiency
-    peak = coupling_at((x0, y0, 0.0), config.cavity).tolist()
-    duration = crossing_duration(geo)
-    return [TransitRecord(counts_sigma_plus=int(rng.poisson(eta * lp)),
-                          counts_sigma_minus=int(rng.poisson(eta * lm)),
-                          initial_spin=spin,
-                          final_spin="up" if u else "down",
-                          transit_duration=duration, peak_coupling=g)
-            for rng, spin, u, lp, lm, g in zip(
-                rngs, spins, up.tolist(), lam_plus.tolist(),
-                lam_minus.tolist(), peak)]
+    out = np.empty(len(rngs), TRANSIT_RECORD)
+    out["initial_spin"] = spins
+    out["final_spin"] = np.where(up, "up", "down")
+    out["counts_sigma_plus"], out["counts_sigma_minus"] = zip(*(
+        (rng.poisson(eta * lp), rng.poisson(eta * lm)) for rng, lp, lm in
+        zip(rngs, lam_plus.tolist(), lam_minus.tolist())))
+    out["transit_duration_s"] = crossing_duration(geo)
+    out["peak_coupling_rad_s"] = coupling_at((x0, y0, 0.0), config.cavity)
+    return out
 
 
 def _flip_segment(rng, up, target, lam_plus, lam_minus, f, plus, minus, dt):
@@ -606,11 +586,10 @@ def _flip_segment(rng, up, target, lam_plus, lam_minus, f, plus, minus, dt):
             return up, target, lam_plus, lam_minus
 
 
-def simulate_transit(rng, initial_spin: str, config: TransitConfig
-                     ) -> TransitRecord:
-    """Simulate one atom (a batch of one).  Draw order: impact point (2
-    uniforms), one exponential per spin-flip attempt, then the two Poisson
-    counts.
+def simulate_transit(rng, initial_spin: str, config: TransitConfig):
+    """Simulate one atom (a batch of one) and return its `TRANSIT_RECORD`
+    row.  Draw order: impact point (2 uniforms), one exponential per
+    spin-flip attempt, then the two Poisson counts.
 
     A batch of one still walks every segment of the fall, so it costs
     about 20 times as much as one run of `run_transit_ensemble`, which
@@ -627,33 +606,34 @@ def _draw_spin(rng, config: TransitConfig) -> str:
     return "up" if rng.random() < 0.5 else "down"
 
 
-def _windows(rngs, config: TransitConfig) -> list:
+def _windows(rngs, config: TransitConfig) -> np.ndarray:
     """One measurement window per stream, each drawing in the order of
     `simulate_window`: the atoms go in rounds, round k taking the k-th atom
     of every window that has one, after its earlier atoms' draws."""
     atom_rate, window = config.atom_rate, config.window
-    n_atoms = [int(rng.poisson(atom_rate * window)) for rng in rngs]
-    dark_plus, dark_minus = config.cavity.dark_rates_per_s
-    plus = [int(rng.poisson(dark_plus * window)) for rng in rngs]
-    minus = [int(rng.poisson(dark_minus * window)) for rng in rngs]
-    for k in range(max(n_atoms)):
-        live = [j for j, n in enumerate(n_atoms) if n > k]
-        streams = [rngs[j] for j in live]
+    out = np.empty(len(rngs), WINDOW_RECORD)
+    out["window_s"] = window
+    out["atom_count"] = [rng.poisson(atom_rate * window) for rng in rngs]
+    for col, dark in zip(("counts_sigma_plus", "counts_sigma_minus"),
+                         config.cavity.dark_rates_per_s):
+        out[col] = [rng.poisson(dark * window) for rng in rngs]
+    for k in range(out["atom_count"].max()):
+        live = (out["atom_count"] > k).nonzero()[0]
+        streams = [rngs[j] for j in live.tolist()]
         spins = [_draw_spin(rng, config) for rng in streams]
-        for j, rec in zip(live, _transits(streams, spins, config)):
-            plus[j] += rec.counts_sigma_plus
-            minus[j] += rec.counts_sigma_minus
-    return [CountRecord(window=window, counts_sigma_plus=p,
-                        counts_sigma_minus=m, atom_count=n)
-            for p, m, n in zip(plus, minus, n_atoms)]
+        atoms = _transits(streams, spins, config)
+        for col in ("counts_sigma_plus", "counts_sigma_minus"):
+            out[col][live] += atoms[col]
+    return out
 
 
-def simulate_window(rng, config: TransitConfig) -> CountRecord:
-    """One measurement window of config.window seconds at config.atom_rate.
-    Draw order: atom number, dark counts (sigma+ then sigma-), then per
-    atom (spin if random, transit); the runners take many windows' atoms in
-    rounds, with the same result.  The config checked its rules, the
-    bound on atoms per window among them, when it was built.
+def simulate_window(rng, config: TransitConfig):
+    """One measurement window of config.window seconds at config.atom_rate,
+    as its `WINDOW_RECORD` row.  Draw order: atom number, dark counts
+    (sigma+ then sigma-), then per atom (spin if random, transit); the
+    runners take many windows' atoms in rounds, with the same result.  The
+    config checked its rules, the bounds on atoms and dark counts per
+    window among them, when it was built.
 
     Each round of atoms walks every segment of the fall, so one window
     costs about 30 times as much as one run of `run_ensemble`, which gives
@@ -686,21 +666,22 @@ def _stream(master_seed, run_index):
         key=np.array([master_seed, run_index], dtype=np.uint64)))
 
 
-def _run_chunks(batch, n_runs: int, master_seed: int) -> list:
-    """batch(streams) on runs 0..n_runs-1, `_CHUNK` streams at a time."""
+def _run_chunks(batch, n_runs: int, master_seed: int) -> np.ndarray:
+    """batch(streams) on runs 0..n_runs-1, `_CHUNK` streams at a time, the
+    chunks' records joined."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     _check_key("master_seed", master_seed)   # once: range gives valid runs
-    records = []
-    for start in range(0, n_runs, _CHUNK):
-        records += batch([_stream(master_seed, i)
-                          for i in range(start, min(start + _CHUNK, n_runs))])
-    return records
+    return np.concatenate([
+        batch([_stream(master_seed, i)
+               for i in range(start, min(start + _CHUNK, n_runs))])
+        for start in range(0, n_runs, _CHUNK)])
 
 
 def run_ensemble(n_runs: int, master_seed: int, config: TransitConfig):
-    """n_runs measurement windows, one Philox child stream per run, in
-    run-index order.  Record i equals simulate_window on stream i: each
+    """n_runs measurement windows, one Philox child stream per run, as a
+    `WINDOW_RECORD` array in run-index order.  Record i equals
+    simulate_window on stream i: each
     chunk of windows draws its atom numbers and dark counts, then its atoms
     in rounds (round k: the k-th atom of every window that has one)."""
     return _run_chunks(lambda rngs: _windows(rngs, config), n_runs,
@@ -709,9 +690,9 @@ def run_ensemble(n_runs: int, master_seed: int, config: TransitConfig):
 
 def run_transit_ensemble(n_runs: int, master_seed: int,
                          config: TransitConfig):
-    """n_runs single-atom transits with the same stream-splitting rule as
-    run_ensemble; the per-run draw order is spin (if random) then
-    transit."""
+    """n_runs single-atom transits, a `TRANSIT_RECORD` array with the same
+    stream-splitting rule as run_ensemble; the per-run draw order is spin
+    (if random) then transit."""
     return _run_chunks(lambda rngs: _transits(
         rngs, [_draw_spin(rng, config) for rng in rngs], config),
         n_runs, master_seed)
@@ -719,16 +700,6 @@ def run_transit_ensemble(n_runs: int, master_seed: int,
 
 # ---------------------------------------------------------------------------
 # serialization (CSV and JSON-lines, versioned header)
-
-
-def _transit_row(rec: TransitRecord):
-    return (rec.initial_spin, rec.final_spin, rec.counts_sigma_plus,
-            rec.counts_sigma_minus, rec.transit_duration, rec.peak_coupling)
-
-
-def _window_row(rec: CountRecord):
-    return (rec.window, rec.counts_sigma_plus, rec.counts_sigma_minus,
-            rec.atom_count)
 
 
 def write_records(path, tag, columns, rows, emit_format="csv"):
@@ -749,11 +720,12 @@ def write_records(path, tag, columns, rows, emit_format="csv"):
                          + "\n")
 
 
+# tolist() gives Python str, int and float: both formats print them exactly
 def write_transit_records(path, records, emit_format: str = "csv"):
-    write_records(path, TRANSIT_FORMAT_TAG, _TRANSIT_COLUMNS,
-                  map(_transit_row, records), emit_format)
+    write_records(path, TRANSIT_FORMAT_TAG, TRANSIT_RECORD.names,
+                  records.tolist(), emit_format)
 
 
 def write_count_records(path, records, emit_format: str = "csv"):
-    write_records(path, WINDOW_FORMAT_TAG, _WINDOW_COLUMNS,
-                  map(_window_row, records), emit_format)
+    write_records(path, WINDOW_FORMAT_TAG, WINDOW_RECORD.names,
+                  records.tolist(), emit_format)

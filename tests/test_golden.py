@@ -1,0 +1,117 @@
+"""Golden outputs: the five CLI commands at seed 7 on a reduced config,
+against the reference in tests/golden/seed7.json.
+
+The record files and motdip.csv must match byte for byte (SHA-256); the
+spectrum, SNR and summary values to 1e-12 relative.  A change that moves
+the outputs on purpose rewrites the reference with
+
+    python tests/test_golden.py
+
+and lists every changed value in CHANGES.md.
+"""
+
+import hashlib
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+REFERENCE = Path(__file__).resolve().parent / "golden" / "seed7.json"
+CONFIG = {"run": {"n_runs": 300},
+          "grids": {"spectrum_mhz": {"start": -7.25, "stop": 6.75,
+                                     "step": 7.0},   # -7.25: the red tail
+                    "snr_power_mw": [4.0, 9.0], "snr_waist_um": [40.0]}}
+COMMANDS = ("motdip", "snr", "spectrum", "transit", "scatter")
+HASHED = ("motdip.csv", "scatter_shift_off.csv", "scatter_shift_on.csv",
+          "transit_records.csv")
+VALUED = ("snr_vs_power.csv", "snr_vs_waist.csv", "spectrum_shift_off.csv",
+          "spectrum_shift_on.csv", "scatter_summary.json",
+          "spectrum_summary.json", "transit_summary.json")
+
+
+def _values(path: Path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    tag, header, *rows = path.read_text().splitlines()
+    return {"tag": tag, "columns": header.split(","),
+            "rows": [[float(c) for c in row.split(",")] for row in rows]}
+
+
+def run_commands(workdir: Path) -> dict:
+    """Run the five commands in-process into workdir; the document the
+    reference holds."""
+    from ybcavity.cli import main
+
+    config = workdir / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = workdir / "out"
+    for command in COMMANDS:
+        code = main(["--config", str(config), "--seed", "7",
+                     "--out", str(out), command])
+        assert code == 0, f"{command} exited {code}"
+    return {"numpy": np.__version__,
+            "sha256": {name: hashlib.sha256((out / name).read_bytes())
+                       .hexdigest() for name in HASHED},
+            "values": {name: _values(out / name) for name in VALUED}}
+
+
+def _close(actual, expected) -> bool:
+    if isinstance(expected, dict):
+        return actual.keys() == expected.keys() and all(
+            _close(actual[k], expected[k]) for k in expected)
+    if isinstance(expected, list):
+        return len(actual) == len(expected) and all(
+            map(_close, actual, expected))
+    if isinstance(expected, float) and not isinstance(actual, bool):
+        return (math.isnan(actual) and math.isnan(expected)) or \
+            math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0.0)
+    return type(actual) is type(expected) and actual == expected
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        for name in [k for k in os.environ if k.startswith("YBCAVITY_")]:
+            mp.delenv(name)
+        return run_commands(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text())
+
+
+def _mismatch(reference, what):
+    return (f"{what} differ from {REFERENCE.name}, which pins numpy "
+            f"{reference['numpy']}'s Generator streams (this run: numpy "
+            f"{np.__version__}); if the change is meant, rewrite the "
+            f"reference with `python tests/test_golden.py` and list every "
+            f"changed value in CHANGES.md")
+
+
+def test_record_files_are_byte_identical(outputs, reference):
+    for name, digest in reference["sha256"].items():
+        assert outputs["sha256"][name] == digest, _mismatch(reference, name)
+
+
+@pytest.mark.parametrize("name", VALUED)
+def test_deterministic_values_match(outputs, reference, name):
+    assert _close(outputs["values"][name], reference["values"][name]), \
+        _mismatch(reference, f"the values of {name}")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(REFERENCE.parents[2] / "src"))
+    for key in [k for k in os.environ if k.startswith("YBCAVITY_")]:
+        del os.environ[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        document = run_commands(Path(tmp))
+    REFERENCE.parent.mkdir(exist_ok=True)
+    REFERENCE.write_text(json.dumps(document, indent=1, sort_keys=True)
+                         + "\n")
+    print(f"wrote {REFERENCE}")

@@ -19,7 +19,7 @@ from ybcavity.observables import (
     write_stats_json,
 )
 from ybcavity.observables import _disc_quadrature, _expected_counts
-from ybcavity.transit import (TransitConfig, TransitGeometry, TransitRecord,
+from ybcavity.transit import (TRANSIT_RECORD, TransitConfig, TransitGeometry,
                               run_ensemble)
 
 CFG = TransitConfig(light_shift_on=True)
@@ -33,10 +33,10 @@ def coarse_disc(monkeypatch):
     monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
 
 
-def _rec(plus, minus, spin="up"):
-    return TransitRecord(counts_sigma_plus=plus, counts_sigma_minus=minus,
-                         initial_spin=spin, final_spin=spin,
-                         transit_duration=1e-4, peak_coupling=1.0)
+def _recs(*counts, spin="up"):
+    """Transit records with the given (sigma+, sigma-) counts."""
+    return np.array([(spin, spin, plus, minus, 1e-4, 1.0)
+                     for plus, minus in counts], TRANSIT_RECORD)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,8 @@ def test_expected_counts_match_monte_carlo_means():
     eta = cfg.cavity.detection_efficiency
     ep, em = _line_counts(0.0, 0.0, cfg)
     records = run_transit_ensemble(400, 3, cfg)
-    mc = np.mean([r.counts_sigma_plus for r in records])
-    se = np.std([r.counts_sigma_plus for r in records], ddof=1) \
+    mc = np.mean(records["counts_sigma_plus"])
+    se = np.std(records["counts_sigma_plus"], ddof=1) \
         / math.sqrt(len(records))
     assert abs(mc - eta * ep) < 4.0 * se
 
@@ -377,14 +377,14 @@ def test_skewness_edge_cases():
 
 
 def test_snr_from_counts_basics():
-    assert snr_from_counts([_rec(10, 10)], "up") == 1.0
-    assert snr_from_counts([_rec(6, 3)], "up") == 2.0
-    assert snr_from_counts([_rec(6, 3)], "down") == 0.5
-    assert snr_from_counts([_rec(4, 0)], "up") == math.inf
+    assert snr_from_counts(_recs((10, 10)), "up") == 1.0
+    assert snr_from_counts(_recs((6, 3)), "up") == 2.0
+    assert snr_from_counts(_recs((6, 3)), "down") == 0.5
+    assert snr_from_counts(_recs((4, 0)), "up") == math.inf
     with pytest.raises(ConfigError):
-        snr_from_counts([], "up")
+        snr_from_counts(_recs(), "up")
     with pytest.raises(ConfigError):
-        snr_from_counts([_rec(1, 1)], "both")
+        snr_from_counts(_recs((1, 1)), "both")
 
 
 def test_dark_count_correction_identity_and_subtraction():
@@ -443,23 +443,22 @@ def test_predicted_snr_argument_validation():
 
 
 def test_pearson_exact_lines():
-    ups = [_rec(2 * k + 1, 6 * k + 5) for k in range(5)]
+    ups = _recs(*((2 * k + 1, 6 * k + 5) for k in range(5)))
     assert pearson_correlation(ups) == pytest.approx(1.0, rel=1e-12)
-    downs = [_rec(2 * k, 20 - 3 * k) for k in range(5)]
+    downs = _recs(*((2 * k, 20 - 3 * k) for k in range(5)))
     assert pearson_correlation(downs) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_pearson_affine_invariance_and_flags():
     rng = np.random.default_rng(8)
-    base = [_rec(int(a), int(b))
-            for a, b in rng.integers(0, 30, size=(40, 2))]
-    scaled = [_rec(3 * r.counts_sigma_plus + 7, r.counts_sigma_minus)
-              for r in base]
+    base = _recs(*rng.integers(0, 30, size=(40, 2)).tolist())
+    scaled = base.copy()
+    scaled["counts_sigma_plus"] = 3 * base["counts_sigma_plus"] + 7
     assert pearson_correlation(scaled) == pytest.approx(
         pearson_correlation(base), rel=1e-12)
-    assert math.isnan(pearson_correlation([_rec(4, 1), _rec(4, 9)]))
+    assert math.isnan(pearson_correlation(_recs((4, 1), (4, 9))))
     with pytest.raises(ConfigError):
-        pearson_correlation([_rec(1, 1)])
+        pearson_correlation(_recs((1, 1)))
 
 
 def test_window_correlation_collapses_when_shift_engages():

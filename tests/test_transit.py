@@ -20,7 +20,7 @@ from ybcavity.dynamics import (axial_profile, coupling_at, drive_rabi_sq,
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import ShiftBeam, ShiftResult, stark_shift
 from ybcavity.transit import (
-    CountRecord, TransitConfig, TransitGeometry, TransitRecord,
+    TRANSIT_RECORD, WINDOW_RECORD, TransitConfig, TransitGeometry,
     child_rng, crossing_duration,
     probe_detuning, run_ensemble, run_transit_ensemble, shift_fraction,
     simulate_transit, simulate_window, transit_rate_table,
@@ -66,6 +66,8 @@ def test_geometry_validation_errors():
     ("time_step", 1e-12),              # about 1e9 segments
     ("time_step", 5e-324),             # the step count overflows a float
     ("drop_height", math.inf),
+    ("drop_height", 7e297),            # the crossing rounds to no time
+    ("time_step", 4e294),              # one step longer than the fall
 ])
 def test_geometry_that_cannot_be_simulated_is_rejected(field, value):
     # validation is arithmetic only: nothing of the segment grid is built
@@ -393,8 +395,8 @@ def test_transit_determinism_and_record_wiring():
     rec1 = simulate_transit(child_rng(5, 3), "up", CFG_ON)
     rec2 = simulate_transit(child_rng(5, 3), "up", CFG_ON)
     assert rec1 == rec2
-    assert rec1.initial_spin == "up"
-    assert rec1.transit_duration == crossing_duration(CFG_ON.geometry)
+    assert rec1["initial_spin"] == "up"
+    assert rec1["transit_duration_s"] == crossing_duration(CFG_ON.geometry)
 
 
 def test_transit_rejects_unknown_spin():
@@ -408,9 +410,9 @@ def test_zero_drive_power_gives_zero_counts():
         drive=replace(CFG_ON.drive, power=0.0))
     for i in range(20):
         rec = simulate_transit(child_rng(7, i), "up", cfg)
-        assert rec.counts_sigma_plus == 0
-        assert rec.counts_sigma_minus == 0
-        assert rec.final_spin == "up"
+        assert rec["counts_sigma_plus"] == 0
+        assert rec["counts_sigma_minus"] == 0
+        assert rec["final_spin"] == "up"
 
 
 def test_rates_that_all_underflow_give_a_finite_table_and_no_photons():
@@ -423,26 +425,28 @@ def test_rates_that_all_underflow_give_a_finite_table_and_no_photons():
         table = transit.RateTable(cfg.scheme, cfg.cavity, cfg.drive,
                                   cfg.shift_beam, probe_detuning(cfg))
     assert np.all(np.isfinite(table.channels))
-    for rec in run_transit_ensemble(20, 7, cfg):
-        assert rec.counts_sigma_plus == rec.counts_sigma_minus == 0
+    records = run_transit_ensemble(20, 7, cfg)
+    assert not records["counts_sigma_plus"].any()
+    assert not records["counts_sigma_minus"].any()
 
 
 def test_peak_coupling_is_g0_on_axis_without_axial_averaging():
     # the impact disc shrinks onto x = 0, an antinode of the standing wave
     cfg = TransitConfig(geometry=TransitGeometry(impact_radius_factor=1e-9))
     rec = simulate_transit(child_rng(1, 0), "up", cfg)
-    assert rec.peak_coupling == pytest.approx(cfg.cavity.g0, rel=1e-6)
-    assert rec.peak_coupling == pytest.approx(
+    assert rec["peak_coupling_rad_s"] == pytest.approx(cfg.cavity.g0,
+                                                       rel=1e-6)
+    assert rec["peak_coupling_rad_s"] == pytest.approx(
         coupling_at((0.0, 0.0, 0.0), cfg.cavity), rel=1e-9)
 
 
 def test_shift_on_up_transits_are_sigma_plus_dominated():
     records = run_transit_ensemble(
         300, 21, TransitConfig(initial_spin="up"))
-    plus = sum(r.counts_sigma_plus for r in records)
-    minus = sum(r.counts_sigma_minus for r in records)
+    plus = records["counts_sigma_plus"].sum()
+    minus = records["counts_sigma_minus"].sum()
     assert plus > 10 * minus
-    flips = sum(r.final_spin != r.initial_spin for r in records)
+    flips = np.count_nonzero(records["final_spin"] != records["initial_spin"])
     assert flips / len(records) < 0.25
 
 
@@ -450,13 +454,13 @@ def test_shift_off_is_polarization_symmetric():
     records = run_transit_ensemble(
         600, 22, TransitConfig(light_shift_on=False,
                                initial_spin="up"))
-    plus = np.array([r.counts_sigma_plus for r in records], dtype=float)
-    minus = np.array([r.counts_sigma_minus for r in records], dtype=float)
+    plus = records["counts_sigma_plus"].astype(float)
+    minus = records["counts_sigma_minus"].astype(float)
     diff = plus - minus
     se = diff.std(ddof=1) / math.sqrt(len(diff))
     assert abs(diff.mean()) < 3.0 * se
     # strong spin randomization scrambles the final state
-    flips = sum(r.final_spin != r.initial_spin for r in records)
+    flips = np.count_nonzero(records["final_spin"] != records["initial_spin"])
     assert 0.3 < flips / len(records) < 0.7
 
 
@@ -513,12 +517,11 @@ def _reference_transit(rng, initial_spin, config):
             i, frac, flips = i + 1, 0.0, 0
     eta = config.cavity.detection_efficiency
     peak = float(coupling_at((x0, y0, 0.0), config.cavity))
-    return TransitRecord(
-        counts_sigma_plus=int(rng.poisson(eta * lam_plus)),
-        counts_sigma_minus=int(rng.poisson(eta * lam_minus)),
-        initial_spin=initial_spin, final_spin=spin,
-        transit_duration=crossing_duration(config.geometry),
-        peak_coupling=peak), most
+    counts = (int(rng.poisson(eta * lam_plus)),
+              int(rng.poisson(eta * lam_minus)))
+    return np.array((initial_spin, spin, *counts,
+                     crossing_duration(config.geometry), peak),
+                    TRANSIT_RECORD)[()], most
 
 
 def _reference_spin(rng, config):
@@ -534,10 +537,9 @@ def _reference_window(rng, config):
     minus = int(rng.poisson(dark_minus * config.window))
     for _ in range(n_atoms):
         rec, _ = _reference_transit(rng, _reference_spin(rng, config), config)
-        plus += rec.counts_sigma_plus
-        minus += rec.counts_sigma_minus
-    return CountRecord(window=config.window, counts_sigma_plus=plus,
-                       counts_sigma_minus=minus, atom_count=n_atoms)
+        plus += int(rec["counts_sigma_plus"])
+        minus += int(rec["counts_sigma_minus"])
+    return np.array((config.window, plus, minus, n_atoms), WINDOW_RECORD)[()]
 
 
 @pytest.mark.parametrize("time_step", [1e-6, 5e-6])
@@ -555,8 +557,8 @@ def test_batched_runners_match_the_scalar_reference(shift_on, initial_spin,
         ref, flips = _reference_transit(rng, _reference_spin(rng, cfg), cfg)
         assert rec == ref
         most = max(most, flips)
-    assert run_ensemble(n, 9, cfg) == [_reference_window(child_rng(9, i), cfg)
-                                       for i in range(n)]
+    assert np.array_equal(run_ensemble(n, 9, cfg), np.array(
+        [_reference_window(child_rng(9, i), cfg) for i in range(n)]))
     if time_step == 5e-6 and not shift_on:
         # the coarse grid puts several flips into one segment
         assert most >= 2
@@ -573,9 +575,9 @@ def test_default_time_step_matches_1us_on_paired_streams():
 
     def columns(config):
         records = run_transit_ensemble(n, seed, config)
-        return np.array([(r.counts_sigma_plus, r.counts_sigma_minus,
-                          r.final_spin != r.initial_spin)
-                         for r in records], dtype=float)
+        return np.column_stack([
+            records["counts_sigma_plus"], records["counts_sigma_minus"],
+            records["final_spin"] != records["initial_spin"]]).astype(float)
 
     diff = columns(cfg) - columns(fine)
     se = diff.std(axis=0, ddof=1) / math.sqrt(n)
@@ -590,11 +592,12 @@ def test_default_time_step_matches_1us_on_paired_streams():
 def test_zero_atom_windows_reproduce_dark_rates():
     cfg = TransitConfig(atom_rate=0.0)
     n = 2000
-    counts = [simulate_window(child_rng(31, i), replace(cfg, window=2e-3))
-              for i in range(n)]
-    assert all(c.atom_count == 0 for c in counts)
-    mean_p = np.mean([c.counts_sigma_plus for c in counts])
-    mean_m = np.mean([c.counts_sigma_minus for c in counts])
+    counts = np.array([simulate_window(child_rng(31, i),
+                                       replace(cfg, window=2e-3))
+                       for i in range(n)])
+    assert not counts["atom_count"].any()
+    mean_p = counts["counts_sigma_plus"].mean()
+    mean_m = counts["counts_sigma_minus"].mean()
     # Poisson means 2.0 and 1.0 for 2 ms at (1.0, 0.5) per ms
     assert abs(mean_p - 2.0) < 4.0 * math.sqrt(2.0 / n)
     assert abs(mean_m - 1.0) < 4.0 * math.sqrt(1.0 / n)
@@ -605,7 +608,7 @@ def test_dark_counts_scale_linearly_with_window():
     n = 1500
     for window, mean in ((1e-3, 1.0), (4e-3, 4.0)):
         vals = [simulate_window(child_rng(37, i), replace(cfg, window=window))
-                .counts_sigma_plus for i in range(n)]
+                ["counts_sigma_plus"] for i in range(n)]
         assert abs(np.mean(vals) - mean) < 4.0 * math.sqrt(mean / n)
 
 
@@ -613,7 +616,7 @@ def test_window_atom_number_is_poisson_with_rate_times_window():
     cfg = TransitConfig()
     n = 1200
     # the records of simulate_window on streams 0..n-1
-    atoms = [rec.atom_count for rec in run_ensemble(n, 41, cfg)]
+    atoms = run_ensemble(n, 41, cfg)["atom_count"]
     mean = cfg.atom_rate * cfg.window
     assert abs(np.mean(atoms) - mean) < 4.0 * math.sqrt(mean / n)
 
@@ -660,7 +663,7 @@ def test_single_run_matches_child_stream_zero():
     cfg = TransitConfig()
     ensemble = run_ensemble(1, 123, cfg)
     direct = simulate_window(child_rng(123, 0), cfg)
-    assert ensemble == [direct]
+    assert ensemble.shape == (1,) and ensemble[0] == direct
 
 
 def test_window_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
@@ -669,7 +672,7 @@ def test_window_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
     whole = run_ensemble(16, 99, cfg)
     for chunk in (1, 7):
         monkeypatch.setattr(transit, "_CHUNK", chunk)
-        assert run_ensemble(16, 99, cfg) == whole
+        assert np.array_equal(run_ensemble(16, 99, cfg), whole)
 
 
 def test_transit_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
@@ -678,8 +681,8 @@ def test_transit_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
     whole = run_transit_ensemble(24, 77, cfg)
     for chunk in (1, 7):
         monkeypatch.setattr(transit, "_CHUNK", chunk)
-        assert run_transit_ensemble(24, 77, cfg) == whole
-    spins = {r.initial_spin for r in whole}
+        assert np.array_equal(run_transit_ensemble(24, 77, cfg), whole)
+    spins = set(whole["initial_spin"].tolist())
     assert spins == {"up", "down"}
 
 
@@ -687,7 +690,8 @@ def test_first_windows_do_not_depend_on_the_ensemble_size():
     # perfbench's scatter check compares the first 64 windows of an
     # 800-window run with a 64-window run
     cfg = TransitConfig(light_shift_on=False)
-    assert run_ensemble(800, 3, cfg)[:64] == run_ensemble(64, 3, cfg)
+    assert np.array_equal(run_ensemble(800, 3, cfg)[:64],
+                          run_ensemble(64, 3, cfg))
 
 
 def test_same_seed_same_dataset_different_seed_differs():
@@ -695,8 +699,8 @@ def test_same_seed_same_dataset_different_seed_differs():
     a = run_ensemble(6, 5, cfg)
     b = run_ensemble(6, 5, cfg)
     c = run_ensemble(6, 6, cfg)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_rate_table_cache_is_bounded_by_bytes(monkeypatch):
@@ -723,34 +727,20 @@ def test_rate_table_cache_is_bounded_by_bytes(monkeypatch):
 # records and serialization
 
 
-def test_record_invariants():
-    with pytest.raises(ValueError):
-        TransitRecord(counts_sigma_plus=-1, counts_sigma_minus=0,
-                      initial_spin="up", final_spin="up",
-                      transit_duration=1e-4, peak_coupling=1.0)
-    with pytest.raises(ValueError):
-        TransitRecord(counts_sigma_plus=0, counts_sigma_minus=0,
-                      initial_spin="up", final_spin="up",
-                      transit_duration=0.0, peak_coupling=1.0)
-    with pytest.raises(ValueError):
-        CountRecord(window=2e-3, counts_sigma_plus=0, counts_sigma_minus=-3,
-                    atom_count=0)
-
-
 def test_transit_records_csv_round_trip(tmp_path):
     records = run_transit_ensemble(10, 13, TransitConfig())
     path = tmp_path / "transits.csv"
     write_transit_records(path, records, emit_format="csv")
     with open(path, newline="") as fh:
         assert fh.readline() == "# format=ybcavity.transit.v1\n"
-        rows = list(csv.DictReader(fh))
-    assert [TransitRecord(
-        counts_sigma_plus=int(row["counts_sigma_plus"]),
-        counts_sigma_minus=int(row["counts_sigma_minus"]),
-        initial_spin=row["initial_spin"], final_spin=row["final_spin"],
-        transit_duration=float(row["transit_duration_s"]),
-        peak_coupling=float(row["peak_coupling_rad_s"]))
-        for row in rows] == records
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert tuple(reader.fieldnames) == TRANSIT_RECORD.names
+    assert np.array_equal(np.array([
+        (row["initial_spin"], row["final_spin"],
+         int(row["counts_sigma_plus"]), int(row["counts_sigma_minus"]),
+         float(row["transit_duration_s"]), float(row["peak_coupling_rad_s"]))
+        for row in rows], TRANSIT_RECORD), records)
 
 
 def test_window_records_jsonl_round_trip(tmp_path):
@@ -761,11 +751,8 @@ def test_window_records_jsonl_round_trip(tmp_path):
     assert header == {"format": "ybcavity.window.v1"}
     # the window length is a JSON number, not a string
     assert all(type(row["window_s"]) is float for row in rows)
-    assert [CountRecord(window=row["window_s"],
-                        counts_sigma_plus=row["counts_sigma_plus"],
-                        counts_sigma_minus=row["counts_sigma_minus"],
-                        atom_count=row["atom_count"])
-            for row in rows] == records
+    assert [tuple(row[name] for name in WINDOW_RECORD.names)
+            for row in rows] == records.tolist()
 
 
 def test_writers_reject_unknown_format(tmp_path):

@@ -118,9 +118,10 @@ def coupling_at(position, cavity: CavityParams) -> float:
     the standing wave is resolved rather than replaced by its RMS."""
     x, y, z = position
     phase = TWO_PI * np.asarray(x) / constants.WAVELENGTH_GREEN
-    return (cavity.g0 * axial_profile(phase)
-            * np.exp(-(np.asarray(y) ** 2 + np.asarray(z) ** 2)
-                     / cavity.mode_waist ** 2))
+    with np.errstate(over="ignore"):   # far off the mode: coupling 0
+        return (cavity.g0 * axial_profile(phase)
+                * np.exp(-(np.asarray(y) ** 2 + np.asarray(z) ** 2)
+                         / cavity.mode_waist ** 2))
 
 
 def drive_rabi_sq(position, drive: BeamParams, cavity: CavityParams) -> float:

@@ -61,8 +61,9 @@ class BeamParams:
     def profile(self, x, z):
         """Intensity over its peak at transverse coordinates (x, z), i.e.
         exp(-2 [(x - axis_offset)^2 + z^2] / w^2); broadcasts over arrays."""
-        r_sq = (np.asarray(x) - self.axis_offset) ** 2 + np.asarray(z) ** 2
-        return np.exp(-2.0 * r_sq / self.waist ** 2)
+        with np.errstate(over="ignore"):   # far off the axis: intensity 0
+            r_sq = (np.asarray(x) - self.axis_offset) ** 2 + np.asarray(z) ** 2
+            return np.exp(-2.0 * r_sq / self.waist ** 2)
 
 
 @dataclass(frozen=True)

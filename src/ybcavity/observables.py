@@ -108,8 +108,9 @@ def _scattering_rate(detuning_mhz, mot: MotParams):
     gamma_ang = constants.TWO_PI * mot.natural_linewidth_D1
     s0 = mot.probe_power_density / mot.saturation_intensity
     delta_ang = constants.TWO_PI * np.asarray(detuning_mhz, dtype=float) * 1e6
-    return (0.5 * gamma_ang * s0
-            / (1.0 + s0 + (2.0 * delta_ang / gamma_ang) ** 2))
+    with np.errstate(over="ignore"):   # far past the linewidth: rate 0
+        return (0.5 * gamma_ang * s0
+                / (1.0 + s0 + (2.0 * delta_ang / gamma_ang) ** 2))
 
 
 def mot_dip_profile(detuning_grid, mot: MotParams):

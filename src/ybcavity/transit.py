@@ -16,9 +16,12 @@ Reproducibility: every run owns a counter-based Philox stream keyed on
 `simulate_transit` and `simulate_window`.  The runners step chunks of runs
 through the segment grid together, a window's atoms in rounds (round k
 takes the k-th atom of every window that has one), so each stream keeps
-its draw order and ensembles are bit-identical for any chunk size.  They
-return one structured array of records, `TRANSIT_RECORD` or `WINDOW_RECORD`
-rows, whose field names, in order, are the columns of the record files.
+its draw order and ensembles are bit-identical for any chunk size.  A
+runner builds one chunk's streams once and re-keys them in place for each
+later chunk (`_rekey`): the same draws as a new stream per run, for a
+fraction of the cost.  The runners return one structured array of records,
+`TRANSIT_RECORD` or `WINDOW_RECORD` rows, whose field names, in order,
+are the columns of the record files.
 """
 
 from __future__ import annotations
@@ -592,7 +595,7 @@ def simulate_transit(rng, initial_spin: str, config: TransitConfig):
     spin-flip attempt, then the two Poisson counts.
 
     A batch of one still walks every segment of the fall, so it costs
-    about 20 times as much as one run of `run_transit_ensemble`, which
+    about 50 times as much as one run of `run_transit_ensemble`, which
     gives stream i the same record: loop over the runner, not this."""
     if initial_spin not in SPINS:
         raise ConfigError(f"initial_spin must be 'up' or 'down', "
@@ -636,7 +639,7 @@ def simulate_window(rng, config: TransitConfig):
     window among them, when it was built.
 
     Each round of atoms walks every segment of the fall, so one window
-    costs about 30 times as much as one run of `run_ensemble`, which gives
+    costs about 40 times as much as one run of `run_ensemble`, which gives
     stream i the same record: loop over the runner, not this."""
     return _windows([rng], config)[0]
 
@@ -666,16 +669,32 @@ def _stream(master_seed, run_index):
         key=np.array([master_seed, run_index], dtype=np.uint64)))
 
 
+def _rekey(rng, master_seed: int, run_index: int) -> None:
+    """Reset rng in place to the stream `_stream(master_seed, run_index)`
+    yields: every field of a fresh Philox state.  A new stream costs far
+    more, mostly OS entropy that its key then overrides."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, run_index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0}
+
+
 def _run_chunks(batch, n_runs: int, master_seed: int) -> np.ndarray:
     """batch(streams) on runs 0..n_runs-1, `_CHUNK` streams at a time, the
-    chunks' records joined."""
+    chunks' records joined; one pool of streams, re-keyed per chunk."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     _check_key("master_seed", master_seed)   # once: range gives valid runs
-    return np.concatenate([
-        batch([_stream(master_seed, i)
-               for i in range(start, min(start + _CHUNK, n_runs))])
-        for start in range(0, n_runs, _CHUNK)])
+    seed = int(master_seed)
+    pool = [_stream(seed, i) for i in range(min(_CHUNK, n_runs))]
+    chunks = [batch(pool)]
+    for start in range(_CHUNK, n_runs, _CHUNK):
+        rngs = pool[:n_runs - start]
+        for i, rng in enumerate(rngs, start):
+            _rekey(rng, seed, i)
+        chunks.append(batch(rngs))
+    return np.concatenate(chunks)
 
 
 def run_ensemble(n_runs: int, master_seed: int, config: TransitConfig):

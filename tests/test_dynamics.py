@@ -4,6 +4,7 @@ time propagation, and the adiabatic rate model against the full model."""
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -693,3 +694,13 @@ def test_coupling_profile_tail():
     g_center = coupling_at((0, 0, 0), CAVITY)
     g_far = coupling_at((0, 3 * CAVITY.mode_waist, 0), CAVITY)
     assert (g_far / g_center) ** 2 < math.exp(-18.0) * (1 + 1e-9)
+
+
+def test_coupling_far_off_the_mode_is_zero():
+    # y^2 + z^2 overflows to inf: the coupling's limit, 0, is the answer
+    # and no overflow warning is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coupling_at((0.0, 1e300, 0.0), CAVITY) == 0.0
+        g = coupling_at((0.0, np.array([2e300, 0.0]), 1e-5), CAVITY)
+    assert g[0] == 0.0 and g[1] > 0.0

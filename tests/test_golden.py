@@ -2,7 +2,9 @@
 against the reference in tests/golden/seed7.json.
 
 The record files and motdip.csv must match byte for byte (SHA-256); the
-spectrum, SNR and summary values to 1e-12 relative.  A change that moves
+spectrum, SNR and summary values to 1e-12 relative.  transit and scatter
+run once more in 128-run chunks, so that runs 128-299 draw from pooled
+streams re-keyed in place, against the same reference.  A change that moves
 the outputs on purpose rewrites the reference with
 
     python tests/test_golden.py
@@ -27,6 +29,7 @@ CONFIG = {"run": {"n_runs": 300},
                                      "step": 7.0},   # -7.25: the red tail
                     "snr_power_mw": [4.0, 9.0], "snr_waist_um": [40.0]}}
 COMMANDS = ("motdip", "snr", "spectrum", "transit", "scatter")
+SAMPLED = ("transit", "scatter")   # the commands that draw from streams
 HASHED = ("motdip.csv", "scatter_shift_off.csv", "scatter_shift_on.csv",
           "transit_records.csv")
 VALUED = ("snr_vs_power.csv", "snr_vs_waist.csv", "spectrum_shift_off.csv",
@@ -42,22 +45,24 @@ def _values(path: Path):
             "rows": [[float(c) for c in row.split(",")] for row in rows]}
 
 
-def run_commands(workdir: Path) -> dict:
-    """Run the five commands in-process into workdir; the document the
-    reference holds."""
+def run_commands(workdir: Path, commands=COMMANDS) -> dict:
+    """Run the commands in-process into workdir; for all five, the
+    document the reference holds."""
     from ybcavity.cli import main
 
     config = workdir / "config.json"
     config.write_text(json.dumps(CONFIG))
     out = workdir / "out"
-    for command in COMMANDS:
+    for command in commands:
         code = main(["--config", str(config), "--seed", "7",
                      "--out", str(out), command])
         assert code == 0, f"{command} exited {code}"
     return {"numpy": np.__version__,
             "sha256": {name: hashlib.sha256((out / name).read_bytes())
-                       .hexdigest() for name in HASHED},
-            "values": {name: _values(out / name) for name in VALUED}}
+                       .hexdigest() for name in HASHED
+                       if (out / name).exists()},
+            "values": {name: _values(out / name) for name in VALUED
+                       if (out / name).exists()}}
 
 
 def _close(actual, expected) -> bool:
@@ -73,12 +78,26 @@ def _close(actual, expected) -> bool:
     return type(actual) is type(expected) and actual == expected
 
 
+def _clear_environment(mp):
+    for name in [k for k in os.environ if k.startswith("YBCAVITY_")]:
+        mp.delenv(name)
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
-        for name in [k for k in os.environ if k.startswith("YBCAVITY_")]:
-            mp.delenv(name)
+        _clear_environment(mp)
         return run_commands(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def rekeyed_outputs(tmp_path_factory):
+    from ybcavity import transit
+
+    with pytest.MonkeyPatch.context() as mp:
+        _clear_environment(mp)
+        mp.setattr(transit, "_CHUNK", 128)
+        return run_commands(tmp_path_factory.mktemp("rekeyed"), SAMPLED)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +122,20 @@ def test_record_files_are_byte_identical(outputs, reference):
 def test_deterministic_values_match(outputs, reference, name):
     assert _close(outputs["values"][name], reference["values"][name]), \
         _mismatch(reference, f"the values of {name}")
+
+
+def test_rekeyed_streams_give_the_same_outputs(rekeyed_outputs, reference):
+    assert set(rekeyed_outputs["sha256"]) == {
+        "transit_records.csv", "scatter_shift_off.csv",
+        "scatter_shift_on.csv"}
+    assert set(rekeyed_outputs["values"]) == {"transit_summary.json",
+                                              "scatter_summary.json"}
+    for name, digest in rekeyed_outputs["sha256"].items():
+        assert digest == reference["sha256"][name], \
+            _mismatch(reference, f"{name} in 128-run chunks")
+    for name, values in rekeyed_outputs["values"].items():
+        assert _close(values, reference["values"][name]), \
+            _mismatch(reference, f"the values of {name} in 128-run chunks")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ expectations computed independently in the tests.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_intensity_gaussian_falloff_and_zero_power():
     for m in (+1.5, +0.5):
         assert np.all(stark_shift(m, dark, SCHEME,
                                   position=(radii, 0.0, 0.0)) == 0.0)
+
+
+def test_profile_far_off_the_axis_is_zero():
+    # the squared distance overflows to inf: the intensity's limit, 0, is
+    # the answer and no overflow warning is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        off = BeamParams(power=1e-3, waist=50e-6, axis_offset=1e300)
+        assert off.profile(0.0, 0.0) == 0.0
+        far = ShiftBeam(axis_offset=-1e300).profile(np.array([0.0, 1e300]),
+                                                     0.0)
+    np.testing.assert_array_equal(far, 0.0)
 
 
 def test_beam_validation():

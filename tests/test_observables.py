@@ -2,6 +2,7 @@
 Pearson correlation, dark-count correction, and the CSV/JSON emitters."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from ybcavity.observables import (
     spectrum_peak, write_dip_csv, write_snr_csv, write_spectrum_csv,
     write_stats_json,
 )
-from ybcavity.observables import _disc_quadrature, _expected_counts
+from ybcavity.observables import (_disc_quadrature, _expected_counts,
+                                  _scattering_rate)
 from ybcavity.transit import (TRANSIT_RECORD, TransitConfig, TransitGeometry,
                               run_ensemble)
 
@@ -79,6 +81,16 @@ def test_dip_monotone_in_probe_power():
 def test_dip_half_width_nan_when_dip_too_shallow():
     assert math.isnan(dip_half_width(MotParams(probe_power_density=1e-9)))
     assert math.isnan(dip_half_width(MotParams(p1_population=0.0)))
+
+
+def test_scattering_rate_far_past_a_vanishing_linewidth_is_zero():
+    # the detuning term (2 delta / gamma)^2 overflows to inf: the rate's
+    # limit, 0, is the answer and no overflow warning is printed
+    mot = MotParams(natural_linewidth_D1=1.6e-296)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = _scattering_rate([-100.0, 1e-3, 50.0], mot)
+    np.testing.assert_array_equal(rates, 0.0)
 
 
 def test_mot_params_validation():

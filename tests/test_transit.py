@@ -666,6 +666,41 @@ def test_single_run_matches_child_stream_zero():
     assert ensemble.shape == (1,) and ensemble[0] == direct
 
 
+def _same_state(a, b) -> bool:
+    if isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k])
+                                            for k in b)
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+def test_a_rekeyed_stream_is_a_fresh_stream():
+    # dirty every field first: counter, buffer, buffer_pos and, through a
+    # uint32 draw, has_uint32 and uinteger; a state field numpy adds
+    # later makes the comparison fail
+    rng = child_rng(5, 3)
+    rng.random(), rng.exponential(), rng.poisson(4.0)
+    rng.integers(2 ** 32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    for seed, run in ((11, 2), (2 ** 64 - 1, 2 ** 64 - 1)):
+        transit._rekey(rng, seed, run)
+        fresh = child_rng(seed, run)
+        assert _same_state(rng.bit_generator.state, fresh.bit_generator.state)
+        assert rng.random(3).tolist() == fresh.random(3).tolist()
+
+
+def test_runs_past_the_first_chunk_match_their_child_streams():
+    # runs _CHUNK and _CHUNK + 1 draw from re-keyed pool streams
+    cfg = TransitConfig(initial_spin="random")
+    n = transit._CHUNK + 2
+    transits = run_transit_ensemble(n, 31, cfg)
+    windows = run_ensemble(n, 31, cfg)
+    for i in (n - 2, n - 1):
+        rng = child_rng(31, i)
+        assert transits[i] == simulate_transit(
+            rng, transit._draw_spin(rng, cfg), cfg)
+        assert windows[i] == simulate_window(child_rng(31, i), cfg)
+
+
 def test_window_ensemble_bit_identical_across_chunk_sizes(monkeypatch):
     cfg = TransitConfig()
     monkeypatch.setattr(transit, "_CHUNK", 16)

@@ -16,9 +16,10 @@ power.
 import numpy as np
 
 from ybcavity import (BeamParams, CavityParams, LevelScheme, ShiftResult,
-                      TransitConfig, adiabatic_rates, build_hamiltonian,
-                      build_lindblad, ground_vacuum_state, stark_shift,
-                      steady_state)
+                      TransitConfig, stark_shift)
+from ybcavity.dynamics import (adiabatic_rates, build_hamiltonian,
+                               build_lindblad, ground_vacuum_state,
+                               steady_state)
 from ybcavity.transit import probe_detuning
 
 scheme = LevelScheme()

@@ -5,9 +5,11 @@ two polarization modes of an optical microcavity; an auxiliary far-detuned
 beam rearranges the excited-state sublevels so that the polarization of the
 collected fluorescence reveals the nuclear spin.  This package models that
 system end to end: exact coupling tables, AC Stark shift fields, the
-two-mode Lindblad dynamics with its reduced per-spin rate model,
-Monte Carlo transit/photon statistics, and the derived observables
-(spectra, SNR curves, correlations, trap-loss spectroscopy).
+per-spin rate model, Monte Carlo transit/photon statistics, and the
+derived observables (spectra, SNR curves, correlations, trap-loss
+spectroscopy).  The full two-mode Lindblad model the rates are checked
+against is `ybcavity.dynamics`, imported on its own: it is the one module
+that needs scipy.
 """
 
 from .errors import (
@@ -17,11 +19,7 @@ from .atomic import LevelScheme
 from .lightshift import (
     BeamParams, ShiftBeam, ShiftResult, stark_shift, sublevel_splitting,
 )
-from .dynamics import (
-    CavityParams, SystemState, LindbladGenerator, EmissionRates,
-    build_hamiltonian, build_lindblad, ground_vacuum_state,
-    steady_state, evolve, adiabatic_rates,
-)
+from .ratemodel import CavityParams
 from .transit import (
     TransitGeometry, TransitConfig,
     crossing_duration, probe_detuning,

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c, epsilon_0, hbar
-
 from . import constants
+from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import check, rule
 
 
@@ -32,10 +31,10 @@ def rabi_sq(intensity, decay_rate: float, wavelength: float):
     at `wavelength` (m): 2 I d^2 / (c eps0 hbar^2), with the dipole scale
     d^2 = 3 pi eps0 hbar c^3 Gamma / omega^3 fixed by the decay rate.
     Broadcasts over array intensities."""
-    omega = constants.TWO_PI * c / wavelength
-    d_sq = 3.0 * math.pi * epsilon_0 * hbar * c ** 3 \
+    omega = constants.TWO_PI * C_LIGHT / wavelength
+    d_sq = 3.0 * math.pi * EPSILON_0 * HBAR * C_LIGHT ** 3 \
         * decay_rate / omega ** 3
-    return 2.0 * intensity * d_sq / (c * epsilon_0 * hbar ** 2)
+    return 2.0 * intensity * d_sq / (C_LIGHT * EPSILON_0 * HBAR ** 2)
 
 
 @dataclass(frozen=True)

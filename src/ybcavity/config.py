@@ -28,10 +28,10 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .atomic import LevelScheme
-from .dynamics import CavityParams
 from .errors import ConfigError, check, rule
 from .lightshift import BeamParams, ShiftBeam
 from .observables import MotParams
+from .ratemodel import CavityParams
 from .transit import EMIT_FORMATS, TransitConfig, TransitGeometry
 
 ENV_PREFIX = "YBCAVITY_"

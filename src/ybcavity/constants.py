@@ -29,6 +29,14 @@ import math
 TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------------------
+# physical constants (SI, CODATA 2022 as in scipy.constants)
+C_LIGHT = 299792458.0               # speed of light (m/s)
+EPSILON_0 = 8.8541878188e-12        # vacuum permittivity (F/m)
+PLANCK_H = 6.62607015e-34           # Planck constant (J s)
+HBAR = PLANCK_H / (2 * math.pi)     # reduced Planck constant (J s)
+FREE_FALL_G = 9.80665               # standard gravity (m/s^2)
+
+# ---------------------------------------------------------------------------
 # transition wavelengths
 WAVELENGTH_GREEN = 556e-9       # 1S0 - 3P1 excitation line
 WAVELENGTH_IR = 1539e-9         # 3P1 - 3D1 light-shift line

@@ -39,11 +39,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c, h
+from numpy.polynomial.legendre import leggauss
 
 from . import constants
-from .dynamics import axial_profile
+from .constants import C_LIGHT, PLANCK_H
 from .errors import ConfigError, check, rule
+from .ratemodel import axial_profile
 from .transit import TransitConfig, transit_rate_table, write_records
 
 SPECTRUM_FORMAT_TAG = "ybcavity.spectrum.v1"
@@ -96,7 +97,7 @@ class MotParams:
     def saturation_intensity(self) -> float:
         """I_sat (W/m^2) of the 1539-nm line."""
         gamma_ang = constants.TWO_PI * self.natural_linewidth_D1
-        return math.pi * h * c * gamma_ang \
+        return math.pi * PLANCK_H * C_LIGHT * gamma_ang \
             / (3.0 * constants.WAVELENGTH_IR ** 3)
 
 
@@ -151,7 +152,7 @@ def _disc_quadrature(config: TransitConfig):
     disc, radius-major, one node per distinct fall line: azimuthal nodes
     that a mirror maps onto each other (y0 -> -y0 always, x0 -> -x0 with
     centred beams) are one node with their summed weight."""
-    u, w_u = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    u, w_u = leggauss(_RADIAL_NODES)
     # u mapped to (0, 1): du uniform
     r = config.geometry.impact_radius * np.sqrt(0.5 * (u + 1.0))
     # node k sits at angle j pi / n, j = 2k + 1; each node's mirror images
@@ -197,7 +198,7 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
 
 def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float):
     x0, y0, w = _disc_quadrature(config)
-    u, w_u = np.polynomial.legendre.leggauss(_PHASE_NODES)
+    u, w_u = leggauss(_PHASE_NODES)
     axial = axial_profile(0.25 * math.pi * (u + 1.0))
     weights = np.outer(w, 0.5 * w_u).ravel()
     ep, em = _expected_counts(np.repeat(x0, _PHASE_NODES),

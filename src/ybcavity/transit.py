@@ -34,14 +34,15 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import g as FREE_FALL_G
+from numpy.random import Generator, Philox
 
 from . import constants
 from .atomic import LevelScheme
-from .dynamics import (DRIVE_TRANSITIONS, CavityParams, coupling_at,
-                       drive_rabi_sq, spin_rates)
+from .constants import FREE_FALL_G
 from .errors import ConfigError, check, rule
 from .lightshift import BeamParams, ShiftBeam, ShiftResult, stark_shift
+from .ratemodel import (DRIVE_TRANSITIONS, CavityParams, coupling_at,
+                        drive_rabi_sq, spin_rates)
 
 SPINS = ("up", "down")
 
@@ -665,7 +666,7 @@ def _check_key(name: str, value) -> None:
 
 
 def _stream(master_seed, run_index):
-    return np.random.Generator(np.random.Philox(
+    return Generator(Philox(
         key=np.array([master_seed, run_index], dtype=np.uint64)))
 
 

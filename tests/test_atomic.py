@@ -9,13 +9,14 @@ in.  The package itself never imports sympy.
 from fractions import Fraction
 
 import pytest
+import scipy.constants
 from sympy import S, simplify
 from sympy.physics.quantum.cg import CG
 
 from ybcavity import constants
 from ybcavity.atomic import LevelScheme
-from ybcavity.dynamics import CavityParams
 from ybcavity.errors import ConfigError
+from ybcavity.ratemodel import CavityParams
 
 I_NUC = S(1) / 2
 
@@ -175,3 +176,13 @@ def test_scheme_is_immutable():
     scheme = LevelScheme()
     with pytest.raises(Exception):
         scheme.gamma_D1_line = 1.0
+
+
+def test_physical_constants_are_scipy_codata():
+    # the package keeps its own copy so that it never imports scipy; a
+    # scipy release with new CODATA values must fail here, not fork them
+    assert constants.C_LIGHT == scipy.constants.c
+    assert constants.EPSILON_0 == scipy.constants.epsilon_0
+    assert constants.PLANCK_H == scipy.constants.h
+    assert constants.HBAR == scipy.constants.hbar
+    assert constants.FREE_FALL_G == scipy.constants.g

@@ -4,6 +4,10 @@ environment overrides, and byte-level reproducibility."""
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,43 @@ def _write_config(tmp_path, overrides):
 def _small_stochastic(tmp_path, **run_extra):
     run = {"n_runs": 60, **run_extra}
     return _write_config(tmp_path, {"run": run})
+
+
+_SCIPY_PROBE = textwrap.dedent("""
+    import json, sys
+    import ybcavity, ybcavity.cli
+    with open("config.json", "w") as f:
+        json.dump({"run": {"n_runs": 20},
+                   "grids": {"spectrum_mhz": {"start": 0.0, "stop": 0.0,
+                                              "step": 1.0},
+                             "snr_power_mw": [9.0], "snr_waist_um": [40.0]}},
+                  f)
+    codes = [ybcavity.cli.main(["--config", "config.json", "--seed", "7",
+                                "--out", "out", command])
+             for command in ("motdip", "snr", "spectrum", "transit",
+                             "scatter")]
+    cli = sorted(m for m in sys.modules
+                 if m == "scipy" or m.startswith("scipy."))
+    import ybcavity.dynamics
+    with open("probe.json", "w") as f:
+        json.dump({"codes": codes, "cli": cli,
+                   "full": "scipy.sparse.linalg" in sys.modules}, f)
+""")
+
+
+def test_cli_path_never_imports_scipy(tmp_path):
+    # importing scipy is most of a command's start-up, and only the full
+    # model (`dynamics`) needs it: at its own import, not inside a solve
+    env = {**os.environ, "PYTHONPATH": str(
+        Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads((tmp_path / "probe.json").read_text())
+    assert got["codes"] == [0] * 5
+    assert got["cli"] == []
+    assert got["full"]
 
 
 def test_print_defaults_is_machine_readable(capsys):

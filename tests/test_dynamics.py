@@ -12,14 +12,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply, spsolve
 
-from ybcavity import constants, dynamics
+from ybcavity import constants, dynamics, ratemodel
 from ybcavity.atomic import LevelScheme
 from ybcavity.dynamics import (
-    CavityParams, EmissionRates, LindbladGenerator, SystemState,
-    adiabatic_rates, build_hamiltonian, build_lindblad, coupling_at,
-    drive_rabi_sq, evolve, ground_vacuum_state, spin_rates, steady_state,
+    EmissionRates, LindbladGenerator, SystemState, adiabatic_rates,
+    build_hamiltonian, build_lindblad, evolve, ground_vacuum_state,
+    steady_state, _reduction,
+)
+from ybcavity.ratemodel import (
+    CavityParams, coupling_at, drive_rabi_sq, spin_rates,
     GROUND_INDEX, EXCITED_INDEX, N_ATOM, _conditional_liouvillian,
-    _reduction, _spin_model,
+    _spin_model,
 )
 from ybcavity.errors import ConfigError, ModelError, NumericalError
 from ybcavity.lightshift import BeamParams, ShiftResult, stark_shift
@@ -61,8 +64,8 @@ def test_model_terms_are_built_once_per_cutoff_and_read_only():
     # Fock cutoff, which no caller can write into
     h = build_hamiltonian(SCHEME, CAVITY, DRIVE, SHIFTS_ON, 3.3e6, n_max=2)
     build_lindblad(h, SCHEME, CAVITY)
-    excited, coupling, drive, modes, _ = dynamics._model_terms(2, 2)
-    assert dynamics._model_terms(2, 2)[1] is coupling
+    excited, coupling, drive, modes, _ = ratemodel.model_terms(2, 2)
+    assert ratemodel.model_terms(2, 2)[1] is coupling
     for op in (coupling, drive, *excited.values(), *modes):
         with pytest.raises(ValueError):
             op[0, 0] += 1.0
@@ -236,15 +239,38 @@ def test_liouvillian_matches_term_by_term_kron(n_max):
     _assert_same_generator(lio, _kron_liouvillian(h, ops))
 
 
-def test_conditional_superoperators_match_term_by_term_kron(monkeypatch):
+def _conditional_superoperators(monkeypatch):
+    """The rate model's dense superoperators (the jumps, the coupling, one
+    per driven sublevel, then the drive), each with the (h, ops) it was
+    assembled from, as recorded at `liouvillian_triplets`."""
+    terms = []
+    triplets = ratemodel.liouvillian_triplets
+
+    def recorded(h, ops):
+        terms.append((h, ops))
+        return triplets(h, ops)
+
+    monkeypatch.setattr(ratemodel, "liouvillian_triplets", recorded)
     _, _, comps, drive, _ = _conditional_liouvillian(CAVITY.kappa,
                                                      CAVITY.gamma)
-    monkeypatch.setattr(dynamics, "_liouvillian", _kron_liouvillian)
-    _, _, ref_comps, ref_drive, _ = _conditional_liouvillian(CAVITY.kappa,
-                                                             CAVITY.gamma)
-    for sup, ref in zip(comps + [drive], ref_comps + [ref_drive]):
-        assert np.array_equal(np.nonzero(sup), np.nonzero(ref))
+    assert len(terms) == len(comps) + 1 == 5
+    return list(zip(comps + [drive], terms))
+
+
+def test_conditional_superoperators_match_term_by_term_kron(monkeypatch):
+    for sup, (h, ops) in _conditional_superoperators(monkeypatch):
+        ref = _kron_liouvillian(h, ops)
+        assert np.array_equal(np.nonzero(sup), ref.nonzero())
         _assert_same_generator(sup, ref)
+
+
+def test_rate_and_full_models_share_one_liouvillian(monkeypatch):
+    # the rate model sums the triplets densely, the full model into CSR:
+    # the same bits, signed zeros included
+    for sup, (h, ops) in _conditional_superoperators(monkeypatch):
+        ref = dynamics._liouvillian(h, ops).toarray()
+        assert sup.dtype == ref.dtype and sup.shape == ref.shape
+        assert sup.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +604,7 @@ def _rate_points(n):
 
 def _force_workers(monkeypatch, n):
     """Make the rate pool size itself to n CPUs."""
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity",
+    monkeypatch.setattr(ratemodel.os, "sched_getaffinity",
                         lambda pid: set(range(n)))
 
 
@@ -599,7 +625,7 @@ def blas_count():
     """The getter of numpy's OpenBLAS thread count, held at 2 for the test
     so that a restore can be told from the rate pool's cap of 1, or None
     where numpy bundles no OpenBLAS whose count can be set."""
-    blas = dynamics._blas_threads()
+    blas = ratemodel._blas_threads()
     if blas is None:
         yield None
         return
@@ -612,18 +638,18 @@ def blas_count():
 
 def test_rate_pool_failure_raises_and_restores_blas(monkeypatch, blas_count):
     model = _spin_model(CAVITY.kappa, CAVITY.gamma)
-    solve = dynamics._SpinModel._populations
+    solve = ratemodel._SpinModel._populations
     seen = []
 
     def failing(self, params, omega):
         seen.append(blas_count() if blas_count else None)
-        if np.any(params[:, 1] == coupling[dynamics._TASK]):
+        if np.any(params[:, 1] == coupling[ratemodel._TASK]):
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(self, params, omega)
 
-    coupling, omega, detunings = _rate_points(4 * dynamics._TASK)
+    coupling, omega, detunings = _rate_points(4 * ratemodel._TASK)
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(dynamics._SpinModel, "_populations", failing)
+    monkeypatch.setattr(ratemodel._SpinModel, "_populations", failing)
     with pytest.raises(NumericalError, match="rate-model solve failed"):
         model.rates(coupling, omega, detunings)
     if blas_count is None:
@@ -667,8 +693,8 @@ def test_conditional_model_guards_its_spin_up_sector(monkeypatch):
     # a pi drive on |up> reaches m'=+1/2, which emits a sigma+ photon into
     # |down>: the spin-up sector is no longer closed
     pi_up = (+1, 0, +1, 0.5, float(constants.EXCITATION_WEIGHTS[(+1, 0)]))
-    monkeypatch.setattr(dynamics, "DRIVE_TRANSITIONS",
-                        dynamics.DRIVE_TRANSITIONS + (pi_up,))
+    monkeypatch.setattr(ratemodel, "DRIVE_TRANSITIONS",
+                        ratemodel.DRIVE_TRANSITIONS + (pi_up,))
     with pytest.raises(ModelError, match="spin-up sector"):
         _conditional_liouvillian(CAVITY.kappa, CAVITY.gamma)
 

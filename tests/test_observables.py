@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ybcavity import constants, observables, transit
-from ybcavity.dynamics import axial_profile
+from ybcavity.ratemodel import axial_profile
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import stark_shift
 from ybcavity.observables import (

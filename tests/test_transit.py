@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from ybcavity import constants, observables, transit
-from ybcavity.dynamics import (axial_profile, coupling_at, drive_rabi_sq,
-                               spin_rates)
+from ybcavity.ratemodel import (axial_profile, coupling_at, drive_rabi_sq,
+                                spin_rates)
 from ybcavity.errors import ConfigError
 from ybcavity.lightshift import ShiftBeam, ShiftResult, stark_shift
 from ybcavity.transit import (

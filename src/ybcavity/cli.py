@@ -28,16 +28,14 @@ from .config import RunConfig, dump_config, load_config
 from .errors import ConfigError, NumericalError
 from .observables import (count_weighted_skewness, fluorescence_spectrum,
                           mot_dip_profile, pearson_correlation, predicted_snr,
-                          snr_from_counts, spectrum_peak, write_dip_csv,
-                          write_snr_csv, write_spectrum_csv, write_stats_json)
+                          snr_from_counts, spectrum_peak)
 from .transit import (probe_detuning, run_ensemble, run_transit_ensemble,
-                      write_count_records, write_transit_records)
+                      write_count_records, write_records, write_stats_json,
+                      write_transit_records)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-SUMMARY_FORMAT_TAG = "ybcavity.summary.v1"
 
 
 def _require_seed(config: RunConfig) -> int:
@@ -62,19 +60,26 @@ def _outfile(config: RunConfig, name: str) -> str:
     return os.path.join(config.run.output_path, name)
 
 
+def _write_floats(config: RunConfig, name: str, kind: str, columns, rows):
+    """A CSV of floats: a grid value given as an integer prints as 9.0."""
+    write_records(_outfile(config, name), kind, columns,
+                  ([float(v) for v in row] for row in rows))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_spectrum(config: RunConfig) -> int:
     grid = config.grids.spectrum_mhz.values()
-    transit_cfg = config.to_transit_config()
+    transit_cfg = config.transit
     off = fluorescence_spectrum(grid, transit_cfg, light_shift_on=False)
     on = fluorescence_spectrum(grid, transit_cfg, light_shift_on=True)
-    write_spectrum_csv(_outfile(config, "spectrum_shift_off.csv"), off)
-    write_spectrum_csv(_outfile(config, "spectrum_shift_on.csv"), on)
+    for label, points in (("off", off), ("on", on)):
+        _write_floats(config, f"spectrum_shift_{label}.csv", "spectrum",
+                      ("detuning_MHz", "mean_counts"),
+                      ((p.excitation_detuning, p.mean_counts) for p in points))
     write_stats_json(_outfile(config, "spectrum_summary.json"), {
-        "format": SUMMARY_FORMAT_TAG,
         "peak_shift_off_mhz": spectrum_peak(off),
         "peak_shift_on_mhz": spectrum_peak(on),
         "skewness_shift_off": count_weighted_skewness(off),
@@ -87,28 +92,24 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_snr(config: RunConfig) -> int:
-    transit_cfg = config.to_transit_config()
+    transit_cfg = config.transit
     powers_mw = config.grids.snr_power_mw
     waists_um = config.grids.snr_waist_um
     power_curve = predicted_snr([p / 1e3 for p in powers_mw], transit_cfg,
                                 vary="power")
     waist_curve = predicted_snr([w / 1e6 for w in waists_um], transit_cfg,
                                 vary="waist")
-    write_snr_csv(_outfile(config, "snr_vs_power.csv"),
-                  [(p, s) for p, (_, s) in zip(powers_mw, power_curve)],
-                  x_label="power_mW")
-    write_snr_csv(_outfile(config, "snr_vs_waist.csv"),
-                  [(w, s) for w, (_, s) in zip(waists_um, waist_curve)],
-                  x_label="waist_um")
+    _write_floats(config, "snr_vs_power.csv", "snr", ("power_mW", "snr"),
+                  ((p, s) for p, (_, s) in zip(powers_mw, power_curve)))
+    _write_floats(config, "snr_vs_waist.csv", "snr", ("waist_um", "snr"),
+                  ((w, s) for w, (_, s) in zip(waists_um, waist_curve)))
     return EXIT_OK
 
 
 def cmd_scatter(config: RunConfig) -> int:
     seed = _require_seed(config)
-    run = config.run
-    transit_cfg = config.to_transit_config()
-    summary = {"format": SUMMARY_FORMAT_TAG, "n_runs": run.n_runs,
-               "initial_spin": transit_cfg.initial_spin}
+    run, transit_cfg = config.run, config.transit
+    summary = {"n_runs": run.n_runs, "initial_spin": transit_cfg.initial_spin}
     halves = {}
     for label, shift_on in (("off", False), ("on", True)):
         cfg = replace(transit_cfg, light_shift_on=shift_on)
@@ -127,7 +128,7 @@ def cmd_scatter(config: RunConfig) -> int:
 
 def cmd_transit(config: RunConfig) -> int:
     seed = _require_seed(config)
-    run, transit_cfg = config.run, config.to_transit_config()
+    run, transit_cfg = config.run, config.transit
     records = run_transit_ensemble(run.n_runs, seed, transit_cfg)
     name = f"transit_records.{run.emit_format}"
     write_transit_records(_outfile(config, name), records,
@@ -136,8 +137,7 @@ def cmd_transit(config: RunConfig) -> int:
     counts = int(records["counts_sigma_plus"].sum()
                  + records["counts_sigma_minus"].sum())
     flips = int((records["final_spin"] != records["initial_spin"]).sum())
-    summary = {"format": SUMMARY_FORMAT_TAG, "n_runs": n,
-               "initial_spin": transit_cfg.initial_spin,
+    summary = {"n_runs": n, "initial_spin": transit_cfg.initial_spin,
                "light_shift_on": transit_cfg.light_shift_on,
                "mean_counts_per_atom": counts / n,
                "flip_fraction": flips / n}
@@ -151,7 +151,8 @@ def cmd_transit(config: RunConfig) -> int:
 def cmd_motdip(config: RunConfig) -> int:
     grid = config.grids.dip_mhz.values()
     values = mot_dip_profile(grid, config.mot)
-    write_dip_csv(_outfile(config, "motdip.csv"), grid, values)
+    _write_floats(config, "motdip.csv", "dip",
+                  ("detuning_MHz", "normalized_N"), zip(grid, values))
     return EXIT_OK
 
 

@@ -118,10 +118,11 @@ class RunConfig:
 
     @property
     def geometry(self) -> TransitGeometry:
-        """The fall geometry (the benchmark's transit check reads it)."""
+        """`transit.geometry`, kept only for perfbench/checks.py."""
         return self.transit.geometry
 
     def to_transit_config(self) -> TransitConfig:
+        """`transit`, kept only for perfbench/checks.py."""
         return self.transit
 
 

@@ -34,7 +34,6 @@ piecewise-constant rate grid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -45,11 +44,7 @@ from . import constants
 from .constants import C_LIGHT, PLANCK_H
 from .errors import ConfigError, check, rule
 from .ratemodel import axial_profile
-from .transit import TransitConfig, transit_rate_table, write_records
-
-SPECTRUM_FORMAT_TAG = "ybcavity.spectrum.v1"
-SNR_FORMAT_TAG = "ybcavity.snr.v1"
-DIP_FORMAT_TAG = "ybcavity.dip.v1"
+from .transit import TransitConfig, transit_rate_table
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,9 @@ def predicted_snr(values, config: TransitConfig, vary: str = "power"):
     retuned to the engineered resonance at every grid point, as in the
     measurement.  Detection efficiency cancels exactly in the ratio.
     The drive's mirror symmetry makes the result spin-independent.  A
-    swept value the beam's rules reject is a ConfigError.
+    swept value the beam's rules reject is a ConfigError, and so is one
+    that predicts no undesired counts: no light reaches the fall lines
+    there, and the ratio is 0/0.
     """
     if vary not in ("power", "waist"):
         raise ConfigError(f"vary must be 'power' or 'waist', got {vary!r}")
@@ -329,8 +326,11 @@ def predicted_snr(values, config: TransitConfig, vary: str = "power"):
         cfg = replace(config, shift_beam=beam, light_shift_on=True,
                       excitation_detuning=None)
         desired, undesired = _ensemble_expected_counts(cfg, 1.0)
-        curve.append((float(v),
-                      math.inf if undesired == 0.0 else desired / undesired))
+        if undesired == 0.0:
+            unit = "W" if vary == "power" else "m"
+            raise ConfigError(f"shift-beam {vary} {float(v)} {unit} predicts "
+                              "no undesired counts: the SNR is undefined")
+        curve.append((float(v), desired / undesired))
     return curve
 
 
@@ -353,40 +353,3 @@ def pearson_correlation(records) -> float:
         return float("nan")
     return float(np.sum(dp * dm) / math.sqrt(var_p * var_m))
 
-
-# ---------------------------------------------------------------------------
-# emitters
-
-
-def write_spectrum_csv(path, points):
-    write_records(path, SPECTRUM_FORMAT_TAG, ("detuning_MHz", "mean_counts"),
-                  ((float(p.excitation_detuning), float(p.mean_counts))
-                   for p in points))
-
-
-def write_snr_csv(path, curve, x_label: str):
-    if x_label not in ("power_mW", "waist_um"):
-        raise ConfigError(f"unknown snr sweep label {x_label!r}")
-    write_records(path, SNR_FORMAT_TAG, (x_label, "snr"),
-                  ((float(x), float(s)) for x, s in curve))
-
-
-def write_dip_csv(path, detuning_grid, values):
-    write_records(path, DIP_FORMAT_TAG, ("detuning_MHz", "normalized_N"),
-                  ((float(d), float(v))
-                   for d, v in zip(detuning_grid, values)))
-
-
-def _json_value(value):
-    """A summary value as strict JSON: an undefined (NaN) number becomes
-    null, and +/-inf the strings "inf" and "-inf"."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
-    return value
-
-
-def write_stats_json(path, stats: dict):
-    with open(path, "w") as fh:
-        json.dump({k: _json_value(v) for k, v in stats.items()}, fh,
-                  indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")

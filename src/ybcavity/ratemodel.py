@@ -196,6 +196,8 @@ def liouvillian_triplets(h, ops):
     if h.shape != (dim, dim):
         raise ModelError("Hamiltonian must be square")
     ops = [np.asarray(op) for op in ops]
+    if any(c.shape != h.shape for c in ops):
+        raise ModelError("collapse operators and Hamiltonian differ in shape")
     loss = sum((c.conj().T @ c for c in ops), np.zeros((dim, dim)))
     eye = np.eye(dim)
     pairs = [(eye, -1j * h - 0.5 * loss), ((1j * h - 0.5 * loss).T, eye)]

@@ -21,7 +21,9 @@ runner builds one chunk's streams once and re-keys them in place for each
 later chunk (`_rekey`): the same draws as a new stream per run, for a
 fraction of the cost.  The runners return one structured array of records,
 `TRANSIT_RECORD` or `WINDOW_RECORD` rows, whose field names, in order,
-are the columns of the record files.
+are the columns of the record files.  The serialization section at the
+end is the one home of every file format the package writes: records,
+the CLI's curves and the JSON summaries, each tagged `ybcavity.<kind>.v1`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from .ratemodel import (DRIVE_TRANSITIONS, CavityParams, coupling_at,
 SPINS = ("up", "down")
 
 EMIT_FORMATS = ("csv", "jsonl")   # record file formats, also their extensions
-TRANSIT_FORMAT_TAG = "ybcavity.transit.v1"
-WINDOW_FORMAT_TAG = "ybcavity.window.v1"
 
 # a row per run; the field names, in order, are the record file's columns
 TRANSIT_RECORD = np.dtype([
@@ -719,14 +719,17 @@ def run_transit_ensemble(n_runs: int, master_seed: int,
 
 
 # ---------------------------------------------------------------------------
-# serialization (CSV and JSON-lines, versioned header)
+# serialization: every file the package writes, each under its kind's tag
+
+_TAG_RULE = "ybcavity.{}.v1"
 
 
-def write_records(path, tag, columns, rows, emit_format="csv"):
-    """Write a file of rows under a versioned format tag, as CSV or JSON
+def write_records(path, kind, columns, rows, emit_format="csv"):
+    """Write a file of rows under the tag of its kind, as CSV or JSON
     lines; the format name is also the file extension the CLI gives it."""
     if emit_format not in EMIT_FORMATS:
         raise ConfigError(f"unknown format {emit_format!r}")
+    tag = _TAG_RULE.format(kind)
     with open(path, "w", newline="") as fh:
         if emit_format == "csv":
             fh.write(f"# format={tag}\n")
@@ -742,10 +745,27 @@ def write_records(path, tag, columns, rows, emit_format="csv"):
 
 # tolist() gives Python str, int and float: both formats print them exactly
 def write_transit_records(path, records, emit_format: str = "csv"):
-    write_records(path, TRANSIT_FORMAT_TAG, TRANSIT_RECORD.names,
-                  records.tolist(), emit_format)
+    write_records(path, "transit", TRANSIT_RECORD.names, records.tolist(),
+                  emit_format)
 
 
 def write_count_records(path, records, emit_format: str = "csv"):
-    write_records(path, WINDOW_FORMAT_TAG, WINDOW_RECORD.names,
-                  records.tolist(), emit_format)
+    write_records(path, "window", WINDOW_RECORD.names, records.tolist(),
+                  emit_format)
+
+
+def _json_value(value):
+    """A summary value as strict JSON: an undefined (NaN) number becomes
+    null, and +/-inf the strings "inf" and "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
+def write_stats_json(path, stats: dict):
+    """Write a summary as strict JSON, keys sorted, under the summary tag."""
+    stats = {**stats, "format": _TAG_RULE.format("summary")}
+    with open(path, "w") as fh:
+        json.dump({k: _json_value(v) for k, v in stats.items()}, fh,
+                  indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

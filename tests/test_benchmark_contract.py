@@ -186,3 +186,23 @@ def test_no_module_imports_another_modules_private_names():
                     crossings.setdefault(path.stem, []).extend(private)
     assert not crossings, \
         f"private names imported across modules: {crossings}"
+
+
+def _opens_to_write(node) -> bool:
+    """An `open(...)` call whose mode writes, appends or creates (a mode
+    that is not a literal counts as writing)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords
+                              if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant)
+               or set(str(m.value)) & set("wax") for m in modes)
+
+
+def test_one_module_writes_every_file():
+    # the file formats live in one place: transit's serialization section
+    writers = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if _opens_to_write(node)}
+    assert writers == {"transit"}

@@ -14,7 +14,7 @@ import pytest
 from ybcavity.cli import main
 from ybcavity.config import (RunConfig, config_from_dict, dump_config,
                              load_config)
-from ybcavity.observables import write_stats_json
+from ybcavity.transit import write_stats_json
 
 
 @pytest.fixture(autouse=True)
@@ -143,8 +143,8 @@ def test_summary_values_map_to_strict_json(tmp_path):
                             "minus_inf": -math.inf, "x": 1.5, "n": 3,
                             "label": "up"})
     assert _strict_json(path.read_text()) == {
-        "nan": None, "inf": "inf", "minus_inf": "-inf", "x": 1.5, "n": 3,
-        "label": "up"}
+        "format": "ybcavity.summary.v1", "nan": None, "inf": "inf",
+        "minus_inf": "-inf", "x": 1.5, "n": 3, "label": "up"}
 
 
 def test_snr_sweep_structure(tmp_path):
@@ -159,6 +159,17 @@ def test_snr_sweep_structure(tmp_path):
     by_waist = {float(r.split(",")[0]): float(r.split(",")[1])
                 for r in waist_rows}
     assert by_waist[20.0] < by_waist[50.0]
+
+
+def test_integer_sweep_values_print_as_floats(tmp_path):
+    # the config keeps an integer as written; the CSV prints every value
+    # as a float
+    cfg = _write_config(tmp_path, {
+        "grids": {"snr_power_mw": [9], "snr_waist_um": [50]}})
+    assert main(["snr", "--config", cfg, "--out", str(tmp_path)]) == 0
+    for name, x in (("snr_vs_power.csv", "9.0"), ("snr_vs_waist.csv", "50.0")):
+        row = (tmp_path / name).read_text().splitlines()[2]
+        assert row.split(",")[0] == x
 
 
 def test_snr_reference_point_is_the_reference_configuration(tmp_path):
@@ -385,6 +396,9 @@ def test_bad_value_exits_2_and_writes_no_data(tmp_path, monkeypatch, capsys,
     ("snr", "YBCAVITY_GRIDS__SNR_WAIST_UM", "[1e160]"),   # the waist sweep
     # over the dark counts a window may hold: exit 2, not numpy's Poisson
     ("scatter", "YBCAVITY_CAVITY__DARK_RATE_SIGMA_PLUS_PER_MS", "1e300"),
+    # no light on the fall lines: an SNR of 0/0, not inf in the CSV
+    ("snr", "YBCAVITY_DRIVE__POWER", "0"),
+    ("snr", "YBCAVITY_DRIVE__AXIS_OFFSET", "1e-3"),
 ])
 def test_a_failing_command_writes_no_data(tmp_path, monkeypatch, command,
                                           variable, value):

@@ -179,6 +179,17 @@ def test_lindblad_dimension_guard():
         build_lindblad(np.zeros((7, 7)), SCHEME, CAVITY)
 
 
+def test_collapse_operators_of_another_shape_are_rejected():
+    # a generator given a Hamiltonian of another cutoff keeps its old
+    # collapse operators: a ModelError, not numpy's broadcasting error
+    def ham(n_max):
+        return build_hamiltonian(SCHEME, CAVITY, DRIVE, SHIFTS_OFF, 0.0,
+                                 n_max=n_max)
+    gen = build_lindblad(ham(1), SCHEME, CAVITY)
+    with pytest.raises(ModelError, match="shape"):
+        replace(gen, h=ham(2))
+
+
 def test_generator_builds_the_liouvillian_of_its_parts():
     # made from its parts, or with `replace` given a new Hamiltonian, a
     # generator holds the Liouvillian that build_lindblad gives the parts

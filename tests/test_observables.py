@@ -1,6 +1,8 @@
 """Observables tests: trap-loss dip, fluorescence spectra, SNR measures,
-Pearson correlation, dark-count correction, and the CSV/JSON emitters."""
+Pearson correlation, dark-count correction, and the CSV/JSON emitters of
+what they compute (`transit`'s writers)."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -16,13 +18,12 @@ from ybcavity.observables import (
     CorrectedCounts, MotParams, SpectrumPoint, count_weighted_skewness,
     dark_count_correct, dip_half_width, fluorescence_spectrum,
     mot_dip_profile, pearson_correlation, predicted_snr, snr_from_counts,
-    spectrum_peak, write_dip_csv, write_snr_csv, write_spectrum_csv,
-    write_stats_json,
+    spectrum_peak,
 )
 from ybcavity.observables import (_disc_quadrature, _expected_counts,
                                   _scattering_rate)
 from ybcavity.transit import (TRANSIT_RECORD, TransitConfig, TransitGeometry,
-                              run_ensemble)
+                              run_ensemble, write_records, write_stats_json)
 
 CFG = TransitConfig(light_shift_on=True)
 CFG_1US = replace(CFG, geometry=replace(CFG.geometry, time_step=1e-6))
@@ -490,36 +491,39 @@ def test_window_correlation_collapses_when_shift_engages():
 
 
 def test_spectrum_csv_emitter(tmp_path):
-    points = [SpectrumPoint(-1.0, 0.25), SpectrumPoint(0.0, 1.5)]
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(path, points)
+    write_records(path, "spectrum", ("detuning_MHz", "mean_counts"),
+                  [(-1.0, 0.25), (0.0, 1.5)])
     lines = path.read_text().splitlines()
     assert lines[0] == "# format=ybcavity.spectrum.v1"
     assert lines[1] == "detuning_MHz,mean_counts"
     assert [float(x) for x in lines[2].split(",")] == [-1.0, 0.25]
 
 
-def test_snr_csv_emitter_and_label_guard(tmp_path):
+def test_snr_csv_emitter(tmp_path):
     path = tmp_path / "snr.csv"
-    write_snr_csv(path, [(1.0, 2.5), (9.0, 13.7)], x_label="power_mW")
+    write_records(path, "snr", ("power_mW", "snr"), [(1.0, 2.5), (9.0, 13.7)])
     lines = path.read_text().splitlines()
+    assert lines[0] == "# format=ybcavity.snr.v1"
     assert lines[1] == "power_mW,snr"
     assert len(lines) == 4
-    with pytest.raises(ConfigError):
-        write_snr_csv(path, [(1.0, 2.5)], x_label="frequency_GHz")
 
 
 def test_dip_csv_and_stats_json(tmp_path):
     grid = [-50.0, 0.0, 50.0]
     vals = mot_dip_profile(grid, MotParams())
     dip_path = tmp_path / "dip.csv"
-    write_dip_csv(dip_path, grid, vals)
+    write_records(dip_path, "dip", ("detuning_MHz", "normalized_N"),
+                  zip(grid, vals))
     lines = dip_path.read_text().splitlines()
     assert lines[0] == "# format=ybcavity.dip.v1"
+    assert lines[1] == "detuning_MHz,normalized_N"
     assert float(lines[3].split(",")[1]) == pytest.approx(vals[1])
 
     stats_path = tmp_path / "stats.json"
     write_stats_json(stats_path, {"b": 2, "a": [1.5, math.pi]})
     text = stats_path.read_text()
-    assert text.index('"a"') < text.index('"b"')
+    assert text.index('"a"') < text.index('"b"') < text.index('"format"')
     assert text.endswith("\n")
+    assert json.loads(text) == {"format": "ybcavity.summary.v1", "b": 2,
+                                "a": [1.5, math.pi]}

@@ -46,8 +46,11 @@ class LevelScheme:
     splitting is a plain frequency in Hz.
     """
 
-    gamma_D1_line: float = rule(constants.GAMMA_D1_LINE, gt=0.0)
-    d1_hyperfine_splitting: float = rule(constants.D1_HYPERFINE_SPLITTING_HZ,
-                                         gt=0.0)
+    gamma_D1_line: float = rule(constants.TWO_PI * 16e3, gt=0.0)
+    # Not independently measured here; the default is fixed so the inferred
+    # m'=+/-1/2 shift reproduces the reference ratio -16/8.5 at the -300 MHz
+    # operating detuning (F=3/2 sits *below* F=1/2: inverted ordering, which
+    # is what makes delta_32 positive).  ~2991.18 MHz.
+    d1_hyperfine_splitting: float = rule(300e6 * 339.0 / 34.0, gt=0.0)
 
     __post_init__ = check   # no rule spans fields

@@ -29,6 +29,7 @@ from .errors import ConfigError, NumericalError
 from .observables import (count_weighted_skewness, fluorescence_spectrum,
                           mot_dip_profile, pearson_correlation, predicted_snr,
                           snr_from_counts, spectrum_peak)
+from .ratemodel import SPINS
 from .transit import (probe_detuning, run_ensemble, run_transit_ensemble,
                       write_count_records, write_records, write_stats_json,
                       write_transit_records)
@@ -141,7 +142,7 @@ def cmd_transit(config: RunConfig) -> int:
                "light_shift_on": transit_cfg.light_shift_on,
                "mean_counts_per_atom": counts / n,
                "flip_fraction": flips / n}
-    if transit_cfg.initial_spin in ("up", "down"):
+    if transit_cfg.initial_spin in SPINS:
         summary["monte_carlo_snr"] = snr_from_counts(
             records, transit_cfg.initial_spin)
     write_stats_json(_outfile(config, "transit_summary.json"), summary)

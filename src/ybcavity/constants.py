@@ -1,18 +1,21 @@
-"""Frozen numerical constants of the model.
+"""Frozen numerical constants of the model: physical constants,
+wavelengths, the one calibration of the 1539-nm coupling, the pipeline's
+resolution and the exact coupling tables.
 
-Two kinds of numbers live here:
+The operating-point defaults (cavity rates, beam powers, geometry) are
+not here: each is the default of the dataclass field that takes it, and
+`ybcavity --print-defaults` shows them all.  The resolution,
+`DISCRETIZATION`, is read when its readers are called, and the caches
+key on the fields they read, so replacing it re-resolves the pipeline;
+the time step is a config key (`TransitGeometry.time_step`).
 
-* Reference operating-point values (cavity rates, beam powers, geometry).
-  These are the defaults every config starts from; all of them can be
-  overridden through the dataclasses that consume them.
-
-* Exact angular-momentum coupling tables for the I = 1/2 level structure,
-  stored as `Fraction`s so tests can compare them exactly.  They were
-  computed once by expanding the hyperfine states in the uncoupled
-  |J mJ>|I mI> basis (the dipole acts on J only); in the units used here the
-  squared matrix elements summed over final states equal 1 for every initial
-  sublevel, so the absolute dipole scale is 3*pi*eps0*hbar*c^3*Gamma/omega^3
-  with no residual multiplicity factor.
+The angular-momentum coupling tables for the I = 1/2 level structure are
+stored as `Fraction`s so tests can compare them exactly.  They were
+computed once by expanding the hyperfine states in the uncoupled
+|J mJ>|I mI> basis (the dipole acts on J only); in the units used here the
+squared matrix elements summed over final states equal 1 for every initial
+sublevel, so the absolute dipole scale is 3*pi*eps0*hbar*c^3*Gamma/omega^3
+with no residual multiplicity factor.
 
 Unit conventions (used consistently across the package):
   * rates and detunings named "gamma", "kappa", "g0", "detuning" are
@@ -23,6 +26,7 @@ Unit conventions (used consistently across the package):
   * lengths in metres, powers in watts, intensities in W/m^2.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -41,46 +45,43 @@ FREE_FALL_G = 9.80665               # standard gravity (m/s^2)
 WAVELENGTH_GREEN = 556e-9       # 1S0 - 3P1 excitation line
 WAVELENGTH_IR = 1539e-9         # 3P1 - 3D1 light-shift line
 
-# ---------------------------------------------------------------------------
-# atomic rates (angular)
-GAMMA_P1 = TWO_PI * 0.091e6     # half the natural linewidth of 3P1 (rad/s)
-GAMMA_D1_LINE = TWO_PI * 16e3   # 3P1-3D1 partial decay rate (rad/s, energy)
-BRANCHING_D1_TO_P0 = 0.64       # fraction of 3D1 decays ending in 3P0
-
-# 3D1 hyperfine interval F=1/2 <-> F=3/2 (Hz).  Not independently measured
-# here; the default is fixed so the inferred m'=+/-1/2 shift reproduces the
-# reference ratio -16/8.5 at the -300 MHz operating detuning (F=3/2 sits
-# *below* F=1/2: inverted ordering, which is what makes delta_32 positive).
-D1_HYPERFINE_SPLITTING_HZ = 300e6 * 339.0 / 34.0   # ~2991.18 MHz
-
 # One-time calibration of the 1539-nm coupling strength: the squared Rabi
-# frequency derived from GAMMA_D1_LINE is multiplied by this factor so the
-# m'=+/-3/2 shift at the reference beam settings (9 mW, w=50 um, -300 MHz)
-# equals the reference value of +6.8 MHz.  Frozen; do not retune.
+# frequency derived from `LevelScheme.gamma_D1_line` is multiplied by this
+# factor so the m'=+/-3/2 shift at the reference beam settings (9 mW,
+# w=50 um, -300 MHz) equals the reference value of +6.8 MHz.  Frozen; do
+# not retune.
 D1_SHIFT_CALIBRATION = 2.863108624528967
 
 # ---------------------------------------------------------------------------
-# cavity and detection
-G0 = TWO_PI * 2.8e6             # peak atom-cavity coupling (rad/s)
-KAPPA = TWO_PI * 4.8e6          # cavity HWHM (rad/s)
-MODE_WAIST = 19e-6              # TEM00 transverse waist (m)
-DETECTION_EFFICIENCY = 0.20
-DARK_RATE_SIGMA_PLUS_PER_MS = 1.0
-DARK_RATE_SIGMA_MINUS_PER_MS = 0.5
+# numerical resolution
 
-# ---------------------------------------------------------------------------
-# beams (reference operating point)
-DRIVE_POWER = 1.8e-6            # W
-DRIVE_WAIST = 25e-6             # m
-SHIFT_POWER = 9e-3              # W
-SHIFT_WAIST = 50e-6             # m
-SHIFT_DETUNING = -TWO_PI * 300e6   # rad/s, relative to the D1 F=1/2 component
 
-# ---------------------------------------------------------------------------
-# transit geometry
-DROP_HEIGHT = 7e-3              # m, fall distance from the cloud to the mode
-ATOM_RATE = 550.0               # atoms/s crossing the sampling disc
-MEASUREMENT_WINDOW = 2e-3       # s
+@dataclass(frozen=True)
+class Discretization:
+    """How finely the pipeline resolves rates and ensemble averages."""
+
+    table_nodes: tuple = (8, 12, 14)   # coupling, drive and shift-fraction
+    table_refine: tuple = (4, 8, 4)    # fine-grid subdivisions between nodes
+    # Gauss-Legendre nodes in the squared disc radius and uniform azimuthal
+    # ones.  The mode envelope carries high angular harmonics on the disc
+    # (exp(-8 sin^2 theta) at the rim), which 8 azimuthal nodes miss by
+    # 5-10%; the 8 x 12 rule is within 0.1% of a converged polar reference
+    # at the spectrum's peaks and within 1% on the shift-on flanks and with
+    # the shift beam off axis, but off by up to 5% in the shift-on red tail
+    # (below about -6 MHz), where a sublevel crosses resonance on the two
+    # lines x0 = +/-x* of the disc.
+    radial_nodes: int = 8
+    azimuthal_nodes: int = 12
+    phase_nodes: int = 6   # Gauss-Legendre nodes over the standing-wave phase
+    # Photon cut-offs of the sigma+ and sigma- modes in the spin-up frame:
+    # two photons in the mode of the spin's own cyclic transition, one in
+    # the other.  Against the six-level model at n_max = 2 this changes the
+    # rates by at most 1.4% at the operating point (the flip rate at an
+    # antinode with the shift beam off; under 0.05% with it on).
+    fock_cutoff: tuple = (2, 1)
+
+
+DISCRETIZATION = Discretization()
 
 # ---------------------------------------------------------------------------
 # exact coupling tables (keys use twice-the-value integers: m2 = 2m, f2 = 2F)

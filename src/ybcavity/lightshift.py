@@ -72,9 +72,9 @@ class ShiftBeam(BeamParams):
     (rad/s) from the D1 F''=1/2 component.  `ShiftBeam()` is the
     reference beam (9 mW, 50 um, -300 MHz, on axis)."""
 
-    power: float = rule(constants.SHIFT_POWER, ge=0.0)
-    waist: float = rule(constants.SHIFT_WAIST, gt=0.0)
-    detuning: float = rule(constants.SHIFT_DETUNING)
+    power: float = rule(9e-3, ge=0.0)
+    waist: float = rule(50e-6, gt=0.0)
+    detuning: float = rule(-TWO_PI * 300e6)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def stark_shift(sublevel_m: float, beam: ShiftBeam, scheme: LevelScheme,
 
 
 def sublevel_splitting(delta_32_measured: float, scheme: LevelScheme,
-                       detuning: float = constants.SHIFT_DETUNING
+                       detuning: float = ShiftBeam.detuning
                        ) -> ShiftResult:
     """Infer the m'=+/-1/2 shift (and the splitting) from a known m'=+/-3/2
     shift, using the fixed ratio of summed weights over detunings.

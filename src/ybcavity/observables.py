@@ -4,27 +4,24 @@ bookkeeping, and the trap-loss dip used to locate the 1539-nm line.
 The deterministic ensemble averages here use the same fall lines and
 rate lookup as the Monte Carlo sampler (uniform impact disc, `time_step`
 grid) but replace sampling with quadrature: Gauss-Legendre in the squared
-radial coordinate (the same u = (r/R)^2 variable the sampler inverts,
-`_RADIAL_NODES` points) and a uniform azimuthal rule (`_AZIMUTHAL_NODES`),
-which together integrate the uniform-disc measure exactly in the
-smooth-integrand limit.  The rule is summed over its distinct fall lines
-only: y0 enters the rates only through the mode envelope's y0^2, and x0
-only through the beams' (x0 - axis_offset)^2, i.e. through x0^2 when the
-drive and the shift beam (if on) sit on x = 0.  The azimuthal nodes are
-closed under these mirrors, so one line of each mirror set at the set's
-summed weight is the same rule, equal to rounding: 144 of the rule's 576
-fall lines (8 x 12 disc nodes x 6 phases) per point with centred beams,
-288 otherwise.  The mode envelope carries high angular harmonics on the
-disc (exp(-8 sin^2 theta) at the rim), which 8 azimuthal nodes miss by
-5-10%; the 8 x 12 rule is within 0.1% of a converged polar reference at
-the spectrum's peaks and within 1% on the shift-on flanks and with the
-shift beam off axis, but off by up to 5% in the shift-on red tail (below
-about -6 MHz), where a sublevel's resonance is a thin ring on the disc.
-The cavity standing wave varies on a sub-micron scale along x, far
-faster than anything else, so at each disc node the coupling is
-averaged over the standing-wave phase with its own Gauss-Legendre rule
-(`_PHASE_NODES` points on a quarter period, which by symmetry covers the
-whole period).  Along each fall line the two-state spin occupation obeys
+radial coordinate (the same u = (r/R)^2 variable the sampler inverts)
+and a uniform azimuthal rule, which together integrate the uniform-disc
+measure exactly in the smooth-integrand limit.  The rule is summed over
+its distinct fall lines only: y0 enters the rates only through the mode
+envelope's y0^2, and x0 only through the beams' (x0 - axis_offset)^2,
+i.e. through x0^2 when the drive and the shift beam (if on) sit on
+x = 0.  The azimuthal nodes are closed under these mirrors, so one line
+of each mirror set at the set's summed weight is the same rule, equal to
+rounding: 144 of the rule's 576 fall lines (8 x 12 disc nodes x 6
+phases) per point with centred beams, 288 otherwise.  The cavity
+standing wave varies on a sub-micron scale along x, far faster than
+anything else, so at each disc node the coupling is averaged over the
+standing-wave phase with its own Gauss-Legendre rule (on a quarter
+period, which by symmetry covers the whole period).  The node counts
+of the three rules, and how far the disc rule is from converged, are in
+`constants.DISCRETIZATION`, read at each call; the defaults of the
+parameters here are their fields' own (`--print-defaults`).  Along each
+fall line the two-state spin occupation obeys
     dP_up/dt = -f_up P_up + f_dn P_dn,
 which for the y-polarized drive is symmetric (f_up = f_dn = f), so the
 polarization imbalance decays as exp(-2 int f dt) and every segment
@@ -43,7 +40,7 @@ from numpy.polynomial.legendre import leggauss
 from . import constants
 from .constants import C_LIGHT, PLANCK_H
 from .errors import ConfigError, check, rule
-from .ratemodel import axial_profile
+from .ratemodel import SPINS, axial_profile
 from .transit import TransitConfig, transit_rate_table
 
 
@@ -79,7 +76,7 @@ class MotParams:
     Gamma0: float = rule(0.5, ge=0.0)
     probe_power_density: float = rule(30.0, ge=0.0)
     natural_linewidth_D1: float = rule(16e3, gt=0.0)
-    branching: float = rule(constants.BRANCHING_D1_TO_P0, ge=0.0, le=1.0)
+    branching: float = rule(0.64, ge=0.0, le=1.0)   # 3D1 decays to 3P0
     p1_population: float = rule(0.46, ge=0.0, le=1.0)
 
     __post_init__ = check   # no rule spans fields
@@ -137,22 +134,18 @@ def dip_half_width(mot: MotParams) -> float:
 # deterministic transit ensemble
 
 
-_RADIAL_NODES = 8      # Gauss-Legendre nodes in the squared radius
-_AZIMUTHAL_NODES = 12  # uniform azimuthal nodes
-_PHASE_NODES = 6       # Gauss-Legendre nodes over the standing-wave phase
-
-
 def _disc_quadrature(config: TransitConfig):
     """Node arrays x0, y0 and weights averaging over the uniform impact
     disc, radius-major, one node per distinct fall line: azimuthal nodes
     that a mirror maps onto each other (y0 -> -y0 always, x0 -> -x0 with
     centred beams) are one node with their summed weight."""
-    u, w_u = leggauss(_RADIAL_NODES)
+    res = constants.DISCRETIZATION
+    u, w_u = leggauss(res.radial_nodes)
     # u mapped to (0, 1): du uniform
     r = config.geometry.impact_radius * np.sqrt(0.5 * (u + 1.0))
     # node k sits at angle j pi / n, j = 2k + 1; each node's mirror images
     # are nodes too, and the least j of its orbit stands for them all
-    n = _AZIMUTHAL_NODES
+    n = res.azimuthal_nodes
     j = 2 * np.arange(n) + 1
     orbit = [j, 2 * n - j]                        # y0 -> -y0
     centred = config.drive.axis_offset == 0.0 and (
@@ -193,11 +186,11 @@ def _expected_counts(x0, y0, axial, config: TransitConfig,
 
 def _ensemble_expected_counts(config: TransitConfig, p_up_initial: float):
     x0, y0, w = _disc_quadrature(config)
-    u, w_u = leggauss(_PHASE_NODES)
+    n = constants.DISCRETIZATION.phase_nodes
+    u, w_u = leggauss(n)
     axial = axial_profile(0.25 * math.pi * (u + 1.0))
     weights = np.outer(w, 0.5 * w_u).ravel()
-    ep, em = _expected_counts(np.repeat(x0, _PHASE_NODES),
-                              np.repeat(y0, _PHASE_NODES),
+    ep, em = _expected_counts(np.repeat(x0, n), np.repeat(y0, n),
                               np.tile(axial, len(w)), config, p_up_initial)
     return float(weights @ ep), float(weights @ em)
 
@@ -262,7 +255,7 @@ def snr_from_counts(records, initial_spin: str) -> float:
     Returns math.inf when the undesired channel recorded nothing."""
     if not len(records):
         raise ConfigError("records must be nonempty")
-    if initial_spin not in ("up", "down"):
+    if initial_spin not in SPINS:
         raise ConfigError(f"initial_spin must be 'up' or 'down', "
                           f"got {initial_spin!r}")
     plus = int(records["counts_sigma_plus"].sum())

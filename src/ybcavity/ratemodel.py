@@ -49,6 +49,7 @@ from .errors import ModelError, NumericalError, check, rule
 from .lightshift import BeamParams, ShiftResult
 
 TWO_PI = constants.TWO_PI
+SPINS = ("up", "down")
 
 # atom basis order: ground up, ground down, then excited by descending m'
 GROUND_INDEX = {+1: 0, -1: 1}
@@ -67,16 +68,13 @@ class CavityParams:
     detectors are usually quoted.
     """
 
-    g0: float = rule(constants.G0, gt=0.0)
-    kappa: float = rule(constants.KAPPA, gt=0.0)
-    gamma: float = rule(constants.GAMMA_P1, gt=0.0)
-    mode_waist: float = rule(constants.MODE_WAIST, gt=0.0)
-    detection_efficiency: float = rule(constants.DETECTION_EFFICIENCY,
-                                       ge=0.0, le=1.0)
-    dark_rate_sigma_plus_per_ms: float = rule(
-        constants.DARK_RATE_SIGMA_PLUS_PER_MS, ge=0.0)
-    dark_rate_sigma_minus_per_ms: float = rule(
-        constants.DARK_RATE_SIGMA_MINUS_PER_MS, ge=0.0)
+    g0: float = rule(TWO_PI * 2.8e6, gt=0.0)   # at the mode centre
+    kappa: float = rule(TWO_PI * 4.8e6, gt=0.0)
+    gamma: float = rule(TWO_PI * 0.091e6, gt=0.0)
+    mode_waist: float = rule(19e-6, gt=0.0)    # TEM00, transverse (m)
+    detection_efficiency: float = rule(0.20, ge=0.0, le=1.0)
+    dark_rate_sigma_plus_per_ms: float = rule(1.0, ge=0.0)
+    dark_rate_sigma_minus_per_ms: float = rule(0.5, ge=0.0)
 
     __post_init__ = check   # no rule spans fields
 
@@ -219,12 +217,6 @@ def liouvillian_triplets(h, ops):
 # ---------------------------------------------------------------------------
 # per-spin rates
 
-# Photon cut-offs of the sigma+ and sigma- modes in the spin-up frame: two
-# photons in the mode of the spin's own cyclic transition, one in the other.
-# Against the six-level model at n_max = 2 this changes the rates by at
-# most 1.4% at the operating point (the flip rate at an antinode with the
-# shift beam off; under 0.05% with it on).
-_FOCK_CUTOFF = (2, 1)
 # Points per task of `_SpinModel.rates`' thread pool, so one per worker
 # are in flight.  Per point, 24-point solves cost no more than 48- or
 # 96-point ones, serially too.  A batch's work arrays set the peak RSS of
@@ -295,14 +287,15 @@ def _conditional_liouvillian(kappa: float, gamma: float):
     as (excited_m2, weights, comps, drive, quanta).
 
     It is the spin-up sector of the six-level model (`model_terms`) with
-    the modes cut at `_FOCK_CUTOFF`: the up ground state and the excited
-    sublevels the drive reaches from it (their m2 in `excited_m2`), in
-    that order, times the Fock states.  Those sublevels emit into the
-    cavity only on their way back to up, so the coupling, the drive and
-    the photon losses keep the sector closed (a ModelError says if they
-    do not).  Each sublevel's free-space decay returns the atom to |up> at
-    2*gamma, its branches to the other spin counting as flips, so the
-    steady state is what the spin sees until it flips.
+    the modes cut at `constants.DISCRETIZATION.fock_cutoff`: the up ground
+    state and the excited sublevels the drive reaches from it (their m2
+    in `excited_m2`), in that order, times the Fock states.  Those
+    sublevels emit into the cavity only on their way back to up, so the
+    coupling, the drive and the photon losses keep the sector closed (a
+    ModelError says if they do not).  Each sublevel's free-space decay
+    returns the atom to |up> at 2*gamma, its branches to the other spin
+    counting as flips, so the steady state is what the spin sees until it
+    flips.
 
     The Liouvillian is sum_j p_j comps[j] + Omega drive with p = (1, g,
     Delta_e...): the jumps, the cavity coupling and one detuning per
@@ -312,13 +305,14 @@ def _conditional_liouvillian(kappa: float, gamma: float):
     rates, and `quanta` counts each basis state's photons plus atomic
     excitation.
     """
+    cutoff = constants.DISCRETIZATION.fock_cutoff
     up = GROUND_INDEX[+1]
     excited_m2 = [e2 for g2, _, e2, _, _ in DRIVE_TRANSITIONS if g2 == +1]
-    shape = (N_ATOM,) + tuple(n + 1 for n in _FOCK_CUTOFF)
+    shape = (N_ATOM,) + tuple(n + 1 for n in cutoff)
     atoms = [up] + [EXCITED_INDEX[e2] for e2 in excited_m2]
     keep = np.ravel_multi_index(
         np.ix_(atoms, *map(range, shape[1:])), shape).ravel()
-    excited, h_g, h_om, modes, embed = model_terms(*_FOCK_CUTOFF)
+    excited, h_g, h_om, modes, embed = model_terms(*cutoff)
     rest = np.ones(len(h_g), bool)
     rest[keep] = False
     for op in (h_g, h_om, *modes):
@@ -498,8 +492,13 @@ class _SpinModel:
         return np.maximum(out, 0.0)
 
 
-@lru_cache(maxsize=16)
 def _spin_model(kappa: float, gamma: float) -> _SpinModel:
+    # the record's Fock cutoff keys the cache, so no model is ever stale
+    return _cached_model(kappa, gamma, constants.DISCRETIZATION.fock_cutoff)
+
+
+@lru_cache(maxsize=16)
+def _cached_model(kappa: float, gamma: float, fock_cutoff) -> _SpinModel:
     with _one_blas_thread():
         return _SpinModel(kappa, gamma)
 
@@ -520,7 +519,7 @@ def spin_rates(spin: str, coupling, rabi_sq, excitation_detuning: float,
     same bits as a serial solve, though not always as the same point
     solved in a call of one or two points (`_SpinModel.rates`).
     """
-    if spin not in ("up", "down"):
+    if spin not in SPINS:
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
     model = _spin_model(cavity.kappa, cavity.gamma)
     g, om_sq, d32, d12 = np.broadcast_arrays(

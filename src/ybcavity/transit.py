@@ -43,10 +43,8 @@ from .atomic import LevelScheme
 from .constants import FREE_FALL_G
 from .errors import ConfigError, check, rule
 from .lightshift import BeamParams, ShiftBeam, ShiftResult, stark_shift
-from .ratemodel import (DRIVE_TRANSITIONS, CavityParams, coupling_at,
-                        drive_rabi_sq, spin_rates)
-
-SPINS = ("up", "down")
+from .ratemodel import (DRIVE_TRANSITIONS, SPINS, CavityParams,
+                        coupling_at, drive_rabi_sq, spin_rates)
 
 EMIT_FORMATS = ("csv", "jsonl")   # record file formats, also their extensions
 
@@ -84,8 +82,8 @@ class TransitGeometry:
     (0.675 ms at the defaults), or more than `_MAX_SEGMENTS` slices.
     """
 
-    drop_height: float = rule(constants.DROP_HEIGHT, gt=0.0)
-    mode_waist: float = rule(constants.MODE_WAIST, gt=0.0)
+    drop_height: float = rule(7e-3, gt=0.0)   # from the cloud to the mode
+    mode_waist: float = rule(CavityParams.mode_waist, gt=0.0)
     impact_radius_factor: float = rule(2.0, gt=0.0)
     simulation_halfspan: float = rule(125e-6, gt=0.0)
     time_step: float = rule(4e-6, gt=0.0)
@@ -177,14 +175,13 @@ class TransitConfig:
 
     scheme: LevelScheme = rule(LevelScheme(), LevelScheme)
     cavity: CavityParams = rule(CavityParams(), CavityParams)
-    drive: BeamParams = rule(BeamParams(constants.DRIVE_POWER,
-                                        constants.DRIVE_WAIST), BeamParams)
+    drive: BeamParams = rule(BeamParams(1.8e-6, 25e-6), BeamParams)
     shift_beam: ShiftBeam = rule(ShiftBeam(), ShiftBeam)
     geometry: TransitGeometry = rule(TransitGeometry(), TransitGeometry)
     light_shift_on: bool = rule(True, bool)
     excitation_detuning: float = rule(None)
-    atom_rate: float = rule(constants.ATOM_RATE, ge=0.0)
-    window: float = rule(constants.MEASUREMENT_WINDOW, gt=0.0)
+    atom_rate: float = rule(550.0, ge=0.0)   # atoms/s through the disc
+    window: float = rule(2e-3, gt=0.0)
     initial_spin: str = rule("random", str, choices=SPINS + ("random",))
 
     def __post_init__(self):
@@ -236,8 +233,6 @@ def shift_fraction(x, z, config: TransitConfig):
 # ---------------------------------------------------------------------------
 # rate tables
 
-_TABLE_NODES = (8, 12, 14)    # coupling, drive and shift-fraction nodes
-_TABLE_REFINE = (4, 8, 4)     # fine-grid subdivisions between nodes
 _AXIS_SAMPLES = 2001          # dense samples of a node map
 _WEAK_SATURATION = 1e-3       # drive counted as weak (rates linear in Omega^2)
 _RESONANCE_WEIGHT = 0.5       # node budget of one resonance crossing
@@ -311,11 +306,12 @@ class RateTable:
     weak-drive scaling (v Omega^2 for the cavity rates, Omega^2 for
     flips), which vary slowly.  The not-a-knot cubic spline through the
     nodes, exact in each axis (`_spline_matrix`), is sampled once onto a
-    grid `_TABLE_REFINE` times finer, and lookups interpolate that grid
-    multilinearly.  Past the last drive node the saturation is below
-    `_WEAK_SATURATION` and the rates scale with Omega^2.  The y-polarized
-    drive is mirror-symmetric, so the table holds spin up only; spin down
-    has sigma+ and sigma- swapped.
+    grid `table_refine` times finer, and lookups interpolate that grid
+    multilinearly; the node counts and the refinement are those of
+    `constants.DISCRETIZATION` when the table is built.  Past the last
+    drive node the saturation is below `_WEAK_SATURATION` and the rates
+    scale with Omega^2.  The y-polarized drive is mirror-symmetric, so the
+    table holds spin up only; spin down has sigma+ and sigma- swapped.
     """
 
     def __init__(self, scheme: LevelScheme, cavity: CavityParams,
@@ -349,9 +345,11 @@ class RateTable:
             at_waist = math.exp(-2.0 * (cavity.mode_waist / drive.waist) ** 2)
             self.maps.append(self._node_map(sigma, np.exp(-sigma ** 2),
                                             at_waist, *resonances))
-        n_nodes = _TABLE_NODES[:1 + len(self.maps)]
+        res = constants.DISCRETIZATION
+        n_nodes = res.table_nodes[:1 + len(self.maps)]
         nodes = [np.linspace(0.0, 1.0, n) for n in n_nodes]
-        self.fine = [(n - 1) * k + 1 for n, k in zip(n_nodes, _TABLE_REFINE)]
+        self.fine = [(n - 1) * k + 1
+                     for n, k in zip(n_nodes, res.table_refine)]
         grid = np.meshgrid(*nodes, indexing="ij")
         v = self._v_of_xi(grid[0])
         v_solve = np.maximum(v, 1e-6 * self.v_c)   # rates / v at v -> 0
@@ -485,15 +483,17 @@ def rate_table(config: TransitConfig) -> RateTable:
     """The (cached) rate table of a configuration.  Only the physics that
     sets the rates keys the cache; without the shift beam the rates are
     even in the probe detuning, so +/- detunings share one table.  The
-    least recently used tables are dropped once those held exceed
+    resolution a table is built at keys it too, so a new
+    `constants.DISCRETIZATION` never finds a stale table.  The least
+    recently used tables are dropped once those held exceed
     `_TABLE_BUDGET` bytes (the newest is always kept)."""
     det = probe_detuning(config)
-    if config.shift_on:
-        key = (config.scheme, config.cavity, config.drive,
-               config.shift_beam, det)
-    else:
-        key = (config.scheme, config.cavity, config.drive, None, abs(det))
-    table = _tables.pop(key, None) or RateTable(*key)
+    beam, det = ((config.shift_beam, det) if config.shift_on
+                 else (None, abs(det)))
+    physics = (config.scheme, config.cavity, config.drive, beam, det)
+    res = constants.DISCRETIZATION
+    key = physics + (res.table_nodes, res.table_refine, res.fock_cutoff)
+    table = _tables.pop(key, None) or RateTable(*physics)
     _tables[key] = table
     held = sum(t.nbytes for t in _tables.values())
     while held > _TABLE_BUDGET and len(_tables) > 1:

@@ -4,15 +4,19 @@ against the reference in tests/golden/seed7.json.
 The record files and motdip.csv must match byte for byte (SHA-256); the
 spectrum, SNR and summary values to 1e-12 relative.  transit and scatter
 run once more in 128-run chunks, so that runs 128-299 draw from pooled
-streams re-keyed in place, against the same reference.  A change that moves
-the outputs on purpose rewrites the reference with
+streams re-keyed in place, against the same reference.  The text that
+`--print-defaults` prints must equal tests/golden/defaults.json byte for
+byte, so that a default cannot move unseen.  A change that moves the
+outputs or a default on purpose rewrites both references with
 
     python tests/test_golden.py
 
 and lists every changed value in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,6 +28,7 @@ import numpy as np
 import pytest
 
 REFERENCE = Path(__file__).resolve().parent / "golden" / "seed7.json"
+DEFAULTS = REFERENCE.parent / "defaults.json"   # `--print-defaults`' text
 CONFIG = {"run": {"n_runs": 300},
           "grids": {"spectrum_mhz": {"start": -7.25, "stop": 6.75,
                                      "step": 7.0},   # -7.25: the red tail
@@ -63,6 +68,15 @@ def run_commands(workdir: Path, commands=COMMANDS) -> dict:
                        if (out / name).exists()},
             "values": {name: _values(out / name) for name in VALUED
                        if (out / name).exists()}}
+
+
+def printed_defaults() -> str:
+    """What `ybcavity --print-defaults` writes to stdout."""
+    from ybcavity.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["--print-defaults"]) == 0
+    return out.getvalue()
 
 
 def _close(actual, expected) -> bool:
@@ -138,6 +152,13 @@ def test_rekeyed_streams_give_the_same_outputs(rekeyed_outputs, reference):
             _mismatch(reference, f"the values of {name} in 128-run chunks")
 
 
+def test_printed_defaults_are_byte_identical():
+    assert printed_defaults() == DEFAULTS.read_text(), (
+        f"--print-defaults differs from {DEFAULTS.name}; if a default moved "
+        f"on purpose, rewrite it with `python tests/test_golden.py` and "
+        f"list the moved default in CHANGES.md")
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(REFERENCE.parents[2] / "src"))
     for key in [k for k in os.environ if k.startswith("YBCAVITY_")]:
@@ -147,4 +168,5 @@ if __name__ == "__main__":
     REFERENCE.parent.mkdir(exist_ok=True)
     REFERENCE.write_text(json.dumps(document, indent=1, sort_keys=True)
                          + "\n")
-    print(f"wrote {REFERENCE}")
+    DEFAULTS.write_text(printed_defaults())
+    print(f"wrote {REFERENCE} and {DEFAULTS}")

@@ -43,7 +43,7 @@ def test_intensity_gaussian_falloff_and_zero_power():
                                          0.0))
     assert at_w == pytest.approx(center * math.exp(-2.0), rel=1e-12)
     dark = ShiftBeam(power=0.0, waist=50e-6,
-                     detuning=constants.SHIFT_DETUNING)
+                     detuning=ShiftBeam.detuning)
     radii = np.array([0.0, 10e-6, 1e-3])
     for m in (+1.5, +0.5):
         assert np.all(stark_shift(m, dark, SCHEME,

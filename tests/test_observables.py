@@ -29,11 +29,16 @@ CFG = TransitConfig(light_shift_on=True)
 CFG_1US = replace(CFG, geometry=replace(CFG.geometry, time_step=1e-6))
 
 
+def _resolve(monkeypatch, **fields):
+    """Replace these fields of the discretization record for one test."""
+    monkeypatch.setattr(constants, "DISCRETIZATION",
+                        replace(constants.DISCRETIZATION, **fields))
+
+
 @pytest.fixture
 def coarse_disc(monkeypatch):
     """A 6 x 4 impact-disc rule in place of the default 8 x 12."""
-    monkeypatch.setattr(observables, "_RADIAL_NODES", 6)
-    monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
+    _resolve(monkeypatch, radial_nodes=6, azimuthal_nodes=4)
 
 
 def _recs(*counts, spin="up"):
@@ -128,7 +133,8 @@ def test_disc_quadrature_weights_sum_to_one():
     # with 4 | azimuthal nodes, no node is its own mirror image: the y0
     # fold halves each ring, and the x0 fold with centred beams halves it
     # again
-    n_r, n_a = observables._RADIAL_NODES, observables._AZIMUTHAL_NODES
+    n_r = constants.DISCRETIZATION.radial_nodes
+    n_a = constants.DISCRETIZATION.azimuthal_nodes
     assert n_a % 4 == 0
     nodes = {"centred": n_r * n_a // 4, "shift_off": n_r * n_a // 4,
              "shift_offset": n_r * n_a // 2, "drive_offset": n_r * n_a // 2}
@@ -145,8 +151,9 @@ def _full_disc_counts(config, p_up_initial):
     """Expected emissions averaged over the explicit disc rule of the
     module's node counts, every fall line evaluated, each with the
     standing-wave phase rule."""
-    n_r, n_a = observables._RADIAL_NODES, observables._AZIMUTHAL_NODES
-    n_p = observables._PHASE_NODES
+    resolution = constants.DISCRETIZATION
+    n_r, n_a = resolution.radial_nodes, resolution.azimuthal_nodes
+    n_p = resolution.phase_nodes
     radius = config.geometry.impact_radius_factor * config.geometry.mode_waist
     u, w_u = np.polynomial.legendre.leggauss(n_r)
     r = radius * np.sqrt(0.5 * (u + 1.0))
@@ -251,8 +258,7 @@ def test_spectrum_with_shift_grows_low_frequency_tail(monkeypatch):
     # less than the full beam intensity emit below the fully shifted
     # resonance, skewing the line toward low frequency and pulling the
     # peak below the center-atom shift
-    monkeypatch.setattr(observables, "_RADIAL_NODES", 8)
-    monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
+    _resolve(monkeypatch, radial_nodes=8, azimuthal_nodes=4)
     grid = np.arange(-2.0, 9.01, 0.25)
     points = fluorescence_spectrum(grid, CFG, light_shift_on=True)
     assert count_weighted_skewness(points) < -0.2
@@ -289,12 +295,11 @@ def test_spectrum_points_converge_in_the_table_nodes(monkeypatch,
         detuning = transit.probe_detuning(cfg) / 1e6
 
     def point(nodes):
-        monkeypatch.setattr(transit, "_TABLE_NODES", nodes)
-        monkeypatch.setattr(transit, "_tables", {})
+        _resolve(monkeypatch, table_nodes=nodes)
         return fluorescence_spectrum([detuning], cfg,
                                      shift_offset is not None)[0].mean_counts
 
-    shipped = point(transit._TABLE_NODES)
+    shipped = point(constants.DISCRETIZATION.table_nodes)
     dense = point((8, 48) if not shift_offset else (8, 32, 24))
     assert shipped == pytest.approx(dense, rel=1.5e-3)
 
@@ -319,12 +324,12 @@ def test_spectrum_points_converge_in_the_disc_rule(monkeypatch, shift_offset,
         detuning = transit.probe_detuning(cfg) / 1e6
 
     def point(radial, azimuthal):
-        monkeypatch.setattr(observables, "_RADIAL_NODES", radial)
-        monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", azimuthal)
+        _resolve(monkeypatch, radial_nodes=radial, azimuthal_nodes=azimuthal)
         return fluorescence_spectrum([detuning], cfg,
                                      shift_offset is not None)[0].mean_counts
 
-    shipped = point(observables._RADIAL_NODES, observables._AZIMUTHAL_NODES)
+    resolution = constants.DISCRETIZATION
+    shipped = point(resolution.radial_nodes, resolution.azimuthal_nodes)
     assert shipped == pytest.approx(point(10, 32), rel=rel)
 
 
@@ -433,8 +438,7 @@ def test_predicted_snr_waist_sweep_prefers_wide_beam(coarse_disc):
 
 
 def test_predicted_snr_independent_of_detection_efficiency(monkeypatch):
-    monkeypatch.setattr(observables, "_RADIAL_NODES", 4)
-    monkeypatch.setattr(observables, "_AZIMUTHAL_NODES", 4)
+    _resolve(monkeypatch, radial_nodes=4, azimuthal_nodes=4)
     lo = replace(CFG, cavity=replace(CFG.cavity, detection_efficiency=0.05))
     hi = replace(CFG, cavity=replace(CFG.cavity, detection_efficiency=1.0))
     a = predicted_snr([9e-3], lo, vary="power")

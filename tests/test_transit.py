@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ybcavity import constants, observables, transit
+from ybcavity import constants, observables, ratemodel, transit
 from ybcavity.ratemodel import (axial_profile, coupling_at, drive_rabi_sq,
                                 spin_rates)
 from ybcavity.errors import ConfigError
@@ -253,7 +253,8 @@ def test_rate_table_passes_through_its_node_log_rates(monkeypatch,
     assert table.three_d == (shift_offset != 0.0)
     fine = table.channels.reshape(3, *table.fine)
     at_nodes = fine[(slice(None),) + tuple(
-        slice(None, None, k) for k in transit._TABLE_REFINE[:fine.ndim - 1])]
+        slice(None, None, k)
+        for k in constants.DISCRETIZATION.table_refine[:fine.ndim - 1])]
     np.testing.assert_allclose(at_nodes, np.moveaxis(nodes, -1, 0),
                                rtol=0, atol=1e-12)
 
@@ -756,6 +757,29 @@ def test_rate_table_cache_is_bounded_by_bytes(monkeypatch):
     # the least recently used table made room for the third
     assert len(transit._tables) == 2
     assert transit.rate_table(configs[0]) is not first
+
+
+def test_the_caches_key_on_the_discretization_record(monkeypatch):
+    # replacing the record is the one way to re-resolve: more drive nodes
+    # build a new table, another Fock cutoff a new table and spin model,
+    # and a new disc rule, which no table reads, reuses the table
+    cavity = CFG_OFF.cavity
+    shipped = constants.DISCRETIZATION
+    table = transit.rate_table(CFG_OFF)
+    model = ratemodel._spin_model(cavity.kappa, cavity.gamma)
+    for fields, new_model in [({"table_nodes": (8, 16, 14)}, False),
+                              ({"fock_cutoff": (1, 1)}, True)]:
+        monkeypatch.setattr(constants, "DISCRETIZATION",
+                            replace(shipped, **fields))
+        assert transit.rate_table(CFG_OFF) is not table
+        assert (ratemodel._spin_model(cavity.kappa, cavity.gamma)
+                is not model) == new_model
+        monkeypatch.setattr(constants, "DISCRETIZATION", shipped)
+        assert transit.rate_table(CFG_OFF) is table
+        assert ratemodel._spin_model(cavity.kappa, cavity.gamma) is model
+    monkeypatch.setattr(constants, "DISCRETIZATION",
+                        replace(shipped, radial_nodes=12, azimuthal_nodes=16))
+    assert transit.rate_table(CFG_OFF) is table
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ from .atomic import LevelScheme
 from .errors import ConfigError, ModelError, NumericalError
 from .lightshift import BeamParams, ShiftResult
 from .ratemodel import (EXCITED_INDEX, GROUND_INDEX, N_ATOM, CavityParams,
-                        atom_proj, coupling_at, drive_rabi_sq,
-                        liouvillian_triplets, model_terms, spin_rates)
+                        atom_proj, basis_quanta, coupling_at, drive_rabi_sq,
+                        liouvillian_triplets, model_terms, one_blas_thread,
+                        spin_rates)
 
 TWO_PI = constants.TWO_PI
 
@@ -238,6 +239,75 @@ def _reduction(lio, n_max: int, seeds, vec=None):
     return rows, expand
 
 
+def _graded_solve(red, rows, expand, trace, n_max):
+    """Null vector x of the reduced generator `red` (the unknowns `rows`
+    and `expand` of `_reduction`) with trace @ x = 1, by grade.
+
+    With A_jk the block of grade j's equations in grade k's unknowns,
+    S_K = A_KK at the top grade K, Y_k = S_k^-1 A_k,k-1 on the nonzero
+    columns of A_k,k-1, and S_k-1 = A_k-1,k-1 - A_k-1,k Y_k down to S_0,
+    to which grade -1 adds grade 1's term conjugated and permuted by the
+    map rho_ab -> rho_ba within grade 0.  Then x_0 solves S_0 with the
+    trace row in place of rho_00's equation, x_k = -Y_k x_k-1, and grade
+    -k is the conjugate of grade k.
+    """
+    dim = N_ATOM * (n_max + 1) ** 2
+    quanta = basis_quanta(n_max, n_max)
+    grade = quanta[rows % dim] - quanta[rows // dim]
+    red = red.tocoo()
+    g_row, g_col = grade[red.row], grade[red.col]
+    if np.any(np.abs(g_row - g_col) > 1):
+        raise ModelError("full model lost its quantum-number grading")
+    swapped = (rows % dim) * dim + rows // dim       # rho_ab -> rho_ba
+    conj_of = expand.indices[expand.indptr[swapped]]
+    top = int(grade.max())
+    level = [np.flatnonzero(grade == k) for k in range(top + 1)]
+    pos = np.empty(len(rows), int)
+    for idx in level:
+        pos[idx] = np.arange(len(idx))
+
+    # the entries of block (k, k - 1 + b) at part 3k + b, grades >= 0 only
+    keep = np.flatnonzero((g_row >= 0) & (g_col >= 0))
+    part = 3 * g_row[keep] + g_col[keep] - g_row[keep] + 1
+    order = keep[np.argsort(part, kind="stable")]
+    counts = np.bincount(part, minlength=3 * top + 3)
+    parts = np.split(order, np.cumsum(counts)[:-1])
+    r_pos, c_pos = pos[red.row], pos[red.col]
+    diag, down, up, cols = {}, {}, {}, {}
+    for k in range(top + 1):
+        n_k = len(level[k])
+        e = parts[3 * k + 1]
+        diag[k] = np.zeros((n_k, n_k), complex)
+        diag[k][r_pos[e], c_pos[e]] = red.data[e]
+        if k > 0:   # the drive down, on its nonzero columns only
+            e = parts[3 * k]
+            cols[k], at = np.unique(c_pos[e], return_inverse=True)
+            down[k] = np.zeros((n_k, len(cols[k])), complex)
+            down[k][r_pos[e], at] = red.data[e]
+        if k < top:   # the drive up, only ever multiplied
+            e = parts[3 * k + 2]
+            up[k] = sp.csr_matrix((red.data[e], (r_pos[e], c_pos[e])),
+                                  shape=(n_k, len(level[k + 1])))
+
+    ys = {}
+    for k in range(top, 0, -1):
+        ys[k] = np.linalg.solve(diag[k], down[k])
+        schur = up[k - 1] @ ys[k]
+        diag[k - 1][:, cols[k]] -= schur
+    if top > 0:   # grade -1's term, by the conjugation map
+        perm = pos[conj_of[level[0]]]
+        diag[0][:, perm[cols[1]]] -= schur[perm].conj()
+    diag[0][0] = trace[level[0]]          # rows[0] is rho_00
+    rhs = np.zeros(len(level[0]), complex)
+    rhs[0] = 1.0
+    x = np.empty(len(rows), complex)
+    x[level[0]] = np.linalg.solve(diag[0], rhs)
+    for k in range(1, top + 1):
+        x[level[k]] = -ys[k] @ x[level[k - 1]][cols[k]]
+        x[conj_of[level[k]]] = x[level[k]].conj()
+    return x
+
+
 def steady_state(generator: LindbladGenerator,
                  initial_state: SystemState | None = None) -> SystemState:
     """Stationary state of the generator.
@@ -246,15 +316,27 @@ def steady_state(generator: LindbladGenerator,
     states, the stationary manifold is degenerate, and the physical answer
     depends on history: in that case the ground-sector populations of
     `initial_state` (default: an even mixture) are preserved.  Otherwise
-    the unique null vector is found by a direct sparse solve with the trace
-    constraint replacing one row.
+    the unique null vector is found with the trace constraint replacing
+    one equation.
 
     The solve runs on the reduced unknowns of `_reduction` seeded by the
     populations: the Liouvillian's block that holds them (half of rho;
     the unique steady state has no weight outside it) and, when the model
     is mirror-symmetric, one unknown per mirror pair, a quarter of rho.
-    The state is then expanded and checked against the full Liouvillian,
-    so a wrong reduction can only raise, never return a wrong state.
+    Only the drive changes the quanta of `basis_quanta`, so grading each
+    unknown rho_ab by q_a - q_b makes the reduced system block
+    tridiagonal (a ModelError says if it is not), and `_graded_solve`
+    eliminates it with dense blocks, not a sparse LU: the grades above 0
+    from the top down; the grades below 0 folded onto them, since
+    rho_ba = conj(rho_ab) maps each unknown to one of the opposite grade
+    and the reduced equations are conjugate-symmetric under that map;
+    then grade 0, the populations', with the trace row.  numpy's OpenBLAS
+    is held to one thread meanwhile (`one_blas_thread`): on blocks of a
+    few hundred its threads gain little on idle cores and lose much on
+    busy ones.  A singular block is a NumericalError.  The state is then
+    expanded and checked against the full Liouvillian, so a wrong
+    reduction or a generator without the conjugate symmetry can only
+    raise, never return a wrong state.
     """
     lio = generator.liouvillian
     dim = generator.dim
@@ -276,14 +358,11 @@ def steady_state(generator: LindbladGenerator,
 
     diag = np.arange(dim) * (dim + 1)
     rows, expand = _reduction(lio, n_max, diag)
-    # rows[0] is rho_00, whose equation the trace condition replaces
-    trace_row = sp.csr_matrix(expand[diag].sum(axis=0))
-    a_mat = sp.vstack([trace_row, lio[rows[1:]] @ expand], format="csc")
-    b = np.zeros(len(rows), dtype=complex)
-    b[0] = 1.0
+    trace = np.asarray(expand[diag].sum(axis=0)).ravel()
     try:
-        x = spla.spsolve(a_mat, b)
-    except Exception as exc:  # singular factorization and friends
+        with one_blas_thread():
+            x = _graded_solve(lio[rows] @ expand, rows, expand, trace, n_max)
+    except np.linalg.LinAlgError as exc:  # a singular block
         raise NumericalError(f"steady-state solve failed: {exc}") from exc
 
     rho = (expand @ x).reshape((dim, dim), order="F")

@@ -182,6 +182,18 @@ def model_terms(n_plus: int, n_minus: int):
     return excited, coupling, drive, modes, embed
 
 
+def basis_quanta(n_plus: int, n_minus: int) -> np.ndarray:
+    """Quanta of each basis state of `model_terms(n_plus, n_minus)`: its
+    sigma+ and sigma- photons plus one for an excited atom.  The coupling
+    conserves them, a photon loss or decay lowers both sides of rho_ab by
+    one, and the drive alone moves one side by one, so grading rho_ab by
+    q_a - q_b makes every Liouvillian of these terms block tridiagonal."""
+    atom, n_p, n_m = np.unravel_index(
+        np.arange(N_ATOM * (n_plus + 1) * (n_minus + 1)),
+        (N_ATOM, n_plus + 1, n_minus + 1))
+    return n_p + n_m + np.isin(atom, list(EXCITED_INDEX.values()))
+
+
 def liouvillian_triplets(h, ops):
     """Entries of the Liouvillian of a Hamiltonian and dense collapse
     operators C on column-stacked rho, vec(A X B) = (B^T kron A) vec(X):
@@ -252,12 +264,13 @@ def _blas_threads():
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Hold numpy's OpenBLAS to one thread, put it back on exit, and yield
     the rate pool's worker count: one per CPU this process may use, or one
     where the thread count cannot be set.  Left at its default, OpenBLAS
-    spins its own threads on the cores the pool solves on.  A lock keeps
-    concurrent callers from interleaving the save and the restore."""
+    spins its own threads on the cores the pool solves on; the full
+    model's graded steady state (`dynamics`) solves under it too.  A lock
+    keeps concurrent callers from interleaving the save and the restore."""
     with _BLAS_LOCK:
         blas = _blas_threads()
         if blas is None:
@@ -302,8 +315,7 @@ def _conditional_liouvillian(kappa: float, gamma: float):
     driven sublevel, as dense column-stacked superoperators summed from
     `liouvillian_triplets`, the formula of the full model's generator.
     `weights` maps the populations to the (sigma+, sigma-, flip, free)
-    rates, and `quanta` counts each basis state's photons plus atomic
-    excitation.
+    rates, and `quanta` is `basis_quanta` of the sector's states.
     """
     cutoff = constants.DISCRETIZATION.fock_cutoff
     up = GROUND_INDEX[+1]
@@ -347,14 +359,14 @@ def _conditional_liouvillian(kappa: float, gamma: float):
     comps = [dense(np.zeros((d, d)), jumps)] + [
         dense(cut(h)) for h in [h_g] + [excited[e2] for e2 in excited_m2]]
     drive = dense(cut(h_om))
-    quanta = n_p + n_m + is_exc
+    quanta = basis_quanta(*cutoff)[keep]
     return excited_m2, weights, comps, drive, quanta
 
 
 class _SpinModel:
     """The rate model of `_conditional_liouvillian`, solved in batches on
     a thread pool, one worker per CPU, with numpy's OpenBLAS held to one
-    thread (`_one_blas_thread`; one worker where it cannot be held).  The
+    thread (`one_blas_thread`; one worker where it cannot be held).  The
     drive is mirror-symmetric (m -> -m swaps its sigma+ and sigma-
     parts), so spin down is this model with the sigma+ and sigma- modes
     swapped.
@@ -462,7 +474,7 @@ class _SpinModel:
     def rates(self, coupling, omega, detunings):
         """Rate columns (sigma+, sigma-, flip, free) for 1-d point arrays.
 
-        Tasks of `_TASK` points run on a pool of `_one_blas_thread`'s
+        Tasks of `_TASK` points run on a pool of `one_blas_thread`'s
         workers: numpy's solves and products release the GIL.  The tasks
         are the same at any worker count, so are the rates' bits.  A
         point's last bits can depend on its task's size, though: OpenBLAS
@@ -480,7 +492,7 @@ class _SpinModel:
             sl = slice(lo, lo + _TASK)
             out[sl] = self._populations(params[sl], omega[sl]) @ self.weights
 
-        with _one_blas_thread() as workers:
+        with one_blas_thread() as workers:
             try:
                 with ThreadPoolExecutor(workers) as pool:
                     list(pool.map(solve, range(0, len(coupling), _TASK)))
@@ -499,7 +511,7 @@ def _spin_model(kappa: float, gamma: float) -> _SpinModel:
 
 @lru_cache(maxsize=16)
 def _cached_model(kappa: float, gamma: float, fock_cutoff) -> _SpinModel:
-    with _one_blas_thread():
+    with one_blas_thread():
         return _SpinModel(kappa, gamma)
 
 

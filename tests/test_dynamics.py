@@ -431,6 +431,86 @@ def test_photon_numbers_converge_in_the_fock_cutoff(shift_on):
         assert abs(two - three) < 0.01 * three
 
 
+def _superlu_steady_state(gen):
+    """The steady state by a sparse LU solve (SuperLU) of the same reduced
+    system that `steady_state` eliminates by grade, the trace row in
+    place of rho_00's equation, expanded, Hermitized and normalized."""
+    dim = gen.dim
+    diag = np.arange(dim) * (dim + 1)
+    rows, expand = _reduction(gen.liouvillian, gen.n_max, diag)
+    trace_row = sp.csr_matrix(expand[diag].sum(axis=0))
+    a_mat = sp.vstack([trace_row, gen.liouvillian[rows[1:]] @ expand],
+                      format="csc")
+    b = np.zeros(len(rows), dtype=complex)
+    b[0] = 1.0
+    rho = (expand @ spsolve(a_mat, b)).reshape((dim, dim), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("shift_on", [True, False])
+def test_graded_steady_state_matches_sparse_lu(n_max, shift_on):
+    gen = _operating_generator(shift_on, n_max, position=(3e-6, 4e-6, -5e-6))
+    ref = _superlu_steady_state(gen)
+    got = steady_state(gen).rho
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_graded_steady_state_of_the_conditional_generator():
+    # not mirror-symmetric: the reduced unknowns are half of rho, and each
+    # one's conjugate partner is another unknown, not a mirror pair
+    from test_acceptance import _conditional_generator
+    cfg = TransitConfig()
+    shifts = ShiftResult(stark_shift(+1.5, cfg.shift_beam, cfg.scheme),
+                         stark_shift(+0.5, cfg.shift_beam, cfg.scheme))
+    gen, _ = _conditional_generator("up", probe_detuning(cfg),
+                                    (3e-6, 4e-6, -5e-6), shifts, cfg.scheme,
+                                    cfg.cavity, cfg.drive)
+    ref = _superlu_steady_state(gen)
+    assert np.max(np.abs(steady_state(gen).rho - ref)) \
+        <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_basis_quanta_grade_the_model_terms():
+    # the coupling keeps the quanta, the drive moves them by one and each
+    # mode's annihilator lowers them by one
+    quanta = ratemodel.basis_quanta(2, 1)
+    _, coupling, drive, modes, _ = ratemodel.model_terms(2, 1)
+    for op, step in [(coupling, {0}), (drive, {-1, 1}), (modes[0], {-1}),
+                     (modes[1], {-1})]:
+        r, c = np.nonzero(op)
+        assert set(quanta[r] - quanta[c]) == step
+
+
+def test_two_photon_term_breaks_the_grading():
+    gen = _operating_generator(True)
+    a_plus = ratemodel.model_terms(2, 2)[3][0]
+    h = gen.h + 0.1 * CAVITY.kappa * (a_plus @ a_plus + a_plus.T @ a_plus.T)
+    with pytest.raises(ModelError, match="grading"):
+        steady_state(build_lindblad(h, SCHEME, CAVITY))
+
+
+def test_singular_block_raises_and_restores_blas(monkeypatch, blas_count):
+    # a LinAlgError of any block solve is a NumericalError, the solves
+    # run with OpenBLAS held to one thread, and the count is put back
+    gen = _operating_generator(True)
+    seen = []
+
+    def singular(a, b):
+        seen.append(blas_count() if blas_count else None)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(dynamics.np.linalg, "solve", singular)
+    with pytest.raises(NumericalError, match="steady-state solve failed"):
+        steady_state(gen)
+    if blas_count is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be "
+                    "set, so there is no count to restore")
+    assert seen == [1]
+    assert blas_count() == 2
+
+
 # ---------------------------------------------------------------------------
 # state container
 
